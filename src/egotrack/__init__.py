@@ -12,7 +12,7 @@ deterministic scenario simulator with baselines (``sim``), and a CLI
 
 __version__ = "0.1.0"
 
-from .config import build_configs, canonical_config, config_hash, load_config
+from .config import build_configs, canonical_config, config_hash
 from .errors import (
     ConfigError,
     DegenerateGeometryError,

@@ -1,157 +1,77 @@
 """JSON run configuration: defaults, validation, canonical form, and hashing.
 
-Every key has a default matching the reference deployment constants except
-``scenario.duration``, which the caller must provide.  Unknown keys are
-rejected by full path so typos fail loudly instead of silently using a
-default.
+The typed config dataclasses are the schema.  Every default is read from a
+dataclass field, and every leaf of the canonical form is converted by its
+field's annotation, so neither is written down twice.  Three facts are not
+carried by the dataclasses: ``scenario.duration`` has no default and must be
+given, ``mode`` and ``randomization`` are top-level keys although they are
+fields of ``ScenarioConfig``, and ``task`` is null unless given.  Unknown
+keys are rejected by full path so typos fail loudly instead of silently
+using a default.
 """
 
 from __future__ import annotations
 
 import copy
+import dataclasses
+import functools
 import hashlib
 import json
 import math
+import numbers
+import typing
+
+import numpy as np
 
 from .errors import ConfigError
 from .estimator import FilterConfig
-from .geometry import CameraModel
 from .perturbation import RandomizationConfig
-from .sim import CameraMotion, ObjectSpec, ScenarioConfig, SensorSpec
+from .sim import ScenarioConfig
 from .tasklogic import AscConfig, CriteriaConfig, RewardConfig, TaskGeometry
 
-DEFAULTS: dict = {
-    "mode": "deploy",
-    "scenario": {
-        "seed": 0,
-        "duration": None,  # required
-        "control_rate": 50.0,
-        "obs_rate": 5.0,
-        "obs_latency": 0.2,
-        "surface_samples": 2048,
-        "alpha": 1.0,
-        "vo_trans_noise_std": 0.0,
-        "vo_rot_noise_std": 0.0,
-        "drift_sigma": 0.01,
-        "drift_max": 0.10,
-        "camera": {
-            "fx": 500.0,
-            "fy": 500.0,
-            "cx": 320.0,
-            "cy": 240.0,
-            "width": 640,
-            "height": 480,
-            "near_z": 0.05,
-        },
-        "camera_motion": {
-            "kind": "static",
-            "velocity": [0.0, 0.0, 0.0],
-            "amplitude": 0.05,
-            "frequency": 1.5,
-            "pitch_amplitude_deg": 2.0,
-            "yaw_rate": 0.5,
-        },
-        "target": {
-            "shape": "sphere",
-            "radius": 0.1,
-            "height": 0.2,
-            "dims": [0.2, 0.15, 0.1],
-            "position": [2.5, 0.0, 0.0],
-            "rpy": [0.0, 0.0, 0.0],
-            "velocity": [0.0, 0.0, 0.0],
-        },
-        "sensor": {
-            "pixel_std_u": 20.0,
-            "pixel_std_v": 20.0,
-            "depth_std": 0.05,
-            "mode": "cloud",
-        },
-    },
-    "filter": {
-        "q_pos": 1e-6,
-        "q_vel": 1e-5,
-        "sigma_u": 20.0,
-        "sigma_v": 20.0,
-        "sigma_z": 0.05,
-        "p0_pos": 1e-2,
-        "p0_vel": 1e-1,
-    },
-    "criteria": {
-        "eps_x": 0.05,
-        "eps_y": 0.03,
-        "eps_yaw": 0.10,
-        "eps_pitch": 0.15,
-        "delta_x": 0.10,
-        "delta_y": 0.10,
-        "delta_yaw": 0.20,
-        "delta_pitch": 0.20,
-    },
-    "reward": {
-        "sigma_track": 0.04,
-        "k_pos": 1.0,
-        "w_hint": 0.4,
-        "w_opt": 20.0,
-        "w_miss": -0.1,
-        "w_roll": -2.0,
-        "w_ang": -0.1,
-        "w_smooth": -0.01,
-        "w_limit": -0.1,
-        "clip_planar": 0.5,
-        "clip_pitch": math.pi / 6.0,
-        "opt_velocity": "planar",
-    },
-    "asc": {
-        "s_thresh": 0.15,
-        "lambda_asc": 5.0,
-        "p_near_start": 0.8,
-        "p_near_end": 0.1,
-        "p_fail_start": 0.2,
-        "p_fail_end": 0.5,
-        "window_n": 100,
-        "replay_capacity": 1024,
-    },
-    "randomization": {
-        "extrinsic_trans_x": [-0.02, 0.02],
-        "extrinsic_trans_y": [-0.005, 0.005],
-        "extrinsic_trans_z": [-0.02, 0.02],
-        "extrinsic_roll_deg": [-0.5, 0.5],
-        "extrinsic_pitch_deg": [-2.0, 2.0],
-        "extrinsic_yaw_deg": [-0.5, 0.5],
-        "perception_delay_ms": [0.0, 50.0],
-        "lin_vel_noise_std": 0.1,
-        "ang_vel_noise_std": 0.1,
-        "gravity_noise_std": 0.1,
-        "sigma_scale_noise_std": 0.1,
-        "sigma_rot_noise_std": 0.1,
-        "alpha_range": [1.0, 1.5],
-        "friction_range": [0.2, 5.0],
-        "restitution_range": [0.0, 1.0],
-        "added_mass_range": [-1.0, 2.0],
-    },
-    # null disables per-tick reward/terminal evaluation.
-    "task": None,
-}
+_type_hints = functools.cache(typing.get_type_hints)
 
-_TASK_DEFAULTS = {
-    "p_opt": [0.0, 0.0, 0.0],
-    "theta_opt": [0.0, 0.0, 0.0],
-    "p_hint": [0.0, 0.0, 0.0],
-    "w_pos": [1.0, 1.0, 1.0],
-    "w_rot": [1.0, 1.0, 1.0],
-    "task_kind": "short_axis",
-}
+
+def _as_json(value):
+    """Dataclass instance -> nested dict with tuples and arrays as float lists."""
+    if dataclasses.is_dataclass(value):
+        return {f.name: _as_json(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    if isinstance(value, (tuple, np.ndarray)):
+        return [float(v) for v in value]
+    return value
+
+
+def _defaults() -> dict:
+    scenario = _as_json(ScenarioConfig())
+    del scenario["randomization"]  # a top-level key
+    scenario["duration"] = None  # required
+    return {
+        "mode": scenario.pop("mode"),  # a top-level key
+        "scenario": scenario,
+        "filter": _as_json(FilterConfig()),
+        "criteria": _as_json(CriteriaConfig()),
+        "reward": _as_json(RewardConfig()),
+        "asc": _as_json(AscConfig()),
+        "randomization": _as_json(RandomizationConfig()),
+        # null disables per-tick reward/terminal evaluation.
+        "task": None,
+    }
+
+
+DEFAULTS: dict = _defaults()
+_TASK_DEFAULTS: dict = _as_json(TaskGeometry())
 
 
 def _merge(defaults, override, path: str) -> dict:
     """Deep merge with unknown-key rejection; scalar leaves replace defaults."""
+    if not isinstance(override, dict):
+        raise ConfigError(f"config key {path!r} must be an object")
     out = copy.deepcopy(defaults)
     for key, value in override.items():
         full = f"{path}.{key}" if path else key
         if key not in defaults:
             raise ConfigError(f"unknown config key {full!r}")
-        if isinstance(defaults[key], dict) and defaults[key] is not None:
-            if not isinstance(value, dict):
-                raise ConfigError(f"config key {full!r} must be an object")
+        if isinstance(defaults[key], dict):
             out[key] = _merge(defaults[key], value, full)
         else:
             out[key] = value
@@ -163,9 +83,8 @@ def canonical_config(user: dict) -> dict:
     if not isinstance(user, dict):
         raise ConfigError("top-level config must be a JSON object")
     merged = _merge(DEFAULTS, user, "")
-    task = user.get("task")
-    if task is not None:
-        merged["task"] = _merge(_TASK_DEFAULTS, task, "task")
+    if merged["task"] is not None:
+        merged["task"] = _merge(_TASK_DEFAULTS, merged["task"], "task")
     if merged["scenario"]["duration"] is None:
         raise ConfigError("missing required config key 'scenario.duration'")
     return merged
@@ -177,8 +96,46 @@ def config_hash(canonical: dict) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-def _pairs(value):
-    return tuple(float(v) for v in value)
+def _number(kind: type, value, path: str):
+    """A finite int or float leaf; booleans, NaN, infinities and fractional ints fail."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"config key {path!r} must be a number, got {value!r}")
+    if isinstance(value, numbers.Integral):
+        try:
+            return kind(value)
+        except OverflowError:
+            raise ConfigError(f"config key {path!r} is out of range") from None
+    value = float(value)
+    if not math.isfinite(value):
+        raise ConfigError(f"config key {path!r} must be finite, got {value!r}")
+    if kind is int and not value.is_integer():
+        raise ConfigError(f"config key {path!r} must be an integer, got {value!r}")
+    return kind(value)
+
+
+def _leaf(kind: type, value, path: str):
+    """Convert one canonical value to its field's annotated type."""
+    if dataclasses.is_dataclass(kind):
+        return _build(kind, value, path)
+    if kind in (int, float):
+        return _number(kind, value, path)
+    if kind is str:
+        if not isinstance(value, str):
+            raise ConfigError(f"config key {path!r} must be a string, got {value!r}")
+        return value
+    # tuple and ndarray fields are vectors of floats
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"config key {path!r} must be a list of numbers, got {value!r}")
+    return tuple(_number(float, v, f"{path}[{i}]") for i, v in enumerate(value))
+
+
+def _build(cls: type, values: dict, path: str, **fixed):
+    hints = _type_hints(cls)
+    kwargs = {key: _leaf(hints[key], value, f"{path}.{key}") for key, value in values.items()}
+    try:
+        return cls(**kwargs, **fixed)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def build_configs(canonical: dict):
@@ -187,93 +144,22 @@ def build_configs(canonical: dict):
     Returns (ScenarioConfig, FilterConfig, CriteriaConfig, RewardConfig,
     AscConfig, TaskGeometry | None).
     """
-    sc = canonical["scenario"]
-    try:
-        camera = CameraModel(**sc["camera"])
-        motion = CameraMotion(
-            kind=sc["camera_motion"]["kind"],
-            velocity=tuple(sc["camera_motion"]["velocity"]),
-            amplitude=sc["camera_motion"]["amplitude"],
-            frequency=sc["camera_motion"]["frequency"],
-            pitch_amplitude_deg=sc["camera_motion"]["pitch_amplitude_deg"],
-            yaw_rate=sc["camera_motion"]["yaw_rate"],
-        )
-        target = ObjectSpec(
-            shape=sc["target"]["shape"],
-            radius=sc["target"]["radius"],
-            height=sc["target"]["height"],
-            dims=tuple(sc["target"]["dims"]),
-            position=tuple(sc["target"]["position"]),
-            rpy=tuple(sc["target"]["rpy"]),
-            velocity=tuple(sc["target"]["velocity"]),
-        )
-        sensor = SensorSpec(**sc["sensor"])
-        randomization = None
-        if canonical["mode"] == "training":
-            r = canonical["randomization"]
-            randomization = RandomizationConfig(
-                extrinsic_trans_x=_pairs(r["extrinsic_trans_x"]),
-                extrinsic_trans_y=_pairs(r["extrinsic_trans_y"]),
-                extrinsic_trans_z=_pairs(r["extrinsic_trans_z"]),
-                extrinsic_roll_deg=_pairs(r["extrinsic_roll_deg"]),
-                extrinsic_pitch_deg=_pairs(r["extrinsic_pitch_deg"]),
-                extrinsic_yaw_deg=_pairs(r["extrinsic_yaw_deg"]),
-                perception_delay_ms=_pairs(r["perception_delay_ms"]),
-                lin_vel_noise_std=r["lin_vel_noise_std"],
-                ang_vel_noise_std=r["ang_vel_noise_std"],
-                gravity_noise_std=r["gravity_noise_std"],
-                sigma_scale_noise_std=r["sigma_scale_noise_std"],
-                sigma_rot_noise_std=r["sigma_rot_noise_std"],
-                alpha_range=_pairs(r["alpha_range"]),
-                friction_range=_pairs(r["friction_range"]),
-                restitution_range=_pairs(r["restitution_range"]),
-                added_mass_range=_pairs(r["added_mass_range"]),
-            )
-        scenario = ScenarioConfig(
-            seed=int(sc["seed"]),
-            duration=float(sc["duration"]),
-            control_rate=float(sc["control_rate"]),
-            obs_rate=float(sc["obs_rate"]),
-            obs_latency=float(sc["obs_latency"]),
-            camera=camera,
-            camera_motion=motion,
-            target=target,
-            surface_samples=int(sc["surface_samples"]),
-            alpha=float(sc["alpha"]),
-            vo_trans_noise_std=float(sc["vo_trans_noise_std"]),
-            vo_rot_noise_std=float(sc["vo_rot_noise_std"]),
-            sensor=sensor,
-            drift_sigma=float(sc["drift_sigma"]),
-            drift_max=float(sc["drift_max"]),
-            randomization=randomization,
-            mode=canonical["mode"],
-        )
-        filter_cfg = FilterConfig(**canonical["filter"])
-        criteria = CriteriaConfig(**canonical["criteria"])
-        reward = RewardConfig(**canonical["reward"])
-        asc = AscConfig(**canonical["asc"])
-        task = None
-        if canonical["task"] is not None:
-            t = canonical["task"]
-            task = TaskGeometry(
-                p_opt=t["p_opt"],
-                theta_opt=t["theta_opt"],
-                p_hint=t["p_hint"],
-                w_pos=t["w_pos"],
-                w_rot=t["w_rot"],
-                task_kind=t["task_kind"],
-            )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
-    return scenario, filter_cfg, criteria, reward, asc, task
-
-
-def load_config(path: str) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            user = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {path!r} is not valid JSON: {exc}") from exc
-    return canonical_config(user)
+    randomization = None
+    if canonical["mode"] == "training":
+        randomization = _build(RandomizationConfig, canonical["randomization"], "randomization")
+    scenario = _build(
+        ScenarioConfig,
+        canonical["scenario"],
+        "scenario",
+        mode=canonical["mode"],
+        randomization=randomization,
+    )
+    task = None if canonical["task"] is None else _build(TaskGeometry, canonical["task"], "task")
+    return (
+        scenario,
+        _build(FilterConfig, canonical["filter"], "filter"),
+        _build(CriteriaConfig, canonical["criteria"], "criteria"),
+        _build(RewardConfig, canonical["reward"], "reward"),
+        _build(AscConfig, canonical["asc"], "asc"),
+        task,
+    )

@@ -76,6 +76,8 @@ def perturb_sigma_points(
 
 
 def _check_range(name: str, rng_pair) -> tuple[float, float]:
+    if len(rng_pair) != 2:
+        raise ValueError(f"{name} must be a (lower, upper) pair")
     lo, hi = float(rng_pair[0]), float(rng_pair[1])
     if lo > hi:
         raise ValueError(f"{name}: lower bound exceeds upper bound")
@@ -84,11 +86,7 @@ def _check_range(name: str, rng_pair) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class RandomizationConfig:
-    """Per-episode randomization ranges (uniform) and noise levels (Gaussian std).
-
-    Physics ranges (friction, restitution, added mass) are carried for the
-    record but nothing in this package consumes them.
-    """
+    """Per-episode randomization ranges (uniform) and noise levels (Gaussian std)."""
 
     extrinsic_trans_x: tuple = (-0.02, 0.02)    # m
     extrinsic_trans_y: tuple = (-0.005, 0.005)  # m
@@ -97,15 +95,9 @@ class RandomizationConfig:
     extrinsic_pitch_deg: tuple = (-2.0, 2.0)
     extrinsic_yaw_deg: tuple = (-0.5, 0.5)
     perception_delay_ms: tuple = (0.0, 50.0)
-    lin_vel_noise_std: float = 0.1
-    ang_vel_noise_std: float = 0.1
-    gravity_noise_std: float = 0.1
     sigma_scale_noise_std: float = 0.1
     sigma_rot_noise_std: float = 0.1
     alpha_range: tuple = (1.0, 1.5)
-    friction_range: tuple = (0.2, 5.0)
-    restitution_range: tuple = (0.0, 1.0)
-    added_mass_range: tuple = (-1.0, 2.0)
 
     def __post_init__(self):
         for name in (
@@ -117,18 +109,9 @@ class RandomizationConfig:
             "extrinsic_yaw_deg",
             "perception_delay_ms",
             "alpha_range",
-            "friction_range",
-            "restitution_range",
-            "added_mass_range",
         ):
             _check_range(name, getattr(self, name))
-        for name in (
-            "lin_vel_noise_std",
-            "ang_vel_noise_std",
-            "gravity_noise_std",
-            "sigma_scale_noise_std",
-            "sigma_rot_noise_std",
-        ):
+        for name in ("sigma_scale_noise_std", "sigma_rot_noise_std"):
             if getattr(self, name) < 0.0:
                 raise ValueError(f"{name} must be non-negative")
 
@@ -139,30 +122,18 @@ class RandomizationDraw:
 
     extrinsic_offset: RigidTransform
     perception_delay: float  # s
-    lin_vel_noise_std: float
-    ang_vel_noise_std: float
-    gravity_noise_std: float
     sigma_scale_noise_std: float
     sigma_rot_noise_std: float
     alpha: float
-    friction: float
-    restitution: float
-    added_mass: float
 
     def to_dict(self) -> dict:
         return {
             "extrinsic_rotation": self.extrinsic_offset.rotation.tolist(),
             "extrinsic_translation": self.extrinsic_offset.translation.tolist(),
             "perception_delay": self.perception_delay,
-            "lin_vel_noise_std": self.lin_vel_noise_std,
-            "ang_vel_noise_std": self.ang_vel_noise_std,
-            "gravity_noise_std": self.gravity_noise_std,
             "sigma_scale_noise_std": self.sigma_scale_noise_std,
             "sigma_rot_noise_std": self.sigma_rot_noise_std,
             "alpha": self.alpha,
-            "friction": self.friction,
-            "restitution": self.restitution,
-            "added_mass": self.added_mass,
         }
 
 
@@ -186,13 +157,7 @@ def sample_randomization(cfg: RandomizationConfig, rng: np.random.Generator) -> 
     return RandomizationDraw(
         extrinsic_offset=offset,
         perception_delay=uni(cfg.perception_delay_ms) * 1e-3,
-        lin_vel_noise_std=cfg.lin_vel_noise_std,
-        ang_vel_noise_std=cfg.ang_vel_noise_std,
-        gravity_noise_std=cfg.gravity_noise_std,
         sigma_scale_noise_std=cfg.sigma_scale_noise_std,
         sigma_rot_noise_std=cfg.sigma_rot_noise_std,
         alpha=uni(cfg.alpha_range),
-        friction=uni(cfg.friction_range),
-        restitution=uni(cfg.restitution_range),
-        added_mass=uni(cfg.added_mass_range),
     )

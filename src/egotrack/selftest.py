@@ -24,6 +24,7 @@ from .geometry import (
     SigmaPointSet,
     SurfacePointCloud,
     compute_visible_set,
+    relative_transform,
     weighted_pca,
 )
 from .perturbation import DriftState, drift_step
@@ -38,7 +39,6 @@ from .sim import (
     generate_scenario,
     run_episode,
     sensor_schedule,
-    _run_bank,
 )
 from .tasklogic import (
     AscConfig,
@@ -268,7 +268,7 @@ def check_latency_equivalence() -> CriterionResult:
     ]
     t_rels = [RigidTransform.identity("camera")]
     for k in range(1, len(times)):
-        t_rels.append(bundle.vo_poses[k].inverse().compose(bundle.vo_poses[k - 1]))
+        t_rels.append(relative_transform(bundle.vo_poses[k - 1], bundle.vo_poses[k]))
 
     def snapshot(tracks):
         return (

@@ -29,6 +29,7 @@ from .geometry import (
     extract_sigma_points,
     project_point,
     project_points,
+    relative_transform,
     rotation_about_axis,
     rotation_rpy,
     sigma_points_from_cloud,
@@ -328,6 +329,18 @@ def generate_scenario(cfg: ScenarioConfig) -> TrajectoryBundle:
     )
 
 
+def _jitter(
+    cam: CameraModel, spec: SensorSpec, pts: np.ndarray, rng: np.random.Generator
+) -> np.ndarray:
+    """Project, shift by one shared pixel/depth draw, and backproject."""
+    du = rng.normal(0.0, spec.pixel_std_u)
+    dv = rng.normal(0.0, spec.pixel_std_v)
+    dz = rng.normal(0.0, spec.depth_std)
+    pix, _ = project_points(cam, pts)
+    depth = np.maximum(pts[:, 2] + dz, cam.near_z)
+    return backproject_pixels(cam, pix + np.array([du, dv]), depth)
+
+
 def emulate_sensor(
     bundle: TrajectoryBundle, t_obs: float, rng: np.random.Generator
 ) -> Measurement:
@@ -345,21 +358,15 @@ def emulate_sensor(
     latency = cfg.obs_latency + (bundle.draw.perception_delay if bundle.draw else 0.0)
     available_at = t_obs + latency
     spec = cfg.sensor
-    noiseless = spec.pixel_std_u == 0.0 and spec.pixel_std_v == 0.0 and spec.depth_std == 0.0
 
     if spec.mode == "truth":
         if not bundle.visible[k]:
             return Measurement(t_obs, available_at, None)
         pts = bundle.true_sets[k]
-        if noiseless:
+        # A noiseless truth sensor draws nothing, leaving the stream untouched.
+        if spec.pixel_std_u == 0.0 and spec.pixel_std_v == 0.0 and spec.depth_std == 0.0:
             return Measurement(t_obs, available_at, SigmaPointSet(pts.copy()))
-        du = rng.normal(0.0, spec.pixel_std_u)
-        dv = rng.normal(0.0, spec.pixel_std_v)
-        dz = rng.normal(0.0, spec.depth_std)
-        pix, _ = project_points(cfg.camera, pts)
-        depth = np.maximum(pts[:, 2] + dz, cfg.camera.near_z)
-        moved = backproject_pixels(cfg.camera, pix + np.array([du, dv]), depth)
-        return Measurement(t_obs, available_at, SigmaPointSet(moved))
+        return Measurement(t_obs, available_at, SigmaPointSet(_jitter(cfg.camera, spec, pts, rng)))
 
     cam_cloud = transform_points(
         bundle.cloud, _camera_to_object(bundle.cam_poses[k], bundle.object_poses[k])
@@ -367,13 +374,7 @@ def emulate_sensor(
     vis = compute_visible_set(cam_cloud, cfg.camera)
     if vis.size == 0:
         return Measurement(t_obs, available_at, None)
-    pts = cam_cloud.points[vis]
-    du = rng.normal(0.0, spec.pixel_std_u)
-    dv = rng.normal(0.0, spec.pixel_std_v)
-    dz = rng.normal(0.0, spec.depth_std)
-    pix, _ = project_points(cfg.camera, pts)
-    depth = np.maximum(pts[:, 2] + dz, cfg.camera.near_z)
-    moved = backproject_pixels(cfg.camera, pix + np.array([du, dv]), depth)
+    moved = _jitter(cfg.camera, spec, cam_cloud.points[vis], rng)
     pca = weighted_pca(moved, np.ones(len(moved)))
     return Measurement(t_obs, available_at, extract_sigma_points(pca, bundle.alpha))
 
@@ -541,9 +542,7 @@ def run_episode(
         if disable_ego_compensation:
             t_rels.append(ident)
         else:
-            t_rels.append(
-                bundle.vo_poses[k].inverse().compose(bundle.vo_poses[k - 1])
-            )
+            t_rels.append(relative_transform(bundle.vo_poses[k - 1], bundle.vo_poses[k]))
 
     filter_est, filter_vel = _run_bank(
         times, t_rels, measurements, filter_cfg, cam, history_depth, oosm_mode

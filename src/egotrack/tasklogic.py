@@ -46,9 +46,9 @@ class InitKind(enum.Enum):
 class TaskGeometry:
     """Target pose, approach hint, and diagonal error weights for one task."""
 
-    p_opt: np.ndarray
-    theta_opt: np.ndarray
-    p_hint: np.ndarray
+    p_opt: np.ndarray = field(default_factory=lambda: np.zeros(3))
+    theta_opt: np.ndarray = field(default_factory=lambda: np.zeros(3))
+    p_hint: np.ndarray = field(default_factory=lambda: np.zeros(3))
     w_pos: np.ndarray = field(default_factory=lambda: np.ones(3))
     w_rot: np.ndarray = field(default_factory=lambda: np.ones(3))
     task_kind: str = "short_axis"

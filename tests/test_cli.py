@@ -1,11 +1,16 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
 from egotrack.cli import main
 from egotrack.config import build_configs, canonical_config, config_hash
 from egotrack.errors import ConfigError
+from egotrack.estimator import FilterConfig
+from egotrack.perturbation import RandomizationConfig
+from egotrack.sim import ScenarioConfig
+from egotrack.tasklogic import AscConfig, CriteriaConfig, RewardConfig, TaskGeometry
 
 
 def write_cfg(tmp_path, payload, name="cfg.json"):
@@ -48,6 +53,25 @@ class TestConfigModule:
         scenario, _, _, _, _, task = build_configs(c)
         assert scenario.duration == 1.0
         assert task is not None and task.p_opt[0] == 1.0
+
+    def test_defaults_are_the_dataclass_defaults(self):
+        scenario, filt, crit, reward, asc, task = build_configs(
+            canonical_config({"scenario": {"duration": 2.0}})
+        )
+        assert scenario == ScenarioConfig(duration=2.0)
+        assert filt == FilterConfig()
+        assert crit == CriteriaConfig()
+        assert reward == RewardConfig()
+        assert asc == AscConfig()
+        assert task is None
+        scenario, *_, task = build_configs(
+            canonical_config({"scenario": {"duration": 2.0}, "mode": "training", "task": {}})
+        )
+        assert scenario.randomization == RandomizationConfig()
+        expected = TaskGeometry()
+        for name in ("p_opt", "theta_opt", "p_hint", "w_pos", "w_rot"):
+            np.testing.assert_array_equal(getattr(task, name), getattr(expected, name))
+        assert task.task_kind == expected.task_kind
 
     def test_build_configs_bad_value(self):
         c = canonical_config({"scenario": {"duration": 1.0, "sensor": {"mode": "radar"}}})
@@ -122,10 +146,59 @@ class TestRunCommand:
         assert "scenario.duration" in capsys.readouterr().err
 
     def test_unknown_key_exits_2(self, tmp_path, capsys):
-        cfg = write_cfg(tmp_path, {"scenario": {"duration": 1.0, "durration": 2.0}})
+        for payload, key in (
+            ({"scenario": {"duration": 1.0, "durration": 2.0}}, "scenario.durration"),
+            # removed: nothing read it
+            (
+                {"scenario": {"duration": 1.0}, "randomization": {"friction_range": [0.2, 5.0]}},
+                "randomization.friction_range",
+            ),
+        ):
+            cfg = write_cfg(tmp_path, payload)
+            rc = main(["run", "--config", cfg, "--out", str(tmp_path / "o")])
+            assert rc == 2
+            assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "payload, key",
+        [
+            ({"scenario": {"duration": float("nan")}}, "scenario.duration"),
+            ({"scenario": {"duration": 1.0, "control_rate": float("inf")}}, "scenario.control_rate"),
+            ({"scenario": {"duration": 1.0, "alpha": float("nan")}}, "scenario.alpha"),
+            ({"scenario": {"duration": 1.0}, "filter": {"q_pos": float("-inf")}}, "filter.q_pos"),
+            ({"scenario": {"duration": 1.0, "seed": True}}, "scenario.seed"),
+            ({"scenario": {"duration": 1.0, "seed": 3.7}}, "scenario.seed"),
+            ({"scenario": {"duration": 1.0, "camera": {"fx": "500"}}}, "scenario.camera.fx"),
+            (
+                {"scenario": {"duration": 1.0, "target": {"position": [2.5, float("nan"), 0.0]}}},
+                "scenario.target.position[1]",
+            ),
+            (
+                {"scenario": {"duration": 1.0}, "mode": "training", "randomization": {"alpha_range": [1.0]}},
+                "alpha_range",
+            ),
+            ({"scenario": {"duration": 1.0}, "task": 5}, "'task'"),
+        ],
+        ids=[
+            "nan-duration",
+            "inf-control-rate",
+            "nan-alpha",
+            "neg-inf-q-pos",
+            "bool-seed",
+            "fractional-seed",
+            "string-fx",
+            "nan-vector-entry",
+            "short-range",
+            "task-not-object",
+        ],
+    )
+    def test_bad_leaf_exits_2_naming_the_key(self, tmp_path, capsys, payload, key):
+        cfg = write_cfg(tmp_path, payload)
         rc = main(["run", "--config", cfg, "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
         assert rc == 2
-        assert "scenario.durration" in capsys.readouterr().err
+        assert key in err
+        assert err.count("\n") == 1
 
     def test_unreadable_config_exits_2(self, tmp_path, capsys):
         rc = main(["run", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path / "o")])

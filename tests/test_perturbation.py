@@ -135,9 +135,6 @@ class TestRandomization:
             assert -0.005 <= d.extrinsic_offset.translation[1] <= 0.005
             assert 0.0 <= d.perception_delay <= 0.05
             assert 1.0 <= d.alpha <= 1.5
-            assert 0.2 <= d.friction <= 5.0
-            assert 0.0 <= d.restitution <= 1.0
-            assert -1.0 <= d.added_mass <= 2.0
 
     def test_draw_serializes(self):
         draw = sample_randomization(RandomizationConfig(), np.random.default_rng(10))
