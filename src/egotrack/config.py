@@ -30,6 +30,7 @@ from .sim import ScenarioConfig
 from .tasklogic import AscConfig, CriteriaConfig, RewardConfig, TaskGeometry
 
 _type_hints = functools.cache(typing.get_type_hints)
+_default_instance = functools.cache(lambda cls: cls())
 
 
 def _as_json(value):
@@ -113,8 +114,11 @@ def _number(kind: type, value, path: str):
     return kind(value)
 
 
-def _leaf(kind: type, value, path: str):
-    """Convert one canonical value to its field's annotated type."""
+def _leaf(kind: type, value, path: str, default):
+    """Convert one canonical value to its field's annotated type.
+
+    A vector must have as many entries as its field's default.
+    """
     if dataclasses.is_dataclass(kind):
         return _build(kind, value, path)
     if kind in (int, float):
@@ -126,12 +130,19 @@ def _leaf(kind: type, value, path: str):
     # tuple and ndarray fields are vectors of floats
     if not isinstance(value, (list, tuple)):
         raise ConfigError(f"config key {path!r} must be a list of numbers, got {value!r}")
+    if len(value) != len(default):
+        raise ConfigError(
+            f"config key {path!r} must have {len(default)} entries, got {len(value)}"
+        )
     return tuple(_number(float, v, f"{path}[{i}]") for i, v in enumerate(value))
 
 
 def _build(cls: type, values: dict, path: str, **fixed):
-    hints = _type_hints(cls)
-    kwargs = {key: _leaf(hints[key], value, f"{path}.{key}") for key, value in values.items()}
+    hints, default = _type_hints(cls), _default_instance(cls)
+    kwargs = {
+        key: _leaf(hints[key], value, f"{path}.{key}", getattr(default, key))
+        for key, value in values.items()
+    }
     try:
         return cls(**kwargs, **fixed)
     except (TypeError, ValueError) as exc:

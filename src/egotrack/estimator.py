@@ -4,13 +4,19 @@ Each of the seven points gets its own independent 6D filter (position and
 velocity).  Every control step does a constant-velocity predict followed by a
 deterministic ego-motion remap into the new camera frame; delayed measurements
 are handled by rolling back to a history snapshot and replaying.
+
+The filter math lives in batched kernels over ``n`` independent states: means
+shaped ``(n, 6)`` (position then velocity) and covariances ``(n, 6, 6)``.  The
+bank runs them on all seven points at once; ``predict``, ``update`` and the
+other per-point functions are batch-of-1 wrappers around the same kernels.
+Kernels return new arrays and never write into their inputs.
 """
 
 from __future__ import annotations
 
 import enum
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -53,29 +59,128 @@ class TrackState:
         object.__setattr__(self, "covariance", np.asarray(self.covariance, dtype=float).reshape(6, 6))
 
 
-def init_track(z: np.ndarray, cfg: FilterConfig, stamp: float) -> TrackState:
-    """Fresh track at a measured position: zero velocity, diagonal prior."""
-    p0 = np.diag([cfg.p0_pos] * 3 + [cfg.p0_vel] * 3)
-    return TrackState(np.asarray(z, dtype=float).reshape(3), np.zeros(3), p0, stamp)
+# ---------------------------------------------------------------------------
+# Batched kernels over n states: mean (n, 6), cov (n, 6, 6).
+
+
+def _prior(cfg: FilterConfig) -> np.ndarray:
+    return np.diag([cfg.p0_pos] * 3 + [cfg.p0_vel] * 3)
 
 
 def _process_noise(cfg: FilterConfig) -> np.ndarray:
     return np.diag([cfg.q_pos] * 3 + [cfg.q_vel] * 3)
 
 
+def _transition(dt: float) -> np.ndarray:
+    """Constant-velocity state transition A over one step of length dt."""
+    a = np.eye(6)
+    a[0:3, 3:6] = dt * np.eye(3)
+    return a
+
+
+def _ego_map(rotation: np.ndarray) -> np.ndarray:
+    """blockdiag(R, R): the ego remap of a (position, velocity) covariance."""
+    f = np.zeros((6, 6))
+    f[0:3, 0:3] = rotation
+    f[3:6, 3:6] = rotation
+    return f
+
+
+def _rotate(rotation: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """R v for each row v of (n, 3) vecs.
+
+    The (3,3) @ (n,3,1) product is bit-identical to ``rotation @ v`` on each
+    row; ``vecs @ rotation.T`` would round differently.
+    """
+    return (rotation @ vecs[:, :, None])[:, :, 0]
+
+
+def _init_batch(z: np.ndarray, p0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Fresh states at measured positions z (n, 3): zero velocity, prior p0."""
+    mean = np.concatenate([z, np.zeros_like(z)], axis=1)
+    return mean, np.repeat(p0[None], len(z), axis=0)
+
+
+def _predict_batch(
+    mean: np.ndarray, cov: np.ndarray, dt: float, a: np.ndarray, q: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Constant-velocity time update with transition a = A(dt) and noise q."""
+    pos = mean[:, 0:3] + dt * mean[:, 3:6]
+    return np.concatenate([pos, mean[:, 3:6]], axis=1), a @ cov @ a.T + q
+
+
+def _compensate_batch(
+    mean: np.ndarray, cov: np.ndarray, t_rel: RigidTransform, f: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Remap into the new camera frame; f = blockdiag(R, R) of t_rel."""
+    r = t_rel.rotation
+    pos = _rotate(r, mean[:, 0:3]) + t_rel.translation
+    return np.concatenate([pos, _rotate(r, mean[:, 3:6])], axis=1), f @ cov @ f.T
+
+
+def _measurement_cov_batch(cam: CameraModel, depth: np.ndarray, cfg: FilterConfig) -> np.ndarray:
+    """Depth-scaled measurement covariances (n, 3, 3) for depths (n,)."""
+    bad = depth <= 0.0
+    if bad.any():
+        raise InvalidDepthError(
+            f"measurement depth must be positive, got {float(depth[bad][0])!r}"
+        )
+    sx = depth / cam.fx * cfg.sigma_u
+    sy = depth / cam.fy * cfg.sigma_v
+    r = np.zeros((len(depth), 3, 3))
+    r[:, 0, 0] = sx * sx
+    r[:, 1, 1] = sy * sy
+    r[:, 2, 2] = cfg.sigma_z * cfg.sigma_z
+    return r
+
+
+def _update_batch(
+    mean: np.ndarray, cov: np.ndarray, z: np.ndarray, r: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Position-only Joseph-form update of n states by z (n, 3), r (n, 3, 3)."""
+    s = cov[:, 0:3, 0:3] + r
+    try:
+        s_inv = np.linalg.inv(s)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError("singular innovation covariance") from exc
+    k = cov[:, :, 0:3] @ s_inv
+    innovation = z - mean[:, 0:3]
+    new_mean = mean + (k @ innovation[:, :, None])[:, :, 0]
+    i_kh = np.repeat(np.eye(6)[None], len(mean), axis=0)
+    i_kh[:, :, 0:3] -= k
+    new_cov = i_kh @ cov @ i_kh.swapaxes(1, 2) + k @ r @ k.swapaxes(1, 2)
+    return new_mean, 0.5 * (new_cov + new_cov.swapaxes(1, 2))
+
+
+def _mahalanobis2(mean: np.ndarray, cov: np.ndarray, z: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Squared Mahalanobis distance of each z from its predicted position."""
+    y = (z - mean[:, 0:3])[:, :, None]
+    return (y.swapaxes(1, 2) @ np.linalg.solve(cov[:, 0:3, 0:3] + r, y))[:, 0, 0]
+
+
+# ---------------------------------------------------------------------------
+# Per-point API: batch-of-1 wrappers around the kernels.
+
+
+def _stacked(track: TrackState) -> tuple[np.ndarray, np.ndarray]:
+    return np.concatenate([track.position, track.velocity])[None], track.covariance[None]
+
+
+def _track(mean: np.ndarray, cov: np.ndarray, stamp: float) -> TrackState:
+    return TrackState(mean[0, 0:3], mean[0, 3:6], cov[0], stamp)
+
+
+def init_track(z: np.ndarray, cfg: FilterConfig, stamp: float) -> TrackState:
+    """Fresh track at a measured position: zero velocity, diagonal prior."""
+    return _track(*_init_batch(np.asarray(z, dtype=float).reshape(1, 3), _prior(cfg)), stamp)
+
+
 def predict(track: TrackState, dt: float, cfg: FilterConfig) -> TrackState:
     """Constant-velocity time update; Q is added once per step regardless of dt."""
     if dt < 0.0:
         raise ValueError("dt must be non-negative")
-    a = np.eye(6)
-    a[0:3, 3:6] = dt * np.eye(3)
-    cov = a @ track.covariance @ a.T + _process_noise(cfg)
-    return TrackState(
-        track.position + dt * track.velocity,
-        track.velocity,
-        cov,
-        track.last_stamp + dt,
-    )
+    mean, cov = _predict_batch(*_stacked(track), dt, _transition(dt), _process_noise(cfg))
+    return _track(mean, cov, track.last_stamp + dt)
 
 
 def compensate_ego_motion(track: TrackState, t_rel: RigidTransform) -> TrackState:
@@ -85,16 +190,8 @@ def compensate_ego_motion(track: TrackState, t_rel: RigidTransform) -> TrackStat
     covariance is conjugated by blockdiag(R, R); no noise is added because the
     ego increment is treated as known.
     """
-    r = t_rel.rotation
-    f = np.zeros((6, 6))
-    f[0:3, 0:3] = r
-    f[3:6, 3:6] = r
-    return TrackState(
-        r @ track.position + t_rel.translation,
-        r @ track.velocity,
-        f @ track.covariance @ f.T,
-        track.last_stamp,
-    )
+    mean, cov = _compensate_batch(*_stacked(track), t_rel, _ego_map(t_rel.rotation))
+    return _track(mean, cov, track.last_stamp)
 
 
 def measurement_covariance(cam: CameraModel, depth_z: float, cfg: FilterConfig) -> np.ndarray:
@@ -104,11 +201,7 @@ def measurement_covariance(cam: CameraModel, depth_z: float, cfg: FilterConfig) 
     depth: sigma_X = (Z/fx) sigma_u, sigma_Y = (Z/fy) sigma_v; depth noise is
     constant sigma_z.
     """
-    if depth_z <= 0.0:
-        raise InvalidDepthError(f"measurement depth must be positive, got {depth_z!r}")
-    sx = depth_z / cam.fx * cfg.sigma_u
-    sy = depth_z / cam.fy * cfg.sigma_v
-    return np.diag([sx * sx, sy * sy, cfg.sigma_z * cfg.sigma_z])
+    return _measurement_cov_batch(cam, np.array([depth_z], dtype=float), cfg)[0]
 
 
 def update(track: TrackState, z: np.ndarray, r_t: np.ndarray, cfg: FilterConfig) -> TrackState:
@@ -117,22 +210,9 @@ def update(track: TrackState, z: np.ndarray, r_t: np.ndarray, cfg: FilterConfig)
     Joseph form keeps the covariance symmetric positive semidefinite under
     roundoff, which matters after long replay chains.
     """
-    z = np.asarray(z, dtype=float).reshape(3)
-    r_t = np.asarray(r_t, dtype=float).reshape(3, 3)
-    p = track.covariance
-    s = p[0:3, 0:3] + r_t
-    try:
-        s_inv = np.linalg.inv(s)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError("singular innovation covariance") from exc
-    k = p[:, 0:3] @ s_inv
-    innovation = z - track.position
-    mean = np.concatenate([track.position, track.velocity]) + k @ innovation
-    i_kh = np.eye(6)
-    i_kh[:, 0:3] -= k
-    cov = i_kh @ p @ i_kh.T + k @ r_t @ k.T
-    cov = 0.5 * (cov + cov.T)
-    return TrackState(mean[0:3], mean[3:6], cov, track.last_stamp)
+    z = np.asarray(z, dtype=float).reshape(1, 3)
+    r_t = np.asarray(r_t, dtype=float).reshape(1, 3, 3)
+    return _track(*_update_batch(*_stacked(track), z, r_t), track.last_stamp)
 
 
 def associate_measurement(predicted: SigmaPointSet, measured: SigmaPointSet) -> SigmaPointSet:
@@ -163,10 +243,17 @@ class IngestStatus(enum.Enum):
     STALE = "stale"
 
 
+# Stacked state of the seven point filters: mean (7, 6) and covariance (7, 6, 6).
+BankState = tuple[np.ndarray, np.ndarray]
+
+
 @dataclass
 class _StepRecord:
     """One history entry: the inputs of the step and the state after it.
 
+    ``a`` and ``f`` are the step's transition and ego map, built once by
+    ``step`` and reused by every replay through this entry.  ``state`` is
+    never written in place, so a record can share arrays with the bank.
     ``measurements`` keeps every raw set accepted at this stamp (arrival
     order) so a later rollback can re-apply them during replay.
     """
@@ -174,8 +261,10 @@ class _StepRecord:
     stamp: float
     dt: float
     t_rel: RigidTransform | None
-    tracks: list[TrackState] | None
-    measurements: list[np.ndarray]
+    a: np.ndarray | None = None
+    f: np.ndarray | None = None
+    state: BankState | None = None
+    measurements: list[np.ndarray] = field(default_factory=list)
 
 
 # Stamp comparisons tolerate accumulated float error, far below one tick.
@@ -209,68 +298,76 @@ class FilterBank:
         self.oosm_mode = oosm_mode
         self.reacquire_window = reacquire_window
         self.reacquire_gate = reacquire_gate
-        self.tracks: list[TrackState] | None = None
+        self._q = _process_noise(cfg)
+        self._p0 = _prior(cfg)
+        self.state: BankState | None = None
         self.last_measurement_stamp: float | None = None
         self.history: deque[_StepRecord] = deque(maxlen=history_depth)
-        self.history.append(_StepRecord(start_stamp, 0.0, None, None, []))
+        self.history.append(_StepRecord(start_stamp, 0.0, None))
 
     @property
     def stamp(self) -> float:
         return self.history[-1].stamp
 
-    def estimate(self) -> SigmaPointSet | None:
-        if self.tracks is None:
+    @property
+    def tracks(self) -> list[TrackState] | None:
+        """Per-point copies of the current state; editing them changes nothing."""
+        if self.state is None:
             return None
-        return SigmaPointSet(np.stack([t.position for t in self.tracks]))
+        mean, cov = self.state
+        return [
+            TrackState(mean[j, 0:3].copy(), mean[j, 3:6].copy(), cov[j].copy(), self.stamp)
+            for j in range(N_POINTS)
+        ]
+
+    def estimate(self) -> SigmaPointSet | None:
+        if self.state is None:
+            return None
+        return SigmaPointSet(self.state[0][:, 0:3].copy())
 
     def velocities(self) -> np.ndarray | None:
-        if self.tracks is None:
+        if self.state is None:
             return None
-        return np.stack([t.velocity for t in self.tracks])
+        return self.state[0][:, 3:6].copy()
+
+    def _propagate(self, state: BankState, rec: _StepRecord) -> BankState:
+        """Predict over rec's step, then remap by its ego increment."""
+        mean, cov = _predict_batch(*state, rec.dt, rec.a, self._q)
+        return _compensate_batch(mean, cov, rec.t_rel, rec.f)
 
     def step(self, dt: float, t_rel: RigidTransform) -> SigmaPointSet | None:
         """Advance one control tick: predict then remap by the ego increment."""
         if dt < 0.0:
             raise ValueError("dt must be non-negative")
-        tracks = self.tracks
-        if tracks is not None:
-            tracks = [
-                compensate_ego_motion(predict(t, dt, self.cfg), t_rel) for t in tracks
-            ]
-            self.tracks = tracks
-        self.history.append(_StepRecord(self.stamp + dt, dt, t_rel, tracks, []))
+        rec = _StepRecord(self.stamp + dt, dt, t_rel, _transition(dt), _ego_map(t_rel.rotation))
+        if self.state is not None:
+            self.state = rec.state = self._propagate(self.state, rec)
+        self.history.append(rec)
         return self.estimate()
 
     def _apply_measurement(
-        self, tracks: list[TrackState] | None, measured: np.ndarray, stamp: float
-    ) -> list[TrackState]:
+        self, state: BankState | None, measured: np.ndarray, stamp: float
+    ) -> BankState:
         """Associate and update all seven tracks at one stamp."""
-        if tracks is None:
-            return [init_track(measured[j], self.cfg, stamp) for j in range(N_POINTS)]
-        predicted = SigmaPointSet(np.stack([t.position for t in tracks]))
-        assoc = associate_measurement(predicted, SigmaPointSet(measured)).points
+        if state is None:
+            return _init_batch(measured, self._p0)
+        mean, cov = state
+        assoc = associate_measurement(SigmaPointSet(mean[:, 0:3]), SigmaPointSet(measured)).points
+        depth = np.maximum(mean[:, 2], self.cam.near_z)
+        r = _measurement_cov_batch(self.cam, depth, self.cfg)
+        new_mean, new_cov = _update_batch(mean, cov, assoc, r)
         gap = (
             np.inf
             if self.last_measurement_stamp is None
             else stamp - self.last_measurement_stamp
         )
-        reacquiring = gap > self.reacquire_window
-        out = []
-        for j in range(N_POINTS):
-            track = tracks[j]
-            depth = max(track.position[2], self.cam.near_z)
-            r_t = measurement_covariance(self.cam, depth, self.cfg)
-            if reacquiring:
-                y = assoc[j] - track.position
-                s = track.covariance[0:3, 0:3] + r_t
-                d2 = float(y @ np.linalg.solve(s, y))
-                if d2 > self.reacquire_gate**2:
-                    # Long blind spot and the prediction no longer explains the
-                    # measurement: restart this track instead of dragging it.
-                    out.append(init_track(assoc[j], self.cfg, stamp))
-                    continue
-            out.append(update(track, assoc[j], r_t, self.cfg))
-        return out
+        if gap > self.reacquire_window:
+            # Long blind spot: restart each track whose prediction no longer
+            # explains the measurement instead of dragging it.
+            reset = _mahalanobis2(mean, cov, assoc, r) > self.reacquire_gate**2
+            if reset.any():
+                new_mean[reset], new_cov[reset] = _init_batch(assoc[reset], self._p0)
+        return new_mean, new_cov
 
     def _note_measurement(self, meas_stamp: float) -> None:
         if self.last_measurement_stamp is None or meas_stamp > self.last_measurement_stamp:
@@ -281,43 +378,34 @@ class FilterBank:
 
         Replay mode rolls back to the newest snapshot at or before the
         measurement stamp, applies the update there, and replays the stored
-        (dt, t_rel) steps; the rewritten snapshots keep the measurement so
-        later rollbacks see it too.  Measurements older than the history
-        horizon are dropped (stale), leaving the state unchanged.
+        steps; the rewritten snapshots keep the measurement so later
+        rollbacks see it too.  Measurements older than the history horizon
+        are dropped (stale), leaving the state unchanged.
         """
         if meas_stamp > self.stamp + _STAMP_EPS:
             raise ValueError("measurement stamp is in the future")
         z = np.asarray(measured.points, dtype=float).reshape(N_POINTS, 3)
 
         if self.oosm_mode == "in_place":
-            rec = self.history[-1]
-            self.tracks = self._apply_measurement(self.tracks, z, rec.stamp)
-            rec.tracks = self.tracks
-            rec.measurements.append(z)
-            self._note_measurement(meas_stamp)
-            return IngestStatus.APPLIED
-
-        idx = None
-        for i in range(len(self.history) - 1, -1, -1):
-            if self.history[i].stamp <= meas_stamp + _STAMP_EPS:
-                idx = i
-                break
-        if idx is None:
-            return IngestStatus.STALE
+            idx = len(self.history) - 1
+        else:
+            idx = next(
+                (i for i in range(len(self.history) - 1, -1, -1)
+                 if self.history[i].stamp <= meas_stamp + _STAMP_EPS),
+                None,
+            )
+            if idx is None:
+                return IngestStatus.STALE
 
         rec = self.history[idx]
-        tracks = self._apply_measurement(rec.tracks, z, rec.stamp)
-        rec.tracks = tracks
+        state = rec.state = self._apply_measurement(rec.state, z, rec.stamp)
         rec.measurements.append(z)
         self._note_measurement(meas_stamp)
         for i in range(idx + 1, len(self.history)):
             nxt = self.history[i]
-            tracks = [
-                compensate_ego_motion(predict(t, nxt.dt, self.cfg), nxt.t_rel)
-                for t in tracks
-            ]
+            state = self._propagate(state, nxt)
             for old in nxt.measurements:
-                tracks = self._apply_measurement(tracks, old, nxt.stamp)
-            nxt.tracks = tracks
-        self.tracks = tracks
+                state = self._apply_measurement(state, old, nxt.stamp)
+            nxt.state = state
+        self.state = state
         return IngestStatus.APPLIED

@@ -201,8 +201,7 @@ def check_kf_reduction() -> CriterionResult:
             for j, kf in enumerate(oracles):
                 depth = max(kf.x[2], cam.near_z)
                 kf.update(z[j], measurement_covariance(cam, depth, cfg))
-        for j, kf in enumerate(oracles):
-            track = bank.tracks[j]
+        for track, kf in zip(bank.tracks, oracles):
             worst = max(
                 worst,
                 np.abs(track.position - kf.x[0:3]).max(),
@@ -270,12 +269,9 @@ def check_latency_equivalence() -> CriterionResult:
     for k in range(1, len(times)):
         t_rels.append(relative_transform(bundle.vo_poses[k - 1], bundle.vo_poses[k]))
 
-    def snapshot(tracks):
-        return (
-            np.stack([t.position for t in tracks]),
-            np.stack([t.velocity for t in tracks]),
-            np.stack([t.covariance for t in tracks]),
-        )
+    def snapshot(state):
+        mean, cov = state
+        return mean.copy(), cov.copy()
 
     # Zero-latency oracle: same measurements, delivered at their stamps.
     # Record the posterior right after each update.
@@ -287,7 +283,7 @@ def check_latency_equivalence() -> CriterionResult:
             oracle.step(float(times[k] - times[k - 1]), t_rels[k])
         while idx < len(measurements) and measurements[idx].stamp <= t + 1e-9:
             oracle.ingest(measurements[idx].sset, measurements[idx].stamp)
-            by_stamp[round(measurements[idx].stamp * cfg.control_rate)] = snapshot(oracle.tracks)
+            by_stamp[round(measurements[idx].stamp * cfg.control_rate)] = snapshot(oracle.state)
             idx += 1
 
     # Latency run: each delayed ingest must rewrite the history snapshot at
@@ -303,13 +299,13 @@ def check_latency_equivalence() -> CriterionResult:
             m = measurements[idx]
             bank.ingest(m.sset, m.stamp)
             rec = next(r for r in bank.history if abs(r.stamp - m.stamp) <= 1e-9)
-            got = snapshot(rec.tracks)
+            got = snapshot(rec.state)
             want = by_stamp[round(m.stamp * cfg.control_rate)]
             worst = max(worst, *(np.abs(g - w).max() for g, w in zip(got, want)))
             compared += 1
             idx += 1
-    final_got = snapshot(bank.tracks)
-    final_want = snapshot(oracle.tracks)
+    final_got = snapshot(bank.state)
+    final_want = snapshot(oracle.state)
     worst = max(worst, *(np.abs(g - w).max() for g, w in zip(final_got, final_want)))
     ok = worst <= 1e-9 and compared >= 10
     return CriterionResult(

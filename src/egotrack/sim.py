@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, EgoTrackError
 from .estimator import FilterBank, FilterConfig, associate_measurement
 from .geometry import (
     CameraModel,
@@ -119,6 +119,12 @@ class ObjectSpec:
     position: tuple = (2.5, 0.0, 0.0)
     rpy: tuple = (0.0, 0.0, 0.0)
     velocity: tuple = (0.0, 0.0, 0.0)
+
+    def __post_init__(self):
+        if self.shape not in ("sphere", "box", "cylinder"):
+            raise ValueError(f"unknown shape {self.shape!r} (sphere, box or cylinder)")
+        if min(self.radius, self.height, *self.dims) <= 0.0:
+            raise ValueError("radius, height and every dim must be positive")
 
 
 @dataclass(frozen=True)
@@ -521,7 +527,8 @@ def run_episode(
 
     Returns the aggregate metrics and per-tick rows (stamp, visibility, drift
     magnitude, per-point error components per estimator, reward terms when a
-    task geometry is given).
+    task geometry is given).  Raises ``EgoTrackError`` when no tick can be
+    scored, since every aggregate metric would then be undefined.
     """
     cfg = bundle.config
     filter_cfg = filter_cfg or FilterConfig()
@@ -647,9 +654,13 @@ def run_episode(
                 )
         rows.append(row)
 
+    if scored == 0:
+        raise EgoTrackError(
+            f"no tick scored: the filter and both baselines never all had an estimate "
+            f"in {len(times)} ticks (obs_latency {cfg.obs_latency} s, duration {cfg.duration} s)"
+        )
+
     def _rmse(sq: np.ndarray) -> list:
-        if scored == 0:
-            return [float("nan")] * 7
         return list(np.sqrt(sq / scored))
 
     rmse_f = _rmse(sq_filter)
@@ -662,10 +673,10 @@ def run_episode(
         rmse_filter_centroid=rmse_f[0],
         rmse_zoh_centroid=rmse_z[0],
         rmse_nocomp_centroid=rmse_n[0],
-        mean_err_filter=abs_filter / scored if scored else float("nan"),
-        mean_err_zoh=abs_zoh / scored if scored else float("nan"),
-        mean_err_nocomp=abs_nocomp / scored if scored else float("nan"),
-        velocity_rmse=math.sqrt(sq_vel / scored) if scored else float("nan"),
+        mean_err_filter=abs_filter / scored,
+        mean_err_zoh=abs_zoh / scored,
+        mean_err_nocomp=abs_nocomp / scored,
+        velocity_rmse=math.sqrt(sq_vel / scored),
         visible_fraction=float(np.mean(bundle.visible)),
         max_drift=max_drift,
         ticks=len(times),

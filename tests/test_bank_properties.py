@@ -1,0 +1,171 @@
+"""Property-based invariants of the stacked filter bank.
+
+Random ego-motion steps, measurements, latencies and delivery orders; each
+property must hold for every draw, not only for hand-picked cases.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from egotrack.estimator import FilterBank, FilterConfig, associate_measurement
+from egotrack.geometry import CameraModel, RigidTransform, SigmaPointSet, rotation_rpy
+
+CFG = FilterConfig()
+CAM = CameraModel()
+BASE = np.array([
+    [0.0, 0.0, 2.5],
+    [0.3, 0.0, 2.5], [-0.3, 0.0, 2.5],
+    [0.0, 0.2, 2.5], [0.0, -0.2, 2.5],
+    [0.0, 0.0, 2.65], [0.0, 0.0, 2.35],
+])
+
+
+def _floats(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+# (dt, roll/pitch/yaw, translation).  dt stays well above the stamp tolerance
+# so every history record has its own stamp.
+STEP = st.tuples(
+    _floats(1e-3, 0.05),
+    st.tuples(*[_floats(-0.05, 0.05)] * 3),
+    st.tuples(*[_floats(-0.05, 0.05)] * 3),
+)
+NOISE = arrays(float, (7, 3), elements=_floats(-0.3, 0.3))
+SETTINGS = settings(max_examples=25, deadline=None)
+
+
+def _step(bank, step):
+    dt, rpy, t = step
+    bank.step(dt, RigidTransform(rotation_rpy(*rpy), np.array(t)))
+
+
+def _states_equal(a, b):
+    if a is None or b is None:
+        return a is None and b is None
+    return np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+
+
+@SETTINGS
+@given(
+    ops=st.lists(st.one_of(STEP, NOISE), min_size=1, max_size=40),
+    window=st.sampled_from([0.02, 5.0]),
+)
+def test_covariance_stays_symmetric_psd(ops, window):
+    # The short reacquire window lets large innovations reset rows mid-run.
+    bank = FilterBank(CFG, CAM, history_depth=50, reacquire_window=window, reacquire_gate=2.0)
+    bank.ingest(SigmaPointSet(BASE), 0.0)
+    for op in ops:
+        if isinstance(op, tuple):
+            _step(bank, op)
+        else:
+            bank.ingest(SigmaPointSet(bank.estimate().points + op), bank.stamp)
+        cov = bank.state[1]
+        scale = np.abs(cov).max(axis=(1, 2))
+        asym = np.abs(cov - cov.swapaxes(1, 2)).max(axis=(1, 2))
+        assert np.all(asym <= 1e-12 * scale)
+        eig = np.linalg.eigvalsh(0.5 * (cov + cov.swapaxes(1, 2)))
+        assert np.all(eig[:, 0] >= -1e-12 * scale)
+
+
+@SETTINGS
+@given(data=st.data())
+def test_delayed_delivery_replays_to_zero_latency_posterior(data):
+    steps = data.draw(st.lists(STEP, min_size=2, max_size=25), label="steps")
+    n = len(steps)
+    ticks = data.draw(st.lists(st.integers(0, n), min_size=1, max_size=8, unique=True), label="ticks")
+    noise = [data.draw(NOISE) for _ in ticks]
+    arrival = [min(k + data.draw(st.integers(0, 12)), n) for k in ticks]
+
+    # Zero latency: each measurement is ingested at the tick it was taken.
+    oracle = FilterBank(CFG, CAM, history_depth=n + 2)
+    stamps = []
+    for k in range(n + 1):
+        if k > 0:
+            _step(oracle, steps[k - 1])
+        stamps.append(oracle.stamp)
+        for m, tick in enumerate(ticks):
+            if tick == k:
+                oracle.ingest(SigmaPointSet(BASE + noise[m]), oracle.stamp)
+
+    # Delayed: the same measurements arrive late, in a drawn order within each tick.
+    bank = FilterBank(CFG, CAM, history_depth=n + 2)
+    for k in range(n + 1):
+        if k > 0:
+            _step(bank, steps[k - 1])
+        due = [m for m in range(len(ticks)) if arrival[m] == k]
+        for m in data.draw(st.permutations(due)):
+            bank.ingest(SigmaPointSet(BASE + noise[m]), stamps[ticks[m]])
+
+    assert len(bank.history) == len(oracle.history) == n + 1
+    for got, want in zip(bank.history, oracle.history):
+        assert _states_equal(got.state, want.state)
+    assert _states_equal(bank.state, oracle.state)
+
+
+@SETTINGS
+@given(steps=st.lists(STEP, min_size=2, max_size=20), noise=NOISE, data=st.data())
+def test_rollback_leaves_older_records_unchanged(steps, noise, data):
+    bank = FilterBank(CFG, CAM, history_depth=len(steps) + 1)
+    bank.ingest(SigmaPointSet(BASE), 0.0)
+    for step in steps:
+        _step(bank, step)
+    before = [(rec.state[0].copy(), rec.state[1].copy()) for rec in bank.history]
+    i = data.draw(st.integers(1, len(bank.history) - 1), label="rollback index")
+    bank.ingest(SigmaPointSet(BASE + noise), bank.history[i].stamp)
+    for j, rec in enumerate(bank.history):
+        assert _states_equal(rec.state, before[j]) == (j < i)
+
+
+def _ref_step(x, p, dt, rel):
+    """One point's predict and ego remap, written out per point as the reference."""
+    a = np.eye(6)
+    a[0:3, 3:6] = dt * np.eye(3)
+    p = a @ p @ a.T + np.diag([CFG.q_pos] * 3 + [CFG.q_vel] * 3)
+    pos = x[0:3] + dt * x[3:6]
+    r = rel.rotation
+    f = np.zeros((6, 6))
+    f[0:3, 0:3] = r
+    f[3:6, 3:6] = r
+    return np.concatenate([r @ pos + rel.translation, r @ x[3:6]]), f @ p @ f.T
+
+
+def _ref_update(x, p, z):
+    """One point's depth-scaled Joseph-form update, written out per point."""
+    depth = max(x[2], CAM.near_z)
+    sx = depth / CAM.fx * CFG.sigma_u
+    sy = depth / CAM.fy * CFG.sigma_v
+    r_t = np.diag([sx * sx, sy * sy, CFG.sigma_z * CFG.sigma_z])
+    k = p[:, 0:3] @ np.linalg.inv(p[0:3, 0:3] + r_t)
+    x = x + k @ (z - x[0:3])
+    i_kh = np.eye(6)
+    i_kh[:, 0:3] -= k
+    p = i_kh @ p @ i_kh.T + k @ r_t @ k.T
+    return x, 0.5 * (p + p.T)
+
+
+@SETTINGS
+@given(ops=st.lists(st.one_of(STEP, NOISE), min_size=1, max_size=30))
+def test_bank_equals_seven_per_point_filters(ops):
+    """The batched bank is bit-identical to seven per-point filters run in a loop."""
+    bank = FilterBank(CFG, CAM, history_depth=50)
+    bank.ingest(SigmaPointSet(BASE), 0.0)
+    ref = [(np.concatenate([z, np.zeros(3)]), np.diag([CFG.p0_pos] * 3 + [CFG.p0_vel] * 3))
+           for z in BASE]
+    for op in ops:
+        if isinstance(op, tuple):
+            _step(bank, op)
+            dt, rpy, t = op
+            rel = RigidTransform(rotation_rpy(*rpy), np.array(t))
+            ref = [_ref_step(x, p, dt, rel) for x, p in ref]
+        else:
+            z = bank.estimate().points + op
+            bank.ingest(SigmaPointSet(z), bank.stamp)
+            predicted = SigmaPointSet(np.stack([x[0:3] for x, _ in ref]))
+            assoc = associate_measurement(predicted, SigmaPointSet(z)).points
+            ref = [_ref_update(x, p, assoc[j]) for j, (x, p) in enumerate(ref)]
+        mean, cov = bank.state
+        assert np.array_equal(mean, np.stack([x for x, _ in ref]))
+        assert np.array_equal(cov, np.stack([p for _, p in ref]))

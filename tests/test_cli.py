@@ -178,6 +178,18 @@ class TestRunCommand:
                 "alpha_range",
             ),
             ({"scenario": {"duration": 1.0}, "task": 5}, "'task'"),
+            ({"scenario": {"duration": 1.0, "target": {"shape": "cube"}}}, "scenario.target"),
+            ({"scenario": {"duration": 1.0, "target": {"radius": -1}}}, "scenario.target"),
+            (
+                {"scenario": {"duration": 1.0, "target": {"shape": "box", "dims": [0.2, 0.0, 0.1]}}},
+                "scenario.target",
+            ),
+            ({"scenario": {"duration": 1.0, "target": {"position": [1, 2]}}}, "scenario.target.position"),
+            (
+                {"scenario": {"duration": 1.0,
+                              "camera_motion": {"kind": "constant_velocity", "velocity": [0.1]}}},
+                "scenario.camera_motion.velocity",
+            ),
         ],
         ids=[
             "nan-duration",
@@ -190,6 +202,11 @@ class TestRunCommand:
             "nan-vector-entry",
             "short-range",
             "task-not-object",
+            "unknown-shape",
+            "negative-radius",
+            "zero-box-dim",
+            "short-position",
+            "short-camera-velocity",
         ],
     )
     def test_bad_leaf_exits_2_naming_the_key(self, tmp_path, capsys, payload, key):
@@ -198,6 +215,15 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert rc == 2
         assert key in err
+        assert err.count("\n") == 1
+
+    def test_no_scored_tick_exits_1(self, tmp_path, capsys):
+        # every measurement arrives after the episode ends
+        cfg = write_cfg(tmp_path, {"scenario": {"duration": 1.0, "obs_latency": 5.0}})
+        rc = main(["run", "--config", cfg, "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "no tick scored" in err
         assert err.count("\n") == 1
 
     def test_unreadable_config_exits_2(self, tmp_path, capsys):
@@ -249,6 +275,18 @@ class TestSweepCommand:
         assert agg["per_seed"]["0"]["status"] == "error"
         assert agg["aggregate"] == {}
         assert "never visible" in capsys.readouterr().err
+
+    def test_unscored_seeds_fail_and_sweep_goes_on(self, tmp_path, capsys):
+        payload = base_cfg()
+        payload["scenario"]["obs_latency"] = 5.0
+        cfg = write_cfg(tmp_path, payload)
+        out = tmp_path / "sweep"
+        rc = main(["sweep", "--config", cfg, "--out", str(out), "--seeds", "0..1", "--quiet"])
+        assert rc == 1
+        agg = json.loads((out / "aggregate.json").read_text())
+        assert agg["failed"] == 2 and agg["completed"] == 0
+        assert "no tick scored" in agg["per_seed"]["1"]["message"]
+        assert capsys.readouterr().err.count("no tick scored") == 2
 
 
 class TestSelftestCommand:

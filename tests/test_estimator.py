@@ -226,6 +226,22 @@ class TestFilterBank:
             bank.tracks[0].covariance, np.diag([1e-2] * 3 + [1e-1] * 3), atol=1e-15
         )
 
+    def test_reacquire_resets_only_rows_failing_the_gate(self):
+        bank = FilterBank(CFG, CAM, reacquire_window=0.5, reacquire_gate=5.0)
+        bank.ingest(SigmaPointSet(base_set()), 0.0)
+        for _ in range(60):
+            bank.step(0.02, RigidTransform.identity())
+        z = base_set()
+        z[0] += (0.0, 3.0, 0.0)  # centroid far off; its +/- pairs stay close
+        bank.ingest(SigmaPointSet(z), bank.stamp)
+        p0 = np.diag([1e-2] * 3 + [1e-1] * 3)
+        tracks = bank.tracks
+        np.testing.assert_array_equal(tracks[0].position, z[0])
+        np.testing.assert_array_equal(tracks[0].covariance, p0)
+        for track in tracks[1:]:
+            # updated, not reset: keeps the position-velocity cross term
+            assert track.covariance[0, 3] != 0.0
+
     def test_close_measurement_updates_instead_of_reinit(self):
         bank = FilterBank(CFG, CAM, reacquire_window=0.5, reacquire_gate=5.0)
         bank.ingest(SigmaPointSet(base_set()), 0.0)
