@@ -27,6 +27,7 @@ from .estimator import (
     IngestStatus,
     TrackState,
     associate_measurement,
+    associate_points,
     compensate_ego_motion,
     init_track,
     measurement_covariance,
@@ -65,6 +66,7 @@ from .perturbation import (
 from .sim import (
     CameraMotion,
     EpisodeMetrics,
+    EpisodeTable,
     Measurement,
     ObjectSpec,
     ScenarioConfig,

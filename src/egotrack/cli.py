@@ -3,19 +3,19 @@
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
 import re
 import sys
+import traceback
 
 import numpy as np
 
 from . import __version__
 from .config import build_configs, canonical_config, config_hash
 from .errors import ConfigError, EgoTrackError
-from .sim import generate_scenario, run_episode
+from .sim import EpisodeTable, generate_scenario, run_episode
 
 # Scalar episode metrics aggregated across a sweep.
 _SWEEP_KEYS = (
@@ -44,19 +44,12 @@ def _read_user_config(path: str) -> dict:
     return user
 
 
-def _fmt_cell(value) -> str:
-    if isinstance(value, float):
-        return "%.17g" % value
-    return str(value)
-
-
-def _write_rows_csv(path: str, rows: list[dict]) -> None:
-    columns = list(rows[0].keys()) if rows else []
+def _write_rows_csv(path: str, table: EpisodeTable) -> None:
+    """One header line, then one ``%.17g`` row per tick, CRLF-terminated."""
+    row = ",".join(["%.17g"] * len(table.columns)) + "\r\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_fmt_cell(row[c]) for c in columns])
+        fh.write(",".join(table.columns) + "\r\n")
+        fh.writelines(row % tuple(cells) for cells in table.values.tolist())
 
 
 def _sanitize(value):
@@ -87,7 +80,7 @@ def execute_run(
     """Run one episode from a canonical config and write the output files."""
     scenario, filter_cfg, criteria, reward, _asc, task = build_configs(canonical)
     bundle = generate_scenario(scenario)
-    metrics, rows = run_episode(
+    metrics, table = run_episode(
         bundle,
         filter_cfg,
         geom=task,
@@ -104,7 +97,7 @@ def execute_run(
         "metrics": metrics.to_dict(),
         "effective_config": canonical,
     }
-    _write_rows_csv(os.path.join(out_dir, "metrics.csv"), rows)
+    _write_rows_csv(os.path.join(out_dir, "metrics.csv"), table)
     _write_json(os.path.join(out_dir, "summary.json"), summary)
     _write_json(
         os.path.join(out_dir, "manifest.json"),
@@ -184,10 +177,13 @@ def _cmd_sweep(args) -> int:
                 disable_ego_compensation=args.disable_ego_compensation,
                 oosm_mode=args.oosm_mode,
             )
-        except EgoTrackError as exc:
+        except Exception as exc:  # one failed seed must not end the sweep
+            if not isinstance(exc, EgoTrackError):
+                traceback.print_exc()
             failures += 1
-            per_seed[str(seed)] = {"status": "error", "message": str(exc)}
-            print(f"seed {seed}: error: {exc}", file=sys.stderr)
+            kind = type(exc).__name__
+            per_seed[str(seed)] = {"status": "error", "type": kind, "message": str(exc)}
+            print(f"seed {seed}: error: {kind}: {exc}", file=sys.stderr)
             continue
         per_seed[str(seed)] = {"status": "ok", "out": sub}
         for key in _SWEEP_KEYS:

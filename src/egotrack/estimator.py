@@ -215,27 +215,31 @@ def update(track: TrackState, z: np.ndarray, r_t: np.ndarray, cfg: FilterConfig)
     return _track(*_update_batch(*_stacked(track), z, r_t), track.last_stamp)
 
 
-def associate_measurement(predicted: SigmaPointSet, measured: SigmaPointSet) -> SigmaPointSet:
-    """Resolve the +/- sign ambiguity of each measured axis pair.
+def associate_points(predicted: np.ndarray, measured: np.ndarray) -> np.ndarray:
+    """Resolve the +/- sign ambiguity of each measured axis pair, batched.
 
-    The centroid maps to the centroid and axes correspond by eigenvalue rank;
-    the only freedom is which end of each measured pair is which, chosen to
-    minimize the summed squared distance to the prediction.
+    ``measured`` is shaped ``(..., 7, 3)`` and ``predicted``'s leading
+    dimensions broadcast to its own.  The centroid maps to the centroid and
+    axes correspond by eigenvalue rank; the only freedom is which end of each
+    measured pair is which, chosen to minimize the summed squared distance to
+    the prediction.  A pair is swapped only when that is strictly closer, so
+    ties and NaN sets keep the measured order.  Returns a new array.
     """
-    out = measured.points.copy()
-    for k in range(3):
-        i, j = 1 + 2 * k, 2 + 2 * k
-        keep = (
-            np.sum((measured.points[i] - predicted.points[i]) ** 2)
-            + np.sum((measured.points[j] - predicted.points[j]) ** 2)
-        )
-        swap = (
-            np.sum((measured.points[i] - predicted.points[j]) ** 2)
-            + np.sum((measured.points[j] - predicted.points[i]) ** 2)
-        )
-        if swap < keep:
-            out[[i, j]] = out[[j, i]]
-    return SigmaPointSet(out, measured.frame)
+    p = np.asarray(predicted, dtype=float)
+    m = np.asarray(measured, dtype=float)
+    lead = m.shape[:-2]
+    p_pairs = p[..., 1:, :].reshape(p.shape[:-2] + (3, 2, 3))
+    m_pairs = m[..., 1:, :].reshape(lead + (3, 2, 3))
+    keep = np.sum((m_pairs - p_pairs) ** 2, axis=-1)
+    swap = np.sum((m_pairs - p_pairs[..., ::-1, :]) ** 2, axis=-1)
+    flip = swap[..., 0] + swap[..., 1] < keep[..., 0] + keep[..., 1]
+    pairs = np.where(flip[..., None, None], m_pairs[..., ::-1, :], m_pairs)
+    return np.concatenate([m[..., :1, :], pairs.reshape(lead + (6, 3))], axis=-2)
+
+
+def associate_measurement(predicted: SigmaPointSet, measured: SigmaPointSet) -> SigmaPointSet:
+    """``associate_points`` on one predicted and one measured set."""
+    return SigmaPointSet(associate_points(predicted.points, measured.points), measured.frame)
 
 
 class IngestStatus(enum.Enum):

@@ -18,7 +18,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, EgoTrackError
-from .estimator import FilterBank, FilterConfig, associate_measurement
+from .estimator import (  # sim.associate_measurement stays importable; tracers patch it by name
+    N_POINTS,
+    FilterBank,
+    FilterConfig,
+    associate_measurement,
+    associate_points,
+)
 from .geometry import (
     CameraModel,
     RigidTransform,
@@ -184,6 +190,11 @@ class ScenarioConfig:
             raise ConfigError("alpha must be positive")
         if self.surface_samples < 1:
             raise ConfigError("surface_samples must be positive")
+        for name in ("vo_trans_noise_std", "vo_rot_noise_std", "drift_sigma"):
+            if getattr(self, name) < 0.0:
+                raise ConfigError(f"scenario.{name} must be non-negative")
+        if self.drift_max <= 0.0:
+            raise ConfigError("scenario.drift_max must be positive")
         if self.mode not in ("deploy", "training"):
             raise ConfigError(f"unknown mode {self.mode!r}")
 
@@ -423,9 +434,13 @@ def _run_bank(
     cam: CameraModel,
     history_depth: int,
     oosm_mode: str = "replay",
-) -> tuple[list[np.ndarray | None], list[np.ndarray | None]]:
-    """Drive one filter bank over the episode; returns per-tick positions and
-    velocities (None before initialization)."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Drive one filter bank over the episode.
+
+    Returns the bank mean at every tick, shaped ``(ticks, 7, 6)`` (position
+    then velocity) and NaN before initialization, and the ``(ticks,)`` mask
+    of ticks that have an estimate.
+    """
     bank = FilterBank(
         cfg, cam, start_stamp=float(times[0]), history_depth=history_depth, oosm_mode=oosm_mode
     )
@@ -433,19 +448,18 @@ def _run_bank(
         (m for m in measurements if m.sset is not None), key=lambda m: m.available_at
     )
     idx = 0
-    estimates: list[np.ndarray | None] = []
-    velocities: list[np.ndarray | None] = []
+    means = np.full((len(times), N_POINTS, 6), np.nan)
+    has = np.zeros(len(times), dtype=bool)
     for k, t in enumerate(times):
         if k > 0:
             bank.step(float(times[k] - times[k - 1]), t_rels[k])
         while idx < len(pending) and pending[idx].available_at <= t + _EPS:
             bank.ingest(pending[idx].sset, pending[idx].stamp)
             idx += 1
-        est = bank.estimate()
-        estimates.append(None if est is None else est.points)
-        vel = bank.velocities()
-        velocities.append(vel)
-    return estimates, velocities
+        if bank.state is not None:
+            means[k] = bank.state[0]
+            has[k] = True
+    return means, has
 
 
 def baseline_no_compensation(
@@ -454,12 +468,36 @@ def baseline_no_compensation(
     cfg: FilterConfig,
     cam: CameraModel,
     history_depth: int = 30,
-) -> list[np.ndarray | None]:
-    """Identical filter bank with the ego increment forced to identity."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Identical filter bank with the ego increment forced to identity.
+
+    Returns per-tick positions ``(ticks, 7, 3)``, NaN before initialization,
+    and the has-estimate mask.
+    """
     ident = RigidTransform.identity("camera")
     t_rels = [ident for _ in times]
-    estimates, _ = _run_bank(times, t_rels, measurements, cfg, cam, history_depth)
-    return estimates
+    means, has = _run_bank(times, t_rels, measurements, cfg, cam, history_depth)
+    return means[:, :, 0:3], has
+
+
+def _stacked(estimates: list[np.ndarray | None]) -> tuple[np.ndarray, np.ndarray]:
+    """Per-tick sets (None where there is none) as ``(ticks, 7, 3)`` with NaN
+    rows, plus the has-estimate mask."""
+    has = np.array([e is not None for e in estimates], dtype=bool)
+    out = np.full((len(estimates), N_POINTS, 3), np.nan)
+    if has.any():
+        out[has] = np.stack([e for e in estimates if e is not None])
+    return out, has
+
+
+def _running_sum(per_tick: np.ndarray) -> np.ndarray:
+    """Total over axis 0, added one tick at a time starting from 0.0.
+
+    ``np.sum`` may add the ticks pairwise, which groups them differently and
+    moves the last bits of the episode metrics.
+    """
+    start = np.zeros((1,) + per_tick.shape[1:])
+    return np.cumsum(np.concatenate([start, per_tick]), axis=0)[-1]
 
 
 @dataclass
@@ -504,12 +542,34 @@ class EpisodeMetrics:
         }
 
 
-def _aligned_error(truth: np.ndarray, est: np.ndarray | None) -> np.ndarray:
-    """Per-point error with the +/- pair ambiguity resolved against truth."""
-    if est is None:
-        return np.full((7, 3), np.nan)
-    aligned = associate_measurement(SigmaPointSet(truth), SigmaPointSet(est)).points
-    return aligned - truth
+@dataclass
+class EpisodeTable:
+    """Per-tick rows of one episode: column names and a float ``(ticks, cols)`` array.
+
+    ``visible`` is stored as 0.0/1.0; errors are NaN at ticks where the
+    estimator has no estimate yet.
+    """
+
+    columns: tuple[str, ...]
+    values: np.ndarray
+
+    def column(self, name: str) -> np.ndarray:
+        return self.values[:, self.columns.index(name)]
+
+
+_ESTIMATORS = ("filter", "zoh", "nocomp")
+_REWARD_KEYS = ("hint", "opt", "miss", "roll", "ang", "smooth", "limit", "total")
+
+
+def _columns(training: bool, task: bool) -> tuple[str, ...]:
+    """Column order of ``run_episode``'s table and of ``metrics.csv``."""
+    columns = ["stamp", "visible", "drift_mag"]
+    columns += [f"{name}_p{j}_e{axis}" for name in _ESTIMATORS for j in range(7) for axis in "xyz"]
+    if training:
+        columns += [f"obs_p{j}_{axis}" for j in range(7) for axis in "xyz"]
+    if task:
+        columns += [f"reward_{key}" for key in _REWARD_KEYS]
+    return tuple(columns)
 
 
 def run_episode(
@@ -522,19 +582,22 @@ def run_episode(
     measurement_cutoff: float | None = None,
     disable_ego_compensation: bool = False,
     oosm_mode: str = "replay",
-) -> tuple[EpisodeMetrics, list[dict]]:
+) -> tuple[EpisodeMetrics, EpisodeTable]:
     """Score the filter and both baselines on one precomputed episode.
 
-    Returns the aggregate metrics and per-tick rows (stamp, visibility, drift
-    magnitude, per-point error components per estimator, reward terms when a
-    task geometry is given).  Raises ``EgoTrackError`` when no tick can be
-    scored, since every aggregate metric would then be undefined.
+    Returns the aggregate metrics and the per-tick table (stamp, visibility,
+    drift magnitude, per-point error components per estimator, the logged
+    downstream-facing set in training mode, reward terms when a task geometry
+    is given).  Raises ``EgoTrackError`` when no tick can be scored, since
+    every aggregate metric would then be undefined.
     """
     cfg = bundle.config
     filter_cfg = filter_cfg or FilterConfig()
     cam = cfg.camera
     times = bundle.times
+    n = len(times)
     dt = cfg.dt
+    truth = bundle.true_sets
 
     measurements = sensor_schedule(bundle)
     if measurement_cutoff is not None:
@@ -545,51 +608,57 @@ def run_episode(
 
     ident = RigidTransform.identity("camera")
     t_rels: list[RigidTransform] = [ident]
-    for k in range(1, len(times)):
+    for k in range(1, n):
         if disable_ego_compensation:
             t_rels.append(ident)
         else:
             t_rels.append(relative_transform(bundle.vo_poses[k - 1], bundle.vo_poses[k]))
 
-    filter_est, filter_vel = _run_bank(
+    filter_mean, has_filter = _run_bank(
         times, t_rels, measurements, filter_cfg, cam, history_depth, oosm_mode
     )
-    zoh_est = baseline_zoh(measurements, times)
-    nocomp_est = baseline_no_compensation(times, measurements, filter_cfg, cam, history_depth)
+    zoh_est, has_zoh = _stacked(baseline_zoh(measurements, times))
+    nocomp_est, has_nocomp = baseline_no_compensation(
+        times, measurements, filter_cfg, cam, history_depth
+    )
+    scored = has_filter & has_zoh & has_nocomp
+    n_scored = int(scored.sum())
+    if n_scored == 0:
+        raise EgoTrackError(
+            f"no tick scored: the filter and both baselines never all had an estimate "
+            f"in {n} ticks (obs_latency {cfg.obs_latency} s, duration {cfg.duration} s)"
+        )
+
+    # (estimator, tick, point, axis), pair ambiguity resolved against truth.
+    est = np.stack([filter_mean[:, :, 0:3], zoh_est, nocomp_est])
+    err = associate_points(truth, est) - truth
 
     training = cfg.mode == "training"
+    columns = _columns(training, geom is not None)
+    values = np.zeros((n, len(columns)))
+    values[:, 0] = times
+    values[:, 1] = bundle.visible
+    obs_at = 3 + len(_ESTIMATORS) * N_POINTS * 3
+    reward_at = len(columns) - (len(_REWARD_KEYS) if geom is not None else 0)
+    values[:, 3:obs_at] = err.transpose(1, 0, 2, 3).reshape(n, -1)
+
+    # Per-tick order matters only for the drift and shape-noise draws and the
+    # reward terms; everything else above is computed for all ticks at once.
     drift_state = DriftState(np.zeros(3), cfg.drift_sigma, cfg.drift_max)
     drift_rng = np.random.default_rng(bundle.drift_seed)
     obsnoise_rng = np.random.default_rng(bundle.obsnoise_seed)
-
     reward_cfg = reward_cfg or RewardConfig()
     criteria = criteria or CriteriaConfig()
     zero_action = np.zeros(4)
-    reward_sums: dict | None = None
     terminal: TerminalStatus | None = None
-    if geom is not None:
-        reward_sums = {k: 0.0 for k in ("hint", "opt", "miss", "roll", "ang", "smooth", "limit", "total")}
-
-    rows: list[dict] = []
-    sq_filter = np.zeros(7)
-    sq_zoh = np.zeros(7)
-    sq_nocomp = np.zeros(7)
-    abs_filter = abs_zoh = abs_nocomp = 0.0
-    sq_vel = 0.0
-    scored = 0
-    max_drift = 0.0
-
-    for k, t in enumerate(times):
+    for k in range(n):
         vis = bool(bundle.visible[k])
-        drift_mag = 0.0
-        observed: SigmaPointSet | None = None
         if training:
             drift_state = drift_step(drift_state, drift_rng, vis)
-            drift_mag = float(np.abs(drift_state.d).max())
-            max_drift = max(max_drift, drift_mag)
+            values[k, 2] = np.abs(drift_state.d).max()
             # What a downstream consumer would see: truth plus occlusion drift
             # plus the episode's shape-perturbation draw.
-            observed = apply_drift(SigmaPointSet(bundle.true_sets[k].copy()), drift_state)
+            observed = apply_drift(SigmaPointSet(truth[k].copy()), drift_state)
             if bundle.draw is not None:
                 observed = perturb_sigma_points(
                     observed,
@@ -597,31 +666,7 @@ def run_episode(
                     bundle.draw.sigma_rot_noise_std,
                     obsnoise_rng,
                 )
-
-        err_f = _aligned_error(bundle.true_sets[k], filter_est[k])
-        err_z = _aligned_error(bundle.true_sets[k], zoh_est[k])
-        err_n = _aligned_error(bundle.true_sets[k], nocomp_est[k])
-        if filter_est[k] is not None and zoh_est[k] is not None and nocomp_est[k] is not None:
-            scored += 1
-            sq_filter += np.sum(err_f**2, axis=1)
-            sq_zoh += np.sum(err_z**2, axis=1)
-            sq_nocomp += np.sum(err_n**2, axis=1)
-            abs_filter += float(np.linalg.norm(err_f[0]))
-            abs_zoh += float(np.linalg.norm(err_z[0]))
-            abs_nocomp += float(np.linalg.norm(err_n[0]))
-            if filter_vel[k] is not None:
-                dv = filter_vel[k] - bundle.true_velocities[k]
-                sq_vel += float(np.mean(np.sum(dv**2, axis=1)))
-
-        row = {"stamp": float(t), "visible": int(vis), "drift_mag": drift_mag}
-        for name, err in (("filter", err_f), ("zoh", err_z), ("nocomp", err_n)):
-            for j in range(7):
-                for a, axis in enumerate("xyz"):
-                    row[f"{name}_p{j}_e{axis}"] = float(err[j, a])
-        if observed is not None:
-            for j in range(7):
-                for a, axis in enumerate("xyz"):
-                    row[f"obs_p{j}_{axis}"] = float(observed.points[j, a])
+            values[k, obs_at:reward_at] = observed.points.ravel()
 
         if geom is not None:
             pos_w, yaw, pitch = bundle.base_states[k]
@@ -634,7 +679,7 @@ def run_episode(
                 lin_vel = np.zeros(3)
                 ang_vel = np.zeros(3)
             proprio = ProprioState(r_wb.T @ np.array([0.0, 0.0, -1.0]), lin_vel, ang_vel, zero_action)
-            breakdown = compute_reward(
+            terms = compute_reward(
                 pos_w,
                 np.array([0.0, pitch, yaw]),
                 geom,
@@ -644,28 +689,27 @@ def run_episode(
                 zero_action,
                 out_fov=not vis,
                 rcfg=reward_cfg,
-            )
-            for key, val in breakdown.to_dict().items():
-                reward_sums[key] += val
-                row[f"reward_{key}"] = val
-            if k == len(times) - 1:
+            ).to_dict()
+            values[k, reward_at:] = [terms[key] for key in _REWARD_KEYS]
+            if k == n - 1:
                 terminal = terminal_status(
                     pos_w, np.array([0.0, pitch, yaw]), geom, criteria, timed_out=True
                 )
-        rows.append(row)
 
-    if scored == 0:
-        raise EgoTrackError(
-            f"no tick scored: the filter and both baselines never all had an estimate "
-            f"in {len(times)} ticks (obs_latency {cfg.obs_latency} s, duration {cfg.duration} s)"
-        )
+    # Sums run over scored ticks in tick order (see _running_sum).
+    sq = _running_sum(np.sum(err**2, axis=-1).transpose(1, 0, 2)[scored])
+    centroid = err[:, scored, 0, :]
+    # The same dot product np.linalg.norm takes of one vector, so each
+    # distance matches it bit for bit.
+    dist = np.sqrt(np.matmul(centroid[..., None, :], centroid[..., :, None])[..., 0, 0])
+    abs_sum = _running_sum(dist.T)
+    dv = filter_mean[scored, :, 3:6] - bundle.true_velocities[scored, None, :]
+    sq_vel = float(_running_sum(np.mean(np.sum(dv**2, axis=-1), axis=-1)))
+    reward_sums: dict | None = None
+    if geom is not None:
+        reward_sums = dict(zip(_REWARD_KEYS, map(float, _running_sum(values[:, reward_at:]))))
 
-    def _rmse(sq: np.ndarray) -> list:
-        return list(np.sqrt(sq / scored))
-
-    rmse_f = _rmse(sq_filter)
-    rmse_z = _rmse(sq_zoh)
-    rmse_n = _rmse(sq_nocomp)
+    rmse_f, rmse_z, rmse_n = (list(np.sqrt(s / n_scored)) for s in sq)
     metrics = EpisodeMetrics(
         rmse_filter=rmse_f,
         rmse_zoh=rmse_z,
@@ -673,15 +717,15 @@ def run_episode(
         rmse_filter_centroid=rmse_f[0],
         rmse_zoh_centroid=rmse_z[0],
         rmse_nocomp_centroid=rmse_n[0],
-        mean_err_filter=abs_filter / scored,
-        mean_err_zoh=abs_zoh / scored,
-        mean_err_nocomp=abs_nocomp / scored,
-        velocity_rmse=math.sqrt(sq_vel / scored),
+        mean_err_filter=float(abs_sum[0]) / n_scored,
+        mean_err_zoh=float(abs_sum[1]) / n_scored,
+        mean_err_nocomp=float(abs_sum[2]) / n_scored,
+        velocity_rmse=math.sqrt(sq_vel / n_scored),
         visible_fraction=float(np.mean(bundle.visible)),
-        max_drift=max_drift,
-        ticks=len(times),
-        scored_ticks=scored,
+        max_drift=float(values[:, 2].max()),
+        ticks=n,
+        scored_ticks=n_scored,
         reward_sums=reward_sums,
         terminal=None if terminal is None else terminal.value,
     )
-    return metrics, rows
+    return metrics, EpisodeTable(columns, values)

@@ -1,4 +1,4 @@
-"""Property-based invariants of the stacked filter bank.
+"""Property-based invariants of the stacked filter bank and its pair association.
 
 Random ego-motion steps, measurements, latencies and delivery orders; each
 property must hold for every draw, not only for hand-picked cases.
@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from egotrack.estimator import FilterBank, FilterConfig, associate_measurement
+from egotrack.estimator import FilterBank, FilterConfig, associate_measurement, associate_points
 from egotrack.geometry import CameraModel, RigidTransform, SigmaPointSet, rotation_rpy
 
 CFG = FilterConfig()
@@ -169,3 +169,61 @@ def test_bank_equals_seven_per_point_filters(ops):
         mean, cov = bank.state
         assert np.array_equal(mean, np.stack([x for x, _ in ref]))
         assert np.array_equal(cov, np.stack([p for _, p in ref]))
+
+
+def _ref_associate(predicted, measured):
+    """One set's pair association as a loop over the three axis pairs, the reference."""
+    out = measured.copy()
+    for k in range(3):
+        i, j = 1 + 2 * k, 2 + 2 * k
+        keep = np.sum((measured[i] - predicted[i]) ** 2) + np.sum((measured[j] - predicted[j]) ** 2)
+        swap = np.sum((measured[i] - predicted[j]) ** 2) + np.sum((measured[j] - predicted[i]) ** 2)
+        if swap < keep:
+            out[[i, j]] = out[[j, i]]
+    return out
+
+
+# Coarse grid values make exact keep/swap ties common; NaN entries stand for
+# partly missing sets.
+ELEMENT = st.one_of(st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0]), _floats(-3.0, 3.0), st.just(np.nan))
+
+
+@SETTINGS
+@given(data=st.data())
+def test_associate_points_equals_pair_loop(data):
+    n = data.draw(st.integers(1, 12), label="sets")
+    predicted = data.draw(arrays(float, (n, 7, 3), elements=ELEMENT), label="predicted")
+    measured = data.draw(arrays(float, (n, 7, 3), elements=ELEMENT), label="measured")
+    # A predicted pair with both ends equal ties keep and swap exactly.
+    tied = data.draw(arrays(bool, (n, 3)), label="tied pairs")
+    for k in range(3):
+        predicted[tied[:, k], 2 + 2 * k] = predicted[tied[:, k], 1 + 2 * k]
+    # Whole NaN rows, as the scorer stacks them before an estimator has a set.
+    measured[data.draw(arrays(bool, n), label="blank rows")] = np.nan
+    before = measured.copy()
+
+    got = associate_points(predicted, measured)
+    want = np.stack([_ref_associate(p, m) for p, m in zip(predicted, measured)])
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert np.array_equal(measured.view(np.int64), before.view(np.int64))
+    one = associate_measurement(SigmaPointSet(predicted[0]), SigmaPointSet(measured[0])).points
+    assert np.array_equal(one.view(np.int64), want[0].view(np.int64))
+
+
+@SETTINGS
+@given(
+    predicted=arrays(float, (5, 7, 3), elements=_floats(-3.0, 3.0)),
+    measured=arrays(float, (2, 5, 7, 3), elements=_floats(-3.0, 3.0)),
+)
+def test_association_only_reorders_measured_pairs(predicted, measured):
+    # predicted broadcasts over the leading axis, as one truth against several estimators
+    got = associate_points(predicted, measured)
+    assert got.shape == measured.shape
+    assert np.array_equal(got[..., 0, :], measured[..., 0, :])
+    for k in range(3):
+        i, j = 1 + 2 * k, 2 + 2 * k
+        same = np.all(got[..., [i, j], :] == measured[..., [i, j], :], axis=(-2, -1))
+        swapped = np.all(got[..., [i, j], :] == measured[..., [j, i], :], axis=(-2, -1))
+        assert np.all(same | swapped)
+    for e in range(2):
+        assert np.array_equal(got[e], associate_points(predicted, measured[e]))

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from egotrack import cli
 from egotrack.cli import main
 from egotrack.config import build_configs, canonical_config, config_hash
 from egotrack.errors import ConfigError
@@ -190,6 +191,11 @@ class TestRunCommand:
                               "camera_motion": {"kind": "constant_velocity", "velocity": [0.1]}}},
                 "scenario.camera_motion.velocity",
             ),
+            ({"scenario": {"duration": 1.0, "drift_sigma": -1}}, "scenario.drift_sigma"),
+            ({"scenario": {"duration": 1.0, "drift_max": -1}}, "scenario.drift_max"),
+            ({"scenario": {"duration": 1.0, "drift_max": 0}}, "scenario.drift_max"),
+            ({"scenario": {"duration": 1.0, "vo_trans_noise_std": -1}}, "scenario.vo_trans_noise_std"),
+            ({"scenario": {"duration": 1.0, "vo_rot_noise_std": -0.1}}, "scenario.vo_rot_noise_std"),
         ],
         ids=[
             "nan-duration",
@@ -207,6 +213,11 @@ class TestRunCommand:
             "zero-box-dim",
             "short-position",
             "short-camera-velocity",
+            "negative-drift-sigma",
+            "negative-drift-max",
+            "zero-drift-max",
+            "negative-vo-trans-noise",
+            "negative-vo-rot-noise",
         ],
     )
     def test_bad_leaf_exits_2_naming_the_key(self, tmp_path, capsys, payload, key):
@@ -273,6 +284,7 @@ class TestSweepCommand:
         agg = json.loads((out / "aggregate.json").read_text())
         assert agg["failed"] == 2 and agg["completed"] == 0
         assert agg["per_seed"]["0"]["status"] == "error"
+        assert agg["per_seed"]["0"]["type"] == "ConfigError"
         assert agg["aggregate"] == {}
         assert "never visible" in capsys.readouterr().err
 
@@ -287,6 +299,26 @@ class TestSweepCommand:
         assert agg["failed"] == 2 and agg["completed"] == 0
         assert "no tick scored" in agg["per_seed"]["1"]["message"]
         assert capsys.readouterr().err.count("no tick scored") == 2
+
+
+    def test_unexpected_exception_is_recorded_and_sweep_goes_on(self, tmp_path, capsys, monkeypatch):
+        real = cli.run_episode
+
+        def flaky(bundle, *args, **kwargs):
+            if bundle.config.seed == 1:
+                raise RuntimeError("boom")
+            return real(bundle, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "run_episode", flaky)
+        cfg = write_cfg(tmp_path, base_cfg())
+        out = tmp_path / "sweep"
+        rc = main(["sweep", "--config", cfg, "--out", str(out), "--seeds", "0..1", "--quiet"])
+        assert rc == 1
+        agg = json.loads((out / "aggregate.json").read_text())
+        assert agg["completed"] == 1 and agg["failed"] == 1
+        assert agg["per_seed"]["0"]["status"] == "ok"
+        assert agg["per_seed"]["1"] == {"status": "error", "type": "RuntimeError", "message": "boom"}
+        assert "seed 1: error: RuntimeError: boom" in capsys.readouterr().err
 
 
 class TestSelftestCommand:

@@ -230,21 +230,21 @@ class TestSensor:
 class TestRunEpisode:
     def test_rows_and_metrics_shape(self):
         bundle = generate_scenario(quick_cfg())
-        metrics, rows = run_episode(bundle)
+        metrics, table = run_episode(bundle)
         assert metrics.ticks == len(bundle.times) == 51
-        assert len(rows) == 51
+        assert table.values.shape == (51, len(table.columns))
         assert metrics.scored_ticks > 0
-        assert "filter_p0_ex" in rows[0] and "nocomp_p6_ez" in rows[0]
-        assert "reward_total" not in rows[0]
-        assert "obs_p0_x" not in rows[0]
+        assert "filter_p0_ex" in table.columns and "nocomp_p6_ez" in table.columns
+        assert "reward_total" not in table.columns
+        assert "obs_p0_x" not in table.columns
         assert metrics.reward_sums is None and metrics.terminal is None
         assert metrics.visible_fraction == 1.0
 
     def test_reward_columns_with_geometry(self):
         geom = TaskGeometry(p_opt=[0.0, 0.0, 0.0], theta_opt=[0.0, 0.0, 0.0], p_hint=[0.1, 0.0, 0.0])
         bundle = generate_scenario(quick_cfg())
-        metrics, rows = run_episode(bundle, geom=geom)
-        assert "reward_total" in rows[0]
+        metrics, table = run_episode(bundle, geom=geom)
+        assert "reward_total" in table.columns
         assert metrics.terminal == "success"  # static base sits at the optimum
         assert metrics.reward_sums["opt"] > 0.0
 
@@ -266,10 +266,49 @@ class TestRunEpisode:
 
     def test_training_mode_runs_and_tracks_drift(self):
         cfg = quick_cfg(mode="training")
-        metrics, rows = run_episode(generate_scenario(cfg))
+        metrics, table = run_episode(generate_scenario(cfg))
         assert metrics.max_drift <= 0.10
-        assert all(r["drift_mag"] == 0.0 for r in rows)  # always visible here
-        assert "obs_p0_x" in rows[0]  # downstream-facing set is logged
+        assert np.all(table.column("drift_mag") == 0.0)  # always visible here
+        assert "obs_p0_x" in table.columns  # downstream-facing set is logged
+
+    @pytest.mark.parametrize("mode, task", [("deploy", False), ("training", False), ("deploy", True)])
+    def test_columns_in_documented_order(self, mode, task):
+        geom = TaskGeometry(p_opt=[0.0, 0.0, 0.0], theta_opt=[0.0, 0.0, 0.0], p_hint=[0.1, 0.0, 0.0])
+        _, table = run_episode(generate_scenario(quick_cfg(mode=mode)), geom=geom if task else None)
+        expected = ["stamp", "visible", "drift_mag"]
+        for name in ("filter", "zoh", "nocomp"):
+            for j in range(7):
+                expected += [f"{name}_p{j}_ex", f"{name}_p{j}_ey", f"{name}_p{j}_ez"]
+        if mode == "training":
+            for j in range(7):
+                expected += [f"obs_p{j}_x", f"obs_p{j}_y", f"obs_p{j}_z"]
+        if task:
+            expected += ["reward_hint", "reward_opt", "reward_miss", "reward_roll",
+                         "reward_ang", "reward_smooth", "reward_limit", "reward_total"]
+        assert list(table.columns) == expected
+        assert table.values.shape == (51, len(expected))
+        assert set(np.unique(table.column("visible"))) <= {0.0, 1.0}
+
+    def test_aggregates_equal_per_tick_loop(self):
+        """The error aggregates equal a loop over scored ticks in order, bit for bit."""
+        cfg = quick_cfg(duration=3.0, camera_motion=CameraMotion(kind="walking"),
+                        target=ObjectSpec(position=(2.5, 0.3, 0.0), velocity=(0.0, -0.3, 0.0)))
+        metrics, table = run_episode(generate_scenario(cfg))
+        errs = {
+            name: np.stack([table.column(f"{name}_p{j}_e{axis}") for j in range(7) for axis in "xyz"],
+                           axis=1).reshape(-1, 7, 3)
+            for name in ("filter", "zoh", "nocomp")
+        }
+        scored = np.flatnonzero(~np.any([np.isnan(e[:, 0, 0]) for e in errs.values()], axis=0))
+        assert metrics.scored_ticks == len(scored) > 100
+        for name, err in errs.items():
+            sq = np.zeros(7)
+            dist = 0.0
+            for k in scored:
+                sq += np.sum(err[k] ** 2, axis=1)
+                dist += float(np.linalg.norm(err[k, 0]))
+            assert getattr(metrics, f"rmse_{name}") == list(np.sqrt(sq / len(scored)))
+            assert getattr(metrics, f"mean_err_{name}") == dist / len(scored)
 
     def test_oosm_ablation_changes_numbers(self):
         cfg = quick_cfg(
