@@ -6,10 +6,12 @@ deterministic ego-motion remap into the new camera frame; delayed measurements
 are handled by rolling back to a history snapshot and replaying.
 
 The filter math lives in batched kernels over ``n`` independent states: means
-shaped ``(n, 6)`` (position then velocity) and covariances ``(n, 6, 6)``.  The
-bank runs them on all seven points at once; ``predict``, ``update`` and the
-other per-point functions are batch-of-1 wrappers around the same kernels.
-Kernels return new arrays and never write into their inputs.
+shaped ``(n, 6)`` (position then velocity) and covariances ``(n, 6, 6)``.
+``predict``, ``update`` and the other per-point functions are batch-of-1
+wrappers around them.  The bank runs all seven points of one or more lanes at
+once (a lane per ego-compensation setting) and fuses predict and ego remap
+into one step, ``_propagate_batch``.  Kernels return new arrays and never
+write into their inputs.
 """
 
 from __future__ import annotations
@@ -116,6 +118,20 @@ def _compensate_batch(
     r = t_rel.rotation
     pos = _rotate(r, mean[:, 0:3]) + t_rel.translation
     return np.concatenate([pos, _rotate(r, mean[:, 3:6])], axis=1), f @ cov @ f.T
+
+
+def _propagate_batch(
+    mean: np.ndarray, cov: np.ndarray, g: np.ndarray, c: np.ndarray, q: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Fused predict and ego remap: mean' = g mean + c, cov' = g cov g^T + q.
+
+    With g = F A and c = [t; 0] this is ``_predict_batch`` followed by
+    ``_compensate_batch`` up to rounding, since F Q F^T = Q for the isotropic
+    per-block Q.  ``g`` broadcasts against the leading axes of ``cov``.  The
+    mean is rotated as column vectors, which rounds the same for any number
+    of leading rows; ``mean @ g^T`` would not.
+    """
+    return (g @ mean[..., None])[..., 0] + c, g @ cov @ g.swapaxes(-1, -2) + q
 
 
 def _measurement_cov_batch(cam: CameraModel, depth: np.ndarray, cfg: FilterConfig) -> np.ndarray:
@@ -247,36 +263,43 @@ class IngestStatus(enum.Enum):
     STALE = "stale"
 
 
-# Stacked state of the seven point filters: mean (7, 6) and covariance (7, 6, 6).
+# Stacked state of the bank: means (L, 7, 6) and covariances (L, 7, 6, 6),
+# one lane per ego-compensation setting.
 BankState = tuple[np.ndarray, np.ndarray]
 
 
 @dataclass
 class _StepRecord:
-    """One history entry: the inputs of the step and the state after it.
+    """One history entry: the fused step into this stamp and the state after it.
 
-    ``a`` and ``f`` are the step's transition and ego map, built once by
-    ``step`` and reused by every replay through this entry.  ``state`` is
-    never written in place, so a record can share arrays with the bank.
-    ``measurements`` keeps every raw set accepted at this stamp (arrival
-    order) so a later rollback can re-apply them during replay.
+    ``g`` (L, 1, 6, 6) and ``c`` (L, 1, 6) are the step's propagation
+    ``mean' = g mean + c``, built once by ``step`` and reused by every replay
+    through this entry.  ``state`` is never written in place, so a record can
+    share arrays with the bank.  ``measurements`` keeps every raw set
+    accepted at this stamp (arrival order) so a later rollback can re-apply
+    them during replay.
     """
 
     stamp: float
-    dt: float
-    t_rel: RigidTransform | None
-    a: np.ndarray | None = None
-    f: np.ndarray | None = None
+    g: np.ndarray | None = None
+    c: np.ndarray | None = None
     state: BankState | None = None
     measurements: list[np.ndarray] = field(default_factory=list)
 
 
 # Stamp comparisons tolerate accumulated float error, far below one tick.
 _STAMP_EPS = 1e-9
+_EYE3 = np.eye(3)
 
 
 class FilterBank:
     """Seven independent per-point filters sharing a rollback history.
+
+    The bank carries one lane per entry of ``ego_lanes``: every lane sees the
+    same steps and measurements, and a lane applies the ego increment only
+    when its flag is true (a false lane is the no-compensation baseline).
+    One rollback replays all lanes at once.  ``estimate``, ``velocities`` and
+    ``tracks`` read lane 0.
 
     The bank starts uninitialized; the first accepted measurement creates the
     tracks at its own stamp and replays forward, so initialization is
@@ -292,22 +315,26 @@ class FilterBank:
         oosm_mode: str = "replay",
         reacquire_window: float = 5.0,
         reacquire_gate: float = 5.0,
+        ego_lanes: tuple[bool, ...] = (True,),
     ):
         if history_depth < 2:
             raise ValueError("history_depth must be at least 2")
         if oosm_mode not in ("replay", "in_place"):
             raise ValueError(f"unknown oosm_mode {oosm_mode!r}")
+        if len(ego_lanes) < 1:
+            raise ValueError("ego_lanes needs at least one lane")
         self.cfg = cfg
         self.cam = cam
         self.oosm_mode = oosm_mode
         self.reacquire_window = reacquire_window
         self.reacquire_gate = reacquire_gate
+        self._ego = np.array(ego_lanes, dtype=bool)[:, None, None]
         self._q = _process_noise(cfg)
         self._p0 = _prior(cfg)
         self.state: BankState | None = None
         self.last_measurement_stamp: float | None = None
         self.history: deque[_StepRecord] = deque(maxlen=history_depth)
-        self.history.append(_StepRecord(start_stamp, 0.0, None))
+        self.history.append(_StepRecord(start_stamp))
 
     @property
     def stamp(self) -> float:
@@ -315,48 +342,55 @@ class FilterBank:
 
     @property
     def tracks(self) -> list[TrackState] | None:
-        """Per-point copies of the current state; editing them changes nothing."""
+        """Per-point copies of lane 0; editing them changes nothing."""
         if self.state is None:
             return None
         mean, cov = self.state
         return [
-            TrackState(mean[j, 0:3].copy(), mean[j, 3:6].copy(), cov[j].copy(), self.stamp)
+            TrackState(mean[0, j, 0:3].copy(), mean[0, j, 3:6].copy(), cov[0, j].copy(), self.stamp)
             for j in range(N_POINTS)
         ]
 
     def estimate(self) -> SigmaPointSet | None:
         if self.state is None:
             return None
-        return SigmaPointSet(self.state[0][:, 0:3].copy())
+        return SigmaPointSet(self.state[0][0, :, 0:3].copy())
 
     def velocities(self) -> np.ndarray | None:
         if self.state is None:
             return None
-        return self.state[0][:, 3:6].copy()
-
-    def _propagate(self, state: BankState, rec: _StepRecord) -> BankState:
-        """Predict over rec's step, then remap by its ego increment."""
-        mean, cov = _predict_batch(*state, rec.dt, rec.a, self._q)
-        return _compensate_batch(mean, cov, rec.t_rel, rec.f)
+        return self.state[0][0, :, 3:6].copy()
 
     def step(self, dt: float, t_rel: RigidTransform) -> SigmaPointSet | None:
         """Advance one control tick: predict then remap by the ego increment."""
         if dt < 0.0:
             raise ValueError("dt must be non-negative")
-        rec = _StepRecord(self.stamp + dt, dt, t_rel, _transition(dt), _ego_map(t_rel.rotation))
+        # g = F A = [[R, dt R], [0, R]] with R = I on lanes that skip the ego
+        # increment, where it is A; written out blockwise, equal to the product.
+        r = np.where(self._ego, t_rel.rotation, _EYE3)
+        g = np.zeros((len(r), 6, 6))
+        g[:, 0:3, 0:3] = g[:, 3:6, 3:6] = r
+        g[:, 0:3, 3:6] = dt * r
+        c = np.zeros((len(r), 6))
+        c[:, 0:3] = np.where(self._ego[:, 0], t_rel.translation, 0.0)
+        rec = _StepRecord(self.stamp + dt, g[:, None], c[:, None])
         if self.state is not None:
-            self.state = rec.state = self._propagate(self.state, rec)
+            self.state = rec.state = _propagate_batch(*self.state, rec.g, rec.c, self._q)
         self.history.append(rec)
         return self.estimate()
 
     def _apply_measurement(
         self, state: BankState | None, measured: np.ndarray, stamp: float
     ) -> BankState:
-        """Associate and update all seven tracks at one stamp."""
+        """Associate and update all seven tracks of every lane at one stamp."""
+        shape = (len(self._ego), N_POINTS)
         if state is None:
-            return _init_batch(measured, self._p0)
+            mean, cov = _init_batch(np.tile(measured, (len(self._ego), 1)), self._p0)
+            return mean.reshape(shape + (6,)), cov.reshape(shape + (6, 6))
         mean, cov = state
-        assoc = associate_measurement(SigmaPointSet(mean[:, 0:3]), SigmaPointSet(measured)).points
+        assoc = associate_points(mean[..., 0:3], np.broadcast_to(measured, shape + (3,)))
+        # The kernels run on the (L * 7) rows of all lanes together.
+        mean, cov, assoc = mean.reshape(-1, 6), cov.reshape(-1, 6, 6), assoc.reshape(-1, 3)
         depth = np.maximum(mean[:, 2], self.cam.near_z)
         r = _measurement_cov_batch(self.cam, depth, self.cfg)
         new_mean, new_cov = _update_batch(mean, cov, assoc, r)
@@ -371,7 +405,7 @@ class FilterBank:
             reset = _mahalanobis2(mean, cov, assoc, r) > self.reacquire_gate**2
             if reset.any():
                 new_mean[reset], new_cov[reset] = _init_batch(assoc[reset], self._p0)
-        return new_mean, new_cov
+        return new_mean.reshape(shape + (6,)), new_cov.reshape(shape + (6, 6))
 
     def _note_measurement(self, meas_stamp: float) -> None:
         if self.last_measurement_stamp is None or meas_stamp > self.last_measurement_stamp:
@@ -384,7 +418,8 @@ class FilterBank:
         measurement stamp, applies the update there, and replays the stored
         steps; the rewritten snapshots keep the measurement so later
         rollbacks see it too.  Measurements older than the history horizon
-        are dropped (stale), leaving the state unchanged.
+        are dropped (stale), leaving the state unchanged.  Every lane takes
+        the same rollback.
         """
         if meas_stamp > self.stamp + _STAMP_EPS:
             raise ValueError("measurement stamp is in the future")
@@ -407,7 +442,7 @@ class FilterBank:
         self._note_measurement(meas_stamp)
         for i in range(idx + 1, len(self.history)):
             nxt = self.history[i]
-            state = self._propagate(state, nxt)
+            state = _propagate_batch(*state, nxt.g, nxt.c, self._q)
             for old in nxt.measurements:
                 state = self._apply_measurement(state, old, nxt.stamp)
             nxt.state = state

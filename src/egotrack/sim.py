@@ -72,6 +72,17 @@ MOUNT_ROTATION = np.array([
 
 _EPS = 1e-9
 
+# Resource caps, checked when a ScenarioConfig is built so an oversized run
+# fails with a config error before anything is allocated.  An episode holds
+# about 6 kB per tick (measured on a training run with a task), so MAX_TICKS,
+# 1000 s at 50 Hz, keeps it near 0.3 GB.  MAX_SURFACE_SAMPLES bounds one
+# surface cloud, and so each observation's cost, to tens of MB.
+# MAX_TICK_SAMPLES bounds the surface work of the whole episode: MAX_TICKS
+# ticks at the default 2048 samples.
+MAX_TICKS = 50_000
+MAX_SURFACE_SAMPLES = 1_000_000
+MAX_TICK_SAMPLES = MAX_TICKS * 2048
+
 
 @dataclass(frozen=True)
 class CameraMotion:
@@ -190,6 +201,21 @@ class ScenarioConfig:
             raise ConfigError("alpha must be positive")
         if self.surface_samples < 1:
             raise ConfigError("surface_samples must be positive")
+        if self.n_ticks > MAX_TICKS:
+            raise ConfigError(
+                f"scenario.duration: {self.duration} s at control_rate {self.control_rate} Hz "
+                f"is {self.n_ticks} ticks, above the cap of {MAX_TICKS}"
+            )
+        if self.surface_samples > MAX_SURFACE_SAMPLES:
+            raise ConfigError(
+                f"scenario.surface_samples: {self.surface_samples} is above the cap of "
+                f"{MAX_SURFACE_SAMPLES}"
+            )
+        if self.n_ticks * self.surface_samples > MAX_TICK_SAMPLES:
+            raise ConfigError(
+                f"scenario.surface_samples: {self.n_ticks} ticks x {self.surface_samples} "
+                f"samples is above the cap of {MAX_TICK_SAMPLES}"
+            )
         for name in ("vo_trans_noise_std", "vo_rot_noise_std", "drift_sigma"):
             if getattr(self, name) < 0.0:
                 raise ConfigError(f"scenario.{name} must be non-negative")
@@ -434,21 +460,27 @@ def _run_bank(
     cam: CameraModel,
     history_depth: int,
     oosm_mode: str = "replay",
+    ego_lanes: tuple[bool, ...] = (True,),
 ) -> tuple[np.ndarray, np.ndarray]:
     """Drive one filter bank over the episode.
 
-    Returns the bank mean at every tick, shaped ``(ticks, 7, 6)`` (position
-    then velocity) and NaN before initialization, and the ``(ticks,)`` mask
-    of ticks that have an estimate.
+    Returns the bank mean of every lane at every tick, shaped
+    ``(ticks, lanes, 7, 6)`` (position then velocity) and NaN before
+    initialization, and the ``(ticks,)`` mask of ticks that have an estimate.
     """
     bank = FilterBank(
-        cfg, cam, start_stamp=float(times[0]), history_depth=history_depth, oosm_mode=oosm_mode
+        cfg,
+        cam,
+        start_stamp=float(times[0]),
+        history_depth=history_depth,
+        oosm_mode=oosm_mode,
+        ego_lanes=ego_lanes,
     )
     pending = sorted(
         (m for m in measurements if m.sset is not None), key=lambda m: m.available_at
     )
     idx = 0
-    means = np.full((len(times), N_POINTS, 6), np.nan)
+    means = np.full((len(times), len(ego_lanes), N_POINTS, 6), np.nan)
     has = np.zeros(len(times), dtype=bool)
     for k, t in enumerate(times):
         if k > 0:
@@ -469,15 +501,18 @@ def baseline_no_compensation(
     cam: CameraModel,
     history_depth: int = 30,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Identical filter bank with the ego increment forced to identity.
+    """Identical replay filter bank that never applies the ego increment.
 
     Returns per-tick positions ``(ticks, 7, 3)``, NaN before initialization,
-    and the has-estimate mask.
+    and the has-estimate mask.  ``run_episode`` runs this as the second lane
+    of the filter's own bank; it calls it alone only when the filter does
+    not replay (``oosm_mode="in_place"``).
     """
-    ident = RigidTransform.identity("camera")
-    t_rels = [ident for _ in times]
-    means, has = _run_bank(times, t_rels, measurements, cfg, cam, history_depth)
-    return means[:, :, 0:3], has
+    t_rels = [RigidTransform.identity("camera")] * len(times)
+    means, has = _run_bank(
+        times, t_rels, measurements, cfg, cam, history_depth, ego_lanes=(False,)
+    )
+    return means[:, 0, :, 0:3], has
 
 
 def _stacked(estimates: list[np.ndarray | None]) -> tuple[np.ndarray, np.ndarray]:
@@ -614,13 +649,23 @@ def run_episode(
         else:
             t_rels.append(relative_transform(bundle.vo_poses[k - 1], bundle.vo_poses[k]))
 
-    filter_mean, has_filter = _run_bank(
-        times, t_rels, measurements, filter_cfg, cam, history_depth, oosm_mode
-    )
+    # The no-compensation baseline is the filter's second lane: same
+    # measurements at the same ticks, so one rollback replays both.  Only the
+    # replay bank can carry it; an in_place filter runs alone.
+    if oosm_mode == "replay":
+        means, has_filter = _run_bank(
+            times, t_rels, measurements, filter_cfg, cam, history_depth, ego_lanes=(True, False)
+        )
+        nocomp_est, has_nocomp = means[:, 1, :, 0:3], has_filter
+    else:
+        means, has_filter = _run_bank(
+            times, t_rels, measurements, filter_cfg, cam, history_depth, oosm_mode
+        )
+        nocomp_est, has_nocomp = baseline_no_compensation(
+            times, measurements, filter_cfg, cam, history_depth
+        )
+    filter_mean = means[:, 0]
     zoh_est, has_zoh = _stacked(baseline_zoh(measurements, times))
-    nocomp_est, has_nocomp = baseline_no_compensation(
-        times, measurements, filter_cfg, cam, history_depth
-    )
     scored = has_filter & has_zoh & has_nocomp
     n_scored = int(scored.sum())
     if n_scored == 0:

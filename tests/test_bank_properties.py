@@ -9,7 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from egotrack.estimator import FilterBank, FilterConfig, associate_measurement, associate_points
+from egotrack.estimator import (
+    FilterBank,
+    FilterConfig,
+    associate_measurement,
+    associate_points,
+    compensate_ego_motion,
+    predict,
+)
 from egotrack.geometry import CameraModel, RigidTransform, SigmaPointSet, rotation_rpy
 
 CFG = FilterConfig()
@@ -62,7 +69,7 @@ def test_covariance_stays_symmetric_psd(ops, window):
             _step(bank, op)
         else:
             bank.ingest(SigmaPointSet(bank.estimate().points + op), bank.stamp)
-        cov = bank.state[1]
+        cov = bank.state[1][0]
         scale = np.abs(cov).max(axis=(1, 2))
         asym = np.abs(cov - cov.swapaxes(1, 2)).max(axis=(1, 2))
         assert np.all(asym <= 1e-12 * scale)
@@ -120,16 +127,18 @@ def test_rollback_leaves_older_records_unchanged(steps, noise, data):
 
 
 def _ref_step(x, p, dt, rel):
-    """One point's predict and ego remap, written out per point as the reference."""
+    """One point's fused predict and ego remap, written out per point as the reference.
+
+    G = F A, the ego map blockdiag(R, R) times the transition A(dt); F Q F^T = Q.
+    """
     a = np.eye(6)
     a[0:3, 3:6] = dt * np.eye(3)
-    p = a @ p @ a.T + np.diag([CFG.q_pos] * 3 + [CFG.q_vel] * 3)
-    pos = x[0:3] + dt * x[3:6]
-    r = rel.rotation
     f = np.zeros((6, 6))
-    f[0:3, 0:3] = r
-    f[3:6, 3:6] = r
-    return np.concatenate([r @ pos + rel.translation, r @ x[3:6]]), f @ p @ f.T
+    f[0:3, 0:3] = rel.rotation
+    f[3:6, 3:6] = rel.rotation
+    g = f @ a
+    c = np.concatenate([rel.translation, np.zeros(3)])
+    return (g @ x[:, None])[:, 0] + c, g @ p @ g.T + np.diag([CFG.q_pos] * 3 + [CFG.q_vel] * 3)
 
 
 def _ref_update(x, p, z):
@@ -166,9 +175,66 @@ def test_bank_equals_seven_per_point_filters(ops):
             predicted = SigmaPointSet(np.stack([x[0:3] for x, _ in ref]))
             assoc = associate_measurement(predicted, SigmaPointSet(z)).points
             ref = [_ref_update(x, p, assoc[j]) for j, (x, p) in enumerate(ref)]
-        mean, cov = bank.state
+        mean, cov = bank.state[0][0], bank.state[1][0]
         assert np.array_equal(mean, np.stack([x for x, _ in ref]))
         assert np.array_equal(cov, np.stack([p for _, p in ref]))
+
+
+# A delayed ingest: noise on the current estimate, stamped this many records back.
+DELAYED = st.tuples(NOISE, st.integers(0, 12))
+
+
+@SETTINGS
+@given(ops=st.lists(st.one_of(STEP, DELAYED), min_size=1, max_size=40))
+def test_each_lane_equals_a_one_lane_bank(ops):
+    """Lane l of a (True, False) bank is bit for bit the one-lane bank with that flag."""
+    # The short window and tight gate make large innovations reset rows.
+    def bank(lanes):
+        return FilterBank(CFG, CAM, history_depth=16, reacquire_window=0.02,
+                          reacquire_gate=2.0, ego_lanes=lanes)
+
+    both, alone = bank((True, False)), [bank((True,)), bank((False,))]
+    for b in (both, *alone):
+        b.ingest(SigmaPointSet(BASE), 0.0)
+    for op in ops:
+        for b in (both, *alone):
+            if len(op) == 3:
+                _step(b, op)
+            else:
+                noise, back = op
+                rec = b.history[max(len(b.history) - 1 - back, 0)]
+                b.ingest(SigmaPointSet(BASE + noise), rec.stamp)
+        for lane, one in enumerate(alone):
+            assert len(both.history) == len(one.history)
+            for got, want in zip(both.history, one.history):
+                assert got.stamp == want.stamp
+                assert np.array_equal(got.state[0][lane], want.state[0][0])
+                assert np.array_equal(got.state[1][lane], want.state[1][0])
+                if want.g is not None:
+                    assert np.array_equal(got.g[lane], want.g[0])
+                    assert np.array_equal(got.c[lane], want.c[0])
+                assert all(np.array_equal(a, b) for a, b in zip(got.measurements, want.measurements))
+    assert np.array_equal(both.estimate().points, alone[0].estimate().points)
+
+
+@SETTINGS
+@given(ops=st.lists(st.one_of(STEP, NOISE), min_size=1, max_size=30))
+def test_fused_step_matches_predict_then_compensate(ops):
+    """One fused bank step agrees with the predict and ego-remap wrappers to 1e-12."""
+    bank = FilterBank(CFG, CAM, history_depth=50)
+    bank.ingest(SigmaPointSet(BASE), 0.0)
+    for op in ops:
+        if isinstance(op, tuple):
+            dt, rpy, t = op
+            rel = RigidTransform(rotation_rpy(*rpy), np.array(t))
+            want = [compensate_ego_motion(predict(track, dt, CFG), rel) for track in bank.tracks]
+            bank.step(dt, rel)
+            for got, ref in zip(bank.tracks, want):
+                assert np.abs(got.position - ref.position).max() <= 1e-12
+                assert np.abs(got.velocity - ref.velocity).max() <= 1e-12
+                assert np.abs(got.covariance - ref.covariance).max() <= 1e-12
+        else:
+            bank.ingest(SigmaPointSet(bank.estimate().points + op), bank.stamp)
 
 
 def _ref_associate(predicted, measured):

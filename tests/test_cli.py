@@ -10,7 +10,7 @@ from egotrack.config import build_configs, canonical_config, config_hash
 from egotrack.errors import ConfigError
 from egotrack.estimator import FilterConfig
 from egotrack.perturbation import RandomizationConfig
-from egotrack.sim import ScenarioConfig
+from egotrack.sim import MAX_SURFACE_SAMPLES, MAX_TICK_SAMPLES, MAX_TICKS, ScenarioConfig
 from egotrack.tasklogic import AscConfig, CriteriaConfig, RewardConfig, TaskGeometry
 
 
@@ -112,6 +112,17 @@ class TestRunCommand:
         assert "filter_p0_ex" in rows[0]
         # round-trippable full-precision floats
         assert abs(float(rows[1]["stamp"]) - 0.02) < 1e-15
+
+    def test_chunked_csv_equals_one_pass(self, tmp_path):
+        rng = np.random.default_rng(4)
+        values = rng.normal(size=(2 * cli._CSV_CHUNK_ROWS + 5, 4))
+        values[3, 1], values[7, 2], values[9, 0] = np.nan, -0.0, np.inf
+        table = cli.EpisodeTable(("stamp", "a", "b", "c"), values)
+        path = tmp_path / "m.csv"
+        cli._write_rows_csv(str(path), table)
+        row = ",".join(["%.17g"] * 4) + "\r\n"
+        want = "stamp,a,b,c\r\n" + "".join(row % tuple(cells) for cells in values.tolist())
+        assert path.read_bytes() == want.encode("utf-8")
 
     def test_same_seed_same_bytes(self, tmp_path):
         cfg = write_cfg(tmp_path, base_cfg())
@@ -226,6 +237,27 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert rc == 2
         assert key in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "scenario, key",
+        [
+            ({"duration": (MAX_TICKS + 1) / 50.0}, "scenario.duration"),
+            ({"duration": 1.0, "surface_samples": MAX_SURFACE_SAMPLES + 1}, "scenario.surface_samples"),
+            ({"duration": 10.0, "surface_samples": MAX_TICK_SAMPLES // 500 + 1}, "scenario.surface_samples"),
+        ],
+        ids=["ticks", "surface-samples", "ticks-x-samples"],
+    )
+    def test_over_cap_exits_2_before_generating(self, tmp_path, capsys, monkeypatch, scenario, key):
+        def refuse(_cfg):
+            raise AssertionError("an over-cap config reached generate_scenario")
+
+        monkeypatch.setattr("egotrack.cli.generate_scenario", refuse)
+        cfg = write_cfg(tmp_path, {"scenario": scenario})
+        rc = main(["run", "--config", cfg, "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert key in err and "cap" in err
         assert err.count("\n") == 1
 
     def test_no_scored_tick_exits_1(self, tmp_path, capsys):

@@ -7,6 +7,9 @@ from egotrack.errors import ConfigError
 from egotrack.geometry import CameraModel
 from egotrack.shapes import sample_box, sample_cylinder, sample_shape, sample_sphere
 from egotrack.sim import (
+    MAX_SURFACE_SAMPLES,
+    MAX_TICK_SAMPLES,
+    MAX_TICKS,
     MOUNT_ROTATION,
     CameraMotion,
     ObjectSpec,
@@ -115,6 +118,19 @@ class TestScenarioConfig:
         assert cfg.dt == pytest.approx(0.02)
         assert cfg.n_ticks == 250
         assert cfg.obs_stride == 10
+
+    def test_resource_caps(self):
+        # Only the configs are built here; nothing is generated or allocated.
+        # The longest episode at the default surface_samples is accepted.
+        assert ScenarioConfig(duration=MAX_TICKS / 50.0).n_ticks == MAX_TICKS
+        with pytest.raises(ConfigError, match="scenario.duration"):
+            ScenarioConfig(duration=(MAX_TICKS + 1) / 50.0)
+        ScenarioConfig(duration=1.0, surface_samples=MAX_SURFACE_SAMPLES)
+        with pytest.raises(ConfigError, match="scenario.surface_samples"):
+            ScenarioConfig(duration=1.0, surface_samples=MAX_SURFACE_SAMPLES + 1)
+        ScenarioConfig(duration=10.0, surface_samples=MAX_TICK_SAMPLES // 500)
+        with pytest.raises(ConfigError, match="scenario.surface_samples"):
+            ScenarioConfig(duration=10.0, surface_samples=MAX_TICK_SAMPLES // 500 + 1)
 
     def test_sensor_validation(self):
         with pytest.raises(ConfigError):
