@@ -42,11 +42,12 @@ from .geometry import (
     SurfacePointCloud,
     backproject_pixel,
     backproject_pixels,
+    check_rotations,
     compute_visible_set,
     extract_sigma_points,
     project_point,
     project_points,
-    relative_transform,
+    rotate,
     rotation_about_axis,
     rotation_rpy,
     sigma_points_from_cloud,
@@ -74,6 +75,7 @@ from .sim import (
     TrajectoryBundle,
     baseline_no_compensation,
     baseline_zoh,
+    ego_increments,
     emulate_sensor,
     generate_scenario,
     run_episode,

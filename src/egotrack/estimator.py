@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidDepthError, NumericalError
-from .geometry import CameraModel, RigidTransform, SigmaPointSet
+from .geometry import CameraModel, RigidTransform, SigmaPointSet, rotate
 
 N_POINTS = 7
 
@@ -88,15 +88,6 @@ def _ego_map(rotation: np.ndarray) -> np.ndarray:
     return f
 
 
-def _rotate(rotation: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """R v for each row v of (n, 3) vecs.
-
-    The (3,3) @ (n,3,1) product is bit-identical to ``rotation @ v`` on each
-    row; ``vecs @ rotation.T`` would round differently.
-    """
-    return (rotation @ vecs[:, :, None])[:, :, 0]
-
-
 def _init_batch(z: np.ndarray, p0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Fresh states at measured positions z (n, 3): zero velocity, prior p0."""
     mean = np.concatenate([z, np.zeros_like(z)], axis=1)
@@ -116,8 +107,8 @@ def _compensate_batch(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Remap into the new camera frame; f = blockdiag(R, R) of t_rel."""
     r = t_rel.rotation
-    pos = _rotate(r, mean[:, 0:3]) + t_rel.translation
-    return np.concatenate([pos, _rotate(r, mean[:, 3:6])], axis=1), f @ cov @ f.T
+    pos = rotate(r, mean[:, 0:3]) + t_rel.translation
+    return np.concatenate([pos, rotate(r, mean[:, 3:6])], axis=1), f @ cov @ f.T
 
 
 def _propagate_batch(

@@ -19,40 +19,75 @@ ROTATION_TOL = 1e-9
 # Covariance eigenvalues below this are treated as indefinite rather than roundoff.
 EIGENVALUE_FLOOR = -1e-12
 
+_EYE3 = np.eye(3)
+
 
 def _vec3(x) -> np.ndarray:
     return np.asarray(x, dtype=float).reshape(3)
 
 
-def rotation_x(angle: float) -> np.ndarray:
+def _matrices(*entries) -> np.ndarray:
+    """Nine row-major entries (scalars or arrays that broadcast) as ``(..., 3, 3)``."""
+    entries = np.broadcast_arrays(*entries)
+    return np.stack(entries, axis=-1).reshape(entries[0].shape + (3, 3))
+
+
+def rotation_x(angle) -> np.ndarray:
+    """Rotation about x; an array of angles gives a ``(..., 3, 3)`` stack."""
     c, s = np.cos(angle), np.sin(angle)
-    return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
+    return _matrices(1.0, 0.0, 0.0, 0.0, c, -s, 0.0, s, c)
 
 
-def rotation_y(angle: float) -> np.ndarray:
+def rotation_y(angle) -> np.ndarray:
     c, s = np.cos(angle), np.sin(angle)
-    return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
+    return _matrices(c, 0.0, s, 0.0, 1.0, 0.0, -s, 0.0, c)
 
 
-def rotation_z(angle: float) -> np.ndarray:
+def rotation_z(angle) -> np.ndarray:
     c, s = np.cos(angle), np.sin(angle)
-    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+    return _matrices(c, -s, 0.0, s, c, 0.0, 0.0, 0.0, 1.0)
 
 
-def rotation_rpy(roll: float, pitch: float, yaw: float) -> np.ndarray:
-    """Intrinsic roll-pitch-yaw composed as Rz(yaw) @ Ry(pitch) @ Rx(roll)."""
+def rotation_rpy(roll, pitch, yaw) -> np.ndarray:
+    """Intrinsic roll-pitch-yaw composed as Rz(yaw) @ Ry(pitch) @ Rx(roll);
+    angles may be arrays that broadcast."""
     return rotation_z(yaw) @ rotation_y(pitch) @ rotation_x(roll)
 
 
-def rotation_about_axis(axis, angle: float) -> np.ndarray:
-    """Rodrigues rotation about a (not necessarily unit) axis."""
-    a = _vec3(axis)
-    n = np.linalg.norm(a)
-    if n == 0.0:
+def rotation_about_axis(axis, angle) -> np.ndarray:
+    """Rodrigues rotation about a (not necessarily unit) axis.
+
+    ``axis`` may be a stack ``(..., 3)`` with ``angle`` shaped ``(...)``.
+    """
+    a = np.asarray(axis, dtype=float)
+    # The dot product np.linalg.norm takes of one vector, for every axis.
+    n = np.sqrt(np.matmul(a[..., None, :], a[..., :, None])[..., 0, 0])
+    if np.any(n == 0.0):
         raise DegenerateGeometryError("rotation axis has zero norm")
-    a = a / n
-    k = np.array([[0.0, -a[2], a[1]], [a[2], 0.0, -a[0]], [-a[1], a[0], 0.0]])
-    return np.eye(3) + np.sin(angle) * k + (1.0 - np.cos(angle)) * (k @ k)
+    x, y, z = np.moveaxis(a / n[..., None], -1, 0)
+    k = _matrices(0.0, -z, y, z, 0.0, -x, -y, x, 0.0)
+    s = np.sin(angle)[..., None, None]
+    c = np.cos(angle)[..., None, None]
+    return _EYE3 + s * k + (1.0 - c) * (k @ k)
+
+
+def rotate(rotations: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """R v for stacks of rotations ``(..., 3, 3)`` and vectors ``(..., 3)``.
+
+    Each product rounds as the single ``R @ v`` does; ``v @ R.T`` would not.
+    """
+    return (rotations @ vectors[..., None])[..., 0]
+
+
+def check_rotations(rotations: np.ndarray) -> None:
+    """Raise ValueError unless every matrix of a ``(..., 3, 3)`` stack is
+    orthonormal with determinant +1, both within ROTATION_TOL.  The tests
+    are written so that a NaN entry fails them."""
+    r = np.asarray(rotations, dtype=float)
+    if not np.abs(np.swapaxes(r, -1, -2) @ r - _EYE3).max() <= ROTATION_TOL:
+        raise ValueError("rotation matrix is not orthonormal within 1e-9")
+    if not np.abs(np.linalg.det(r) - 1.0).max() <= ROTATION_TOL:
+        raise ValueError("rotation matrix determinant is not +1 within 1e-9")
 
 
 @dataclass(frozen=True)
@@ -67,10 +102,7 @@ class RigidTransform:
     def __post_init__(self):
         r = np.asarray(self.rotation, dtype=float).reshape(3, 3)
         t = _vec3(self.translation)
-        if np.abs(r.T @ r - np.eye(3)).max() > ROTATION_TOL:
-            raise ValueError("rotation matrix is not orthonormal within 1e-9")
-        if abs(np.linalg.det(r) - 1.0) > ROTATION_TOL:
-            raise ValueError("rotation matrix determinant is not +1 within 1e-9")
+        check_rotations(r)
         object.__setattr__(self, "rotation", r)
         object.__setattr__(self, "translation", t)
 
@@ -105,18 +137,6 @@ class RigidTransform:
     def apply_vectors(self, vectors: np.ndarray) -> np.ndarray:
         """Rotate direction vectors (no translation)."""
         return np.asarray(vectors, dtype=float).reshape(-1, 3) @ self.rotation.T
-
-
-def relative_transform(pose_prev: RigidTransform, pose_curr: RigidTransform) -> RigidTransform:
-    """Frame-to-frame motion from two poses that share a parent frame.
-
-    Both arguments map their child frame into the common parent (e.g. camera
-    pose in the world).  The result maps the previous child frame into the
-    current one, which is the increment an ego-compensated filter consumes.
-    """
-    if pose_prev.to_frame != pose_curr.to_frame:
-        raise FrameMismatchError("poses do not share a parent frame")
-    return pose_curr.inverse().compose(pose_prev)
 
 
 @dataclass(frozen=True)

@@ -24,17 +24,15 @@ from .geometry import (
     SigmaPointSet,
     SurfacePointCloud,
     compute_visible_set,
-    relative_transform,
     weighted_pca,
 )
 from .perturbation import DriftState, drift_step
 from .sim import (
     CameraMotion,
-    Measurement,
     ObjectSpec,
     ScenarioConfig,
     SensorSpec,
-    baseline_zoh,
+    ego_increments,
     emulate_sensor,
     generate_scenario,
     run_episode,
@@ -258,9 +256,7 @@ def check_latency_equivalence() -> CriterionResult:
         m for m in sensor_schedule(bundle)
         if m.sset is not None and m.stamp <= cfg.duration - cfg.obs_latency + 1e-9
     ]
-    t_rels = [RigidTransform.identity("camera")]
-    for k in range(1, len(times)):
-        t_rels.append(relative_transform(bundle.vo_poses[k - 1], bundle.vo_poses[k]))
+    t_rels = [RigidTransform(r, t) for r, t in zip(*ego_increments(bundle))]
 
     def snapshot(state):
         mean, cov = state

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -31,11 +32,11 @@ from .geometry import (
     SigmaPointSet,
     SurfacePointCloud,
     backproject_pixels,
+    check_rotations,
     compute_visible_set,
     extract_sigma_points,
-    project_point,
     project_points,
-    relative_transform,
+    rotate,
     rotation_about_axis,
     rotation_rpy,
     sigma_points_from_cloud,
@@ -78,10 +79,13 @@ _EPS = 1e-9
 # 1000 s at 50 Hz, keeps it near 0.3 GB.  MAX_SURFACE_SAMPLES bounds one
 # surface cloud, and so each observation's cost, to tens of MB.
 # MAX_TICK_SAMPLES bounds the surface work of the whole episode: MAX_TICKS
-# ticks at the default 2048 samples.
+# ticks at the default 2048 samples.  MAX_REPLAY_WORK bounds the filter
+# records one episode may replay, deliveries x replay depth; without it the
+# run time grows with the square of the latency.
 MAX_TICKS = 50_000
 MAX_SURFACE_SAMPLES = 1_000_000
 MAX_TICK_SAMPLES = MAX_TICKS * 2048
+MAX_REPLAY_WORK = MAX_TICKS * 64
 
 
 @dataclass(frozen=True)
@@ -105,21 +109,22 @@ class CameraMotion:
         if self.kind not in ("static", "constant_velocity", "walking", "turning"):
             raise ConfigError(f"unknown camera motion kind {self.kind!r}")
 
-    def base_pose(self, t: float) -> tuple[np.ndarray, float, float]:
-        """(world position, yaw, pitch) of the base at time t."""
-        pos = np.zeros(3)
-        yaw = 0.0
-        pitch = 0.0
+    def base_pose(self, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(world position, yaw, pitch) of the base at time t, or at each
+        time of an array, with the position along a last axis of 3."""
+        t = np.asarray(t, dtype=float)
+        pos = np.zeros(t.shape + (3,))
+        yaw, pitch = np.zeros(t.shape), np.zeros(t.shape)
         if self.kind in ("constant_velocity", "walking", "turning"):
-            pos = np.asarray(self.velocity, dtype=float) * t
+            pos = np.asarray(self.velocity, dtype=float) * t[..., None]
         if self.kind == "walking":
             w = 2.0 * math.pi * self.frequency
-            pos = pos + np.array([
-                0.0,
-                self.amplitude * math.sin(w * t),
-                self.amplitude * math.sin(2.0 * w * t),
-            ])
-            pitch = math.radians(self.pitch_amplitude_deg) * math.sin(w * t)
+            pos = pos + np.stack([
+                np.zeros(t.shape),
+                self.amplitude * np.sin(w * t),
+                self.amplitude * np.sin(2.0 * w * t),
+            ], axis=-1)
+            pitch = math.radians(self.pitch_amplitude_deg) * np.sin(w * t)
         if self.kind == "turning":
             yaw = self.yaw_rate * t
         return pos, yaw, pitch
@@ -223,6 +228,15 @@ class ScenarioConfig:
             raise ConfigError("scenario.drift_max must be positive")
         if self.mode not in ("deploy", "training"):
             raise ConfigError(f"unknown mode {self.mode!r}")
+        delays = (self.randomization or RandomizationConfig()).perception_delay_ms
+        max_delay = delays[1] * 1e-3 if self.mode == "training" else 0.0
+        deliveries = self.n_ticks // self.obs_stride + 1
+        depth = min(self.history_depth(self.obs_latency + max_delay), self.n_ticks + 1)
+        if deliveries * depth > MAX_REPLAY_WORK:
+            raise ConfigError(
+                f"scenario.obs_latency: {deliveries} deliveries x replay depth {depth} ticks "
+                f"is above the cap of {MAX_REPLAY_WORK}"
+            )
 
     @property
     def dt(self) -> float:
@@ -235,6 +249,11 @@ class ScenarioConfig:
     @property
     def obs_stride(self) -> int:
         return round(self.control_rate / self.obs_rate)
+
+    def history_depth(self, latency: float) -> int:
+        """Filter-bank history, in ticks, that covers a measurement ``latency``
+        seconds late plus one observation period."""
+        return max(30, int(math.ceil((latency + 1.0 / self.obs_rate) / self.dt)) + 5)
 
 
 @dataclass
@@ -249,15 +268,19 @@ class Measurement:
 
 @dataclass
 class TrajectoryBundle:
-    """Everything an episode needs, precomputed and seedable."""
+    """Everything an episode needs, precomputed and seedable; pose streams
+    hold one entry per tick, rotations ``(n+1, 3, 3)`` and positions ``(n+1, 3)``."""
 
     config: ScenarioConfig
     times: np.ndarray
-    cam_poses: list[RigidTransform]
-    vo_poses: list[RigidTransform]
-    base_states: list[tuple[np.ndarray, float, float]]
+    base_position: np.ndarray           # (n+1, 3) world
+    base_yaw: np.ndarray                # (n+1,)
+    base_pitch: np.ndarray              # (n+1,)
+    vo_rotation: np.ndarray             # camera -> world as odometry reports it
+    vo_position: np.ndarray
+    obj_to_cam_rotation: np.ndarray     # object -> camera
+    obj_to_cam_translation: np.ndarray
     cloud: SurfacePointCloud            # object frame
-    object_poses: list[RigidTransform]  # object -> world
     true_sets: np.ndarray               # (n+1, 7, 3) camera frame
     true_velocities: np.ndarray         # (n+1, 3) camera-frame world velocity of the target
     visible: np.ndarray                 # (n+1,) bool
@@ -267,9 +290,13 @@ class TrajectoryBundle:
     drift_seed: np.random.SeedSequence
     obsnoise_seed: np.random.SeedSequence
 
-
-def _camera_to_object(bundle_cam_pose: RigidTransform, obj_pose: RigidTransform) -> RigidTransform:
-    return bundle_cam_pose.inverse().compose(obj_pose)
+    @cached_property
+    def vo_poses(self) -> list[RigidTransform]:
+        """The VO stream as one checked camera -> world transform per tick,
+        built on first access."""
+        return [
+            RigidTransform(r, p, "camera", "world") for r, p in zip(self.vo_rotation, self.vo_position)
+        ]
 
 
 def generate_scenario(cfg: ScenarioConfig) -> TrajectoryBundle:
@@ -298,69 +325,67 @@ def generate_scenario(cfg: ScenarioConfig) -> TrajectoryBundle:
     )
     cloud = SurfacePointCloud(points, normals, "object")
 
+    # Every pose stream for all ticks at once.  The stacked products round
+    # as the per-tick RigidTransform arithmetic does, so each entry equals
+    # composing that tick's transforms one at a time.
     n = cfg.n_ticks
     times = np.arange(n + 1) / cfg.control_rate
-    obj_rot = rotation_rpy(*cfg.target.rpy)
-    obj_p0 = np.asarray(cfg.target.position, dtype=float)
-    obj_v = np.asarray(cfg.target.velocity, dtype=float)
+    base_position, base_yaw, base_pitch = cfg.camera_motion.base_pose(times)
+    base_rotation = rotation_rpy(0.0, base_pitch, base_yaw)
+    cam_rotation = base_rotation @ mount.rotation
+    cam_position = rotate(base_rotation, mount.translation) + base_position
 
-    vo_rng = np.random.default_rng(vo_seed)
-    cam_poses: list[RigidTransform] = []
-    vo_poses: list[RigidTransform] = []
-    base_states: list[tuple[np.ndarray, float, float]] = []
-    object_poses: list[RigidTransform] = []
-    for t in times:
-        pos, yaw, pitch = cfg.camera_motion.base_pose(float(t))
-        t_wb = RigidTransform(rotation_rpy(0.0, pitch, yaw), pos, "base", "world")
-        t_wc = t_wb.compose(mount)
-        cam_poses.append(t_wc)
-        base_states.append((pos, yaw, pitch))
-        object_poses.append(RigidTransform(obj_rot, obj_p0 + obj_v * float(t), "object", "world"))
-        if cfg.vo_trans_noise_std > 0.0 or cfg.vo_rot_noise_std > 0.0:
-            axis = vo_rng.normal(size=3)
-            angle = vo_rng.normal(0.0, cfg.vo_rot_noise_std) if cfg.vo_rot_noise_std > 0.0 else 0.0
-            shift = (
-                vo_rng.normal(0.0, cfg.vo_trans_noise_std, size=3)
-                if cfg.vo_trans_noise_std > 0.0
-                else np.zeros(3)
-            )
-            wiggle = RigidTransform(rotation_about_axis(axis, angle), shift, "camera", "camera")
-            vo_poses.append(t_wc.compose(wiggle))
-        else:
-            vo_poses.append(t_wc)
+    vo_rotation, vo_position = cam_rotation, cam_position
+    rot_std, trans_std = cfg.vo_rot_noise_std, cfg.vo_trans_noise_std
+    if rot_std > 0.0 or trans_std > 0.0:
+        # One row of draws per tick in the order axis, angle, shift, each only
+        # when its noise is on; 0.0 + std * z is what normal(0.0, std) returns
+        # for the same draw z.
+        draws = np.random.default_rng(vo_seed).standard_normal(
+            (n + 1, 3 + (rot_std > 0.0) + 3 * (trans_std > 0.0))
+        )
+        angles = 0.0 + rot_std * draws[:, 3] if rot_std > 0.0 else np.zeros(n + 1)
+        shifts = 0.0 + trans_std * draws[:, -3:] if trans_std > 0.0 else np.zeros((n + 1, 3))
+        vo_rotation = cam_rotation @ rotation_about_axis(draws[:, 0:3], angles)
+        vo_position = rotate(cam_rotation, shifts) + cam_position
+
+    obj_v = np.asarray(cfg.target.velocity, dtype=float)
+    obj_position = np.asarray(cfg.target.position, dtype=float) + obj_v * times[:, None]
+    world_to_cam = np.swapaxes(cam_rotation, 1, 2)
+    obj_to_cam_rotation = world_to_cam @ rotation_rpy(*cfg.target.rpy)
+    obj_to_cam_translation = rotate(world_to_cam, obj_position) + rotate(-world_to_cam, cam_position)
+    for stream in (base_rotation, cam_rotation, vo_rotation, obj_to_cam_rotation):
+        check_rotations(stream)
 
     # Scoring truth: extract once at the first visible tick with weights that
     # match the sensor path, then transport rigidly with the object.
-    ref_set_obj = None
     for k in range(n + 1):
-        cam_cloud = transform_points(cloud, _camera_to_object(cam_poses[k], object_poses[k]))
-        ref = sigma_points_from_cloud(cam_cloud, cfg.camera, alpha, weighting="uniform")
+        to_cam = RigidTransform(obj_to_cam_rotation[k], obj_to_cam_translation[k], "object", "camera")
+        ref = sigma_points_from_cloud(
+            transform_points(cloud, to_cam), cfg.camera, alpha, weighting="uniform"
+        )
         if ref is not None:
-            t_oc = _camera_to_object(cam_poses[k], object_poses[k]).inverse()
-            ref_set_obj = t_oc.apply_points(ref.points)
             break
-    if ref_set_obj is None:
+    else:
         raise ConfigError("target is never visible; no scoring reference exists")
+    ref_set_obj = to_cam.inverse().apply_points(ref.points)
 
-    true_sets = np.empty((n + 1, 7, 3))
-    true_velocities = np.empty((n + 1, 3))
-    visible = np.empty(n + 1, dtype=bool)
-    for k in range(n + 1):
-        t_co = _camera_to_object(cam_poses[k], object_poses[k])
-        true_sets[k] = t_co.apply_points(ref_set_obj)
-        # All target points share the object's constant world velocity.
-        true_velocities[k] = cam_poses[k].rotation.T @ obj_v
-        _, in_fov = project_point(cfg.camera, true_sets[k, 0])
-        visible[k] = in_fov
+    true_sets = ref_set_obj @ np.swapaxes(obj_to_cam_rotation, 1, 2) + obj_to_cam_translation[:, None]
+    # All target points share the object's constant world velocity.
+    true_velocities = world_to_cam @ obj_v
+    _, visible = project_points(cfg.camera, true_sets[:, 0])
 
     return TrajectoryBundle(
         config=cfg,
         times=times,
-        cam_poses=cam_poses,
-        vo_poses=vo_poses,
-        base_states=base_states,
+        base_position=base_position,
+        base_yaw=base_yaw,
+        base_pitch=base_pitch,
+        vo_rotation=vo_rotation,
+        vo_position=vo_position,
+        obj_to_cam_rotation=obj_to_cam_rotation,
+        obj_to_cam_translation=obj_to_cam_translation,
         cloud=cloud,
-        object_poses=object_poses,
         true_sets=true_sets,
         true_velocities=true_velocities,
         visible=visible,
@@ -411,9 +436,10 @@ def emulate_sensor(
             return Measurement(t_obs, available_at, SigmaPointSet(pts.copy()))
         return Measurement(t_obs, available_at, SigmaPointSet(_jitter(cfg.camera, spec, pts, rng)))
 
-    cam_cloud = transform_points(
-        bundle.cloud, _camera_to_object(bundle.cam_poses[k], bundle.object_poses[k])
+    to_cam = RigidTransform(
+        bundle.obj_to_cam_rotation[k], bundle.obj_to_cam_translation[k], "object", "camera"
     )
+    cam_cloud = transform_points(bundle.cloud, to_cam)
     vis = compute_visible_set(cam_cloud, cfg.camera)
     if vis.size == 0:
         return Measurement(t_obs, available_at, None)
@@ -435,26 +461,53 @@ def sensor_schedule(
     return out
 
 
-def baseline_zoh(measurements: list[Measurement], times: np.ndarray) -> list[np.ndarray | None]:
-    """Zero-order hold: at each tick, the newest measurement already delivered,
-    emitted unchanged; None before the first delivery."""
+def _deliveries(
+    measurements: list[Measurement], times: np.ndarray
+) -> tuple[list[Measurement], np.ndarray]:
+    """Measurements with a set in delivery order, and how many of them have
+    been delivered by each tick."""
     delivered = sorted(
         (m for m in measurements if m.sset is not None), key=lambda m: m.available_at
     )
-    out: list[np.ndarray | None] = []
-    held: np.ndarray | None = None
-    idx = 0
-    for t in times:
-        while idx < len(delivered) and delivered[idx].available_at <= t + _EPS:
-            held = delivered[idx].sset.points
-            idx += 1
-        out.append(None if held is None else held.copy())
-    return out
+    count = np.searchsorted([m.available_at for m in delivered], times + _EPS, side="right")
+    return delivered, count
+
+
+def baseline_zoh(
+    measurements: list[Measurement], times: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Zero-order hold: at each tick, the newest measurement already delivered,
+    emitted unchanged.
+
+    Returns per-tick positions ``(ticks, 7, 3)``, NaN before the first
+    delivery, and the has-estimate mask.
+    """
+    delivered, count = _deliveries(measurements, times)
+    points = np.reshape([m.sset.points for m in delivered], (-1, N_POINTS, 3))
+    # The held set is the last one delivered by each tick.
+    has = count > 0
+    out = np.full((len(times), N_POINTS, 3), np.nan)
+    out[has] = points[count[has] - 1]
+    return out, has
+
+
+def ego_increments(bundle: TrajectoryBundle) -> tuple[np.ndarray, np.ndarray]:
+    """The VO motion from each tick's camera frame into the next one's.
+
+    Returns rotations ``(n+1, 3, 3)`` and translations ``(n+1, 3)``, the
+    identity at tick 0.  Tick k equals
+    ``vo_poses[k].inverse().compose(vo_poses[k - 1])`` bit for bit.
+    """
+    inv = np.swapaxes(bundle.vo_rotation[1:], 1, 2)
+    pos = bundle.vo_position
+    rotations = np.concatenate([np.eye(3)[None], inv @ bundle.vo_rotation[:-1]])
+    translations = np.concatenate([np.zeros((1, 3)), rotate(inv, pos[:-1]) + rotate(-inv, pos[1:])])
+    return rotations, translations
 
 
 def _run_bank(
     times: np.ndarray,
-    t_rels: list[RigidTransform],
+    increments: tuple[np.ndarray, np.ndarray] | None,
     measurements: list[Measurement],
     cfg: FilterConfig,
     cam: CameraModel,
@@ -464,7 +517,8 @@ def _run_bank(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Drive one filter bank over the episode.
 
-    Returns the bank mean of every lane at every tick, shaped
+    ``increments`` are ``ego_increments``' arrays, or None for the identity
+    at every step.  Returns the bank mean of every lane at every tick, shaped
     ``(ticks, lanes, 7, 6)`` (position then velocity) and NaN before
     initialization, and the ``(ticks,)`` mask of ticks that have an estimate.
     """
@@ -476,18 +530,18 @@ def _run_bank(
         oosm_mode=oosm_mode,
         ego_lanes=ego_lanes,
     )
-    pending = sorted(
-        (m for m in measurements if m.sset is not None), key=lambda m: m.available_at
-    )
-    idx = 0
+    delivered, count = _deliveries(measurements, times)
+    done = 0
+    ident = RigidTransform.identity("camera")
     means = np.full((len(times), len(ego_lanes), N_POINTS, 6), np.nan)
     has = np.zeros(len(times), dtype=bool)
-    for k, t in enumerate(times):
+    for k in range(len(times)):
         if k > 0:
-            bank.step(float(times[k] - times[k - 1]), t_rels[k])
-        while idx < len(pending) and pending[idx].available_at <= t + _EPS:
-            bank.ingest(pending[idx].sset, pending[idx].stamp)
-            idx += 1
+            t_rel = ident if increments is None else RigidTransform(increments[0][k], increments[1][k])
+            bank.step(float(times[k] - times[k - 1]), t_rel)
+        for m in delivered[done:count[k]]:
+            bank.ingest(m.sset, m.stamp)
+        done = count[k]
         if bank.state is not None:
             means[k] = bank.state[0]
             has[k] = True
@@ -508,21 +562,8 @@ def baseline_no_compensation(
     of the filter's own bank; it calls it alone only when the filter does
     not replay (``oosm_mode="in_place"``).
     """
-    t_rels = [RigidTransform.identity("camera")] * len(times)
-    means, has = _run_bank(
-        times, t_rels, measurements, cfg, cam, history_depth, ego_lanes=(False,)
-    )
+    means, has = _run_bank(times, None, measurements, cfg, cam, history_depth, ego_lanes=(False,))
     return means[:, 0, :, 0:3], has
-
-
-def _stacked(estimates: list[np.ndarray | None]) -> tuple[np.ndarray, np.ndarray]:
-    """Per-tick sets (None where there is none) as ``(ticks, 7, 3)`` with NaN
-    rows, plus the has-estimate mask."""
-    has = np.array([e is not None for e in estimates], dtype=bool)
-    out = np.full((len(estimates), N_POINTS, 3), np.nan)
-    if has.any():
-        out[has] = np.stack([e for e in estimates if e is not None])
-    return out, has
 
 
 def _running_sum(per_tick: np.ndarray) -> np.ndarray:
@@ -639,33 +680,26 @@ def run_episode(
         measurements = [m for m in measurements if m.available_at <= measurement_cutoff + _EPS]
 
     latency = cfg.obs_latency + (bundle.draw.perception_delay if bundle.draw else 0.0)
-    history_depth = max(30, int(math.ceil((latency + 1.0 / cfg.obs_rate) / dt)) + 5)
-
-    ident = RigidTransform.identity("camera")
-    t_rels: list[RigidTransform] = [ident]
-    for k in range(1, n):
-        if disable_ego_compensation:
-            t_rels.append(ident)
-        else:
-            t_rels.append(relative_transform(bundle.vo_poses[k - 1], bundle.vo_poses[k]))
+    history_depth = cfg.history_depth(latency)
+    increments = None if disable_ego_compensation else ego_increments(bundle)
 
     # The no-compensation baseline is the filter's second lane: same
     # measurements at the same ticks, so one rollback replays both.  Only the
     # replay bank can carry it; an in_place filter runs alone.
     if oosm_mode == "replay":
         means, has_filter = _run_bank(
-            times, t_rels, measurements, filter_cfg, cam, history_depth, ego_lanes=(True, False)
+            times, increments, measurements, filter_cfg, cam, history_depth, ego_lanes=(True, False)
         )
         nocomp_est, has_nocomp = means[:, 1, :, 0:3], has_filter
     else:
         means, has_filter = _run_bank(
-            times, t_rels, measurements, filter_cfg, cam, history_depth, oosm_mode
+            times, increments, measurements, filter_cfg, cam, history_depth, oosm_mode
         )
         nocomp_est, has_nocomp = baseline_no_compensation(
             times, measurements, filter_cfg, cam, history_depth
         )
     filter_mean = means[:, 0]
-    zoh_est, has_zoh = _stacked(baseline_zoh(measurements, times))
+    zoh_est, has_zoh = baseline_zoh(measurements, times)
     scored = has_filter & has_zoh & has_nocomp
     n_scored = int(scored.sum())
     if n_scored == 0:
@@ -696,6 +730,15 @@ def run_episode(
     criteria = criteria or CriteriaConfig()
     zero_action = np.zeros(4)
     terminal: TerminalStatus | None = None
+    if geom is not None:
+        # Base-frame proprioception of every tick; the base starts at rest.
+        angles = np.stack([np.zeros(n), bundle.base_pitch, bundle.base_yaw], axis=1)
+        to_base = np.swapaxes(rotation_rpy(0.0, bundle.base_pitch, bundle.base_yaw), 1, 2)
+        gravity = to_base @ np.array([0.0, 0.0, -1.0])
+        lin_vel = np.zeros((n, 3))
+        lin_vel[1:] = rotate(to_base[1:], np.diff(bundle.base_position, axis=0) / dt)
+        ang_vel = np.zeros((n, 3))
+        ang_vel[1:] = np.diff(angles, axis=0) / dt
     for k in range(n):
         vis = bool(bundle.visible[k])
         if training:
@@ -714,19 +757,10 @@ def run_episode(
             values[k, obs_at:reward_at] = observed.points.ravel()
 
         if geom is not None:
-            pos_w, yaw, pitch = bundle.base_states[k]
-            r_wb = rotation_rpy(0.0, pitch, yaw)
-            if k > 0:
-                prev_pos, prev_yaw, prev_pitch = bundle.base_states[k - 1]
-                lin_vel = r_wb.T @ ((pos_w - prev_pos) / dt)
-                ang_vel = np.array([0.0, (pitch - prev_pitch) / dt, (yaw - prev_yaw) / dt])
-            else:
-                lin_vel = np.zeros(3)
-                ang_vel = np.zeros(3)
-            proprio = ProprioState(r_wb.T @ np.array([0.0, 0.0, -1.0]), lin_vel, ang_vel, zero_action)
+            proprio = ProprioState(gravity[k], lin_vel[k], ang_vel[k], zero_action)
             terms = compute_reward(
-                pos_w,
-                np.array([0.0, pitch, yaw]),
+                bundle.base_position[k],
+                angles[k],
                 geom,
                 criteria,
                 proprio,
@@ -738,7 +772,7 @@ def run_episode(
             values[k, reward_at:] = [terms[key] for key in _REWARD_KEYS]
             if k == n - 1:
                 terminal = terminal_status(
-                    pos_w, np.array([0.0, pitch, yaw]), geom, criteria, timed_out=True
+                    bundle.base_position[k], angles[k], geom, criteria, timed_out=True
                 )
 
     # Sums run over scored ticks in tick order (see _running_sum).

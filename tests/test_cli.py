@@ -245,8 +245,10 @@ class TestRunCommand:
             ({"duration": (MAX_TICKS + 1) / 50.0}, "scenario.duration"),
             ({"duration": 1.0, "surface_samples": MAX_SURFACE_SAMPLES + 1}, "scenario.surface_samples"),
             ({"duration": 10.0, "surface_samples": MAX_TICK_SAMPLES // 500 + 1}, "scenario.surface_samples"),
+            # 50,001 deliveries, each replaying ~25,000 ticks: hours of work.
+            ({"duration": 1000.0, "obs_rate": 50.0, "obs_latency": 500.0}, "scenario.obs_latency"),
         ],
-        ids=["ticks", "surface-samples", "ticks-x-samples"],
+        ids=["ticks", "surface-samples", "ticks-x-samples", "replay-work"],
     )
     def test_over_cap_exits_2_before_generating(self, tmp_path, capsys, monkeypatch, scenario, key):
         def refuse(_cfg):

@@ -13,11 +13,11 @@ from egotrack.geometry import (
     SurfacePointCloud,
     backproject_pixel,
     backproject_pixels,
+    check_rotations,
     compute_visible_set,
     extract_sigma_points,
     project_point,
     project_points,
-    relative_transform,
     rotation_about_axis,
     rotation_rpy,
     rotation_x,
@@ -47,6 +47,20 @@ class TestRotations:
             np.testing.assert_allclose(r.T @ r, np.eye(3), atol=1e-12)
             assert np.linalg.det(r) == pytest.approx(1.0, abs=1e-12)
 
+    def test_stacked_angles_equal_scalar_calls(self):
+        rng = np.random.default_rng(7)
+        angles = rng.uniform(-np.pi, np.pi, (200, 3))
+        stack = rotation_rpy(*angles.T)
+        assert stack.shape == (200, 3, 3)
+        for r, a in zip(stack, angles):
+            assert np.array_equal(r, rotation_rpy(*a))
+        # A scalar angle broadcasts against a stack of the others.
+        for r, a in zip(rotation_rpy(0.0, angles[:, 1], angles[:, 2]), angles):
+            assert np.array_equal(r, rotation_rpy(0.0, a[1], a[2]))
+        axes = rng.normal(size=(200, 3))
+        for r, axis, angle in zip(rotation_about_axis(axes, angles[:, 0]), axes, angles[:, 0]):
+            assert np.array_equal(r, rotation_about_axis(axis, angle))
+
     def test_axis_angle_quarter_turn(self):
         got = rotation_about_axis([0.0, 0.0, 2.0], np.pi / 2.0)
         want = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
@@ -55,6 +69,25 @@ class TestRotations:
     def test_zero_axis_rejected(self):
         with pytest.raises(DegenerateGeometryError):
             rotation_about_axis([0.0, 0.0, 0.0], 0.3)
+        with pytest.raises(DegenerateGeometryError):
+            rotation_about_axis([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0]], [0.3, 0.3])
+
+    def test_stack_check_finds_one_bad_matrix(self):
+        rng = np.random.default_rng(8)
+        stack = np.stack([random_rotation(rng) for _ in range(50)])
+        check_rotations(stack)
+        scaled = stack.copy()
+        scaled[17] *= 1.0 + 1e-6
+        with pytest.raises(ValueError, match="not orthonormal within 1e-9"):
+            check_rotations(scaled)
+        reflected = stack.copy()
+        reflected[31] = -reflected[31]
+        with pytest.raises(ValueError, match="determinant is not \\+1 within 1e-9"):
+            check_rotations(reflected)
+        missing = stack.copy()
+        missing[5, 1, 2] = np.nan
+        with pytest.raises(ValueError, match="not orthonormal"):
+            check_rotations(missing)
 
 
 class TestRigidTransform:
@@ -104,21 +137,6 @@ class TestRigidTransform:
         v = rng.normal(size=(4, 3))
         np.testing.assert_allclose(t.apply_vectors(v), v @ t.rotation.T, atol=1e-15)
 
-    def test_relative_transform_moves_between_frames(self):
-        rng = np.random.default_rng(6)
-        prev = RigidTransform(random_rotation(rng), rng.normal(size=3), "camera", "world")
-        curr = RigidTransform(random_rotation(rng), rng.normal(size=3), "camera", "world")
-        rel = relative_transform(prev, curr)
-        p_world = rng.normal(size=3)
-        p_prev = prev.inverse().apply_point(p_world)
-        p_curr = curr.inverse().apply_point(p_world)
-        np.testing.assert_allclose(rel.apply_point(p_prev), p_curr, atol=1e-12)
-
-    def test_relative_transform_needs_shared_parent(self):
-        a = RigidTransform.identity("camera")
-        b = RigidTransform(np.eye(3), np.zeros(3), "camera", "world")
-        with pytest.raises(FrameMismatchError):
-            relative_transform(a, b)
 
 
 class TestProjection:

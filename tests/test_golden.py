@@ -1,6 +1,6 @@
 """Golden outputs: sha256 digests of ``metrics.csv`` and ``summary.json``.
 
-Four short episodes run through the CLI and must reproduce stored bytes
+Five short episodes run through the CLI and must reproduce stored bytes
 exactly, so any drift in a number the CLI writes is caught, not only a rerun
 that differs from itself.  A change that alters outputs on purpose
 regenerates the digests and says why in CHANGES.md:
@@ -50,6 +50,29 @@ CASES = {
             },
             "mode": "training",
             "task": {"p_opt": [2.0, 0.0, 0.0], "p_hint": [1.5, 0.3, 0.0]},
+        },
+        [],
+    ),
+    # Every pose stream at once: a turning, moving base, VO rotation and
+    # translation noise, a rotated moving box, and training mode's mount
+    # offset and perception delay, through the cloud sensor.
+    "turning-vo-box-training": (
+        {
+            "scenario": {
+                "duration": 1.0,
+                "seed": 5,
+                "surface_samples": 256,
+                "camera_motion": {"kind": "turning", "velocity": [0.3, 0.1, 0.0], "yaw_rate": 0.4},
+                "vo_trans_noise_std": 0.002,
+                "vo_rot_noise_std": 0.003,
+                "target": {
+                    "shape": "box",
+                    "rpy": [0.2, -0.1, 0.5],
+                    "position": [2.5, 0.3, 0.1],
+                    "velocity": [0.1, -0.2, 0.05],
+                },
+            },
+            "mode": "training",
         },
         [],
     ),

@@ -4,9 +4,19 @@ import numpy as np
 import pytest
 
 from egotrack.errors import ConfigError
-from egotrack.geometry import CameraModel
+from egotrack.estimator import FilterBank
+from egotrack.geometry import (
+    CameraModel,
+    RigidTransform,
+    project_point,
+    rotation_about_axis,
+    rotation_rpy,
+    sigma_points_from_cloud,
+    transform_points,
+)
 from egotrack.shapes import sample_box, sample_cylinder, sample_shape, sample_sphere
 from egotrack.sim import (
+    MAX_REPLAY_WORK,
     MAX_SURFACE_SAMPLES,
     MAX_TICK_SAMPLES,
     MAX_TICKS,
@@ -16,6 +26,7 @@ from egotrack.sim import (
     ScenarioConfig,
     SensorSpec,
     baseline_zoh,
+    ego_increments,
     emulate_sensor,
     generate_scenario,
     run_episode,
@@ -99,6 +110,16 @@ class TestCameraMotion:
         _, yaw, _ = m.base_pose(2.0)
         assert yaw == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("kind", ["static", "constant_velocity", "walking", "turning"])
+    def test_stacked_times_equal_scalar_calls(self, kind):
+        m = CameraMotion(kind=kind, velocity=(0.3, -0.1, 0.02), yaw_rate=0.4)
+        times = np.arange(301) / 50.0
+        pos, yaw, pitch = m.base_pose(times)
+        assert pos.shape == (301, 3) and yaw.shape == pitch.shape == (301,)
+        for k, t in enumerate(times):
+            p_k, yaw_k, pitch_k = m.base_pose(float(t))
+            assert np.array_equal(pos[k], p_k) and yaw[k] == yaw_k and pitch[k] == pitch_k
+
     def test_unknown_kind(self):
         with pytest.raises(ConfigError):
             CameraMotion(kind="hopping")
@@ -131,6 +152,21 @@ class TestScenarioConfig:
         ScenarioConfig(duration=10.0, surface_samples=MAX_TICK_SAMPLES // 500)
         with pytest.raises(ConfigError, match="scenario.surface_samples"):
             ScenarioConfig(duration=10.0, surface_samples=MAX_TICK_SAMPLES // 500 + 1)
+
+    def test_replay_work_cap(self):
+        # Every tick delivers, and a latency longer than the episode replays
+        # all of it, so the work is (ticks + 1) squared.
+        side = math.isqrt(MAX_REPLAY_WORK)
+        ScenarioConfig(duration=(side - 1) / 50.0, obs_rate=50.0, obs_latency=100.0)
+        with pytest.raises(ConfigError, match="scenario.obs_latency"):
+            ScenarioConfig(duration=side / 50.0, obs_rate=50.0, obs_latency=100.0)
+        # Training mode counts the longest perception delay it may draw
+        # (50 ms by default): 10001 deliveries x depth 318 ticks fits, and
+        # the 2.5 ticks more do not.
+        deploy = dict(duration=200.0, obs_rate=50.0, obs_latency=6.23)
+        ScenarioConfig(**deploy)
+        with pytest.raises(ConfigError, match="scenario.obs_latency"):
+            ScenarioConfig(**deploy, mode="training")
 
     def test_sensor_validation(self):
         with pytest.raises(ConfigError):
@@ -180,6 +216,73 @@ class TestScenario:
     def test_deploy_mode_has_no_draw(self):
         bundle = generate_scenario(quick_cfg())
         assert bundle.draw is None and bundle.alpha == 1.0
+
+    def test_ego_increments_move_between_camera_frames(self):
+        cfg = quick_cfg(
+            camera_motion=CameraMotion(kind="turning", velocity=(0.3, 0.1, 0.0)),
+            vo_trans_noise_std=0.01,
+            vo_rot_noise_std=0.01,
+        )
+        bundle = generate_scenario(cfg)
+        rotations, translations = ego_increments(bundle)
+        np.testing.assert_array_equal(rotations[0], np.eye(3))
+        np.testing.assert_array_equal(translations[0], np.zeros(3))
+        rng = np.random.default_rng(6)
+        vo = bundle.vo_poses
+        for k in range(1, len(vo)):
+            p_world = rng.normal(size=3)
+            p_prev = vo[k - 1].inverse().apply_point(p_world)
+            p_curr = vo[k].inverse().apply_point(p_world)
+            np.testing.assert_allclose(rotations[k] @ p_prev + translations[k], p_curr, atol=1e-12)
+
+    @pytest.mark.parametrize("mode", ["deploy", "training"])
+    @pytest.mark.parametrize("kind", ["static", "constant_velocity", "walking", "turning"])
+    def test_pose_streams_equal_per_tick_transforms(self, kind, mode):
+        # Reference: each tick's poses composed one RigidTransform at a time,
+        # with the VO noise drawn per tick in the order axis, angle, shift.
+        cfg = quick_cfg(
+            camera_motion=CameraMotion(kind=kind, velocity=(0.2, 0.05, 0.01), yaw_rate=0.3),
+            target=ObjectSpec(shape="box", position=(2.5, 0.2, 0.0), rpy=(0.3, -0.2, 0.4),
+                              velocity=(0.05, -0.1, 0.02)),
+            vo_trans_noise_std=0.003,
+            vo_rot_noise_std=0.002,
+            mode=mode,
+        )
+        bundle = generate_scenario(cfg)
+        mount = RigidTransform(MOUNT_ROTATION, np.zeros(3), "camera", "base")
+        if bundle.draw is not None:
+            mount = bundle.draw.extrinsic_offset.compose(mount)
+        vo_rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(6)[1])
+        obj_rot = rotation_rpy(*cfg.target.rpy)
+        obj_v = np.asarray(cfg.target.velocity)
+        cams, vos, to_cams = [], [], []
+        for t in bundle.times:
+            pos, yaw, pitch = cfg.camera_motion.base_pose(float(t))
+            cam = RigidTransform(rotation_rpy(0.0, pitch, yaw), pos, "base", "world").compose(mount)
+            axis = vo_rng.normal(size=3)
+            angle = vo_rng.normal(0.0, cfg.vo_rot_noise_std)
+            shift = vo_rng.normal(0.0, cfg.vo_trans_noise_std, size=3)
+            obj_pos = np.asarray(cfg.target.position) + obj_v * float(t)
+            cams.append(cam)
+            vos.append(cam.compose(RigidTransform(rotation_about_axis(axis, angle), shift)))
+            to_cams.append(cam.inverse().compose(RigidTransform(obj_rot, obj_pos, "object", "world")))
+        for to_cam in to_cams:
+            cam_cloud = transform_points(bundle.cloud, to_cam)
+            ref = sigma_points_from_cloud(cam_cloud, cfg.camera, bundle.alpha, weighting="uniform")
+            if ref is not None:
+                ref_obj = to_cam.inverse().apply_points(ref.points)
+                break
+        for k, (cam, vo, to_cam) in enumerate(zip(cams, vos, to_cams)):
+            for got, want in [
+                (bundle.vo_rotation[k], vo.rotation),
+                (bundle.vo_position[k], vo.translation),
+                (bundle.obj_to_cam_rotation[k], to_cam.rotation),
+                (bundle.obj_to_cam_translation[k], to_cam.translation),
+                (bundle.true_sets[k], to_cam.apply_points(ref_obj)),
+                (bundle.true_velocities[k], cam.rotation.T @ obj_v),
+                (bundle.visible[k], project_point(cfg.camera, to_cam.apply_points(ref_obj)[0])[1]),
+            ]:
+                assert np.array_equal(got, want)
 
 
 class TestSensor:
@@ -236,14 +339,41 @@ class TestSensor:
             Measurement(0.0, 0.2, type("S", (), {"points": p0})()),
             Measurement(0.2, 0.4, type("S", (), {"points": p1})()),
         ]
-        held = baseline_zoh(ms, times)
-        assert held[0] is None and held[1] is None
+        held, has = baseline_zoh(ms, times)
+        np.testing.assert_array_equal(has, [False, False, True, True, True])
+        assert np.isnan(held[0:2]).all()
         np.testing.assert_array_equal(held[2], p0)
         np.testing.assert_array_equal(held[3], p0)
         np.testing.assert_array_equal(held[4], p1)
 
 
 class TestRunEpisode:
+    @pytest.mark.parametrize("vo_noise", [0.0, 0.004])
+    def test_bank_steps_by_vo_pose_increments(self, monkeypatch, vo_noise):
+        # The contract the benchmark's tick driver relies on: rebuilding each
+        # step's increment from bundle.vo_poses gives what run_episode feeds.
+        cfg = quick_cfg(
+            camera_motion=CameraMotion(kind="walking"),
+            vo_trans_noise_std=vo_noise,
+            vo_rot_noise_std=vo_noise,
+        )
+        bundle = generate_scenario(cfg)
+        fed = []
+        step = FilterBank.step
+
+        def record(bank, dt, t_rel):
+            fed.append(t_rel)
+            return step(bank, dt, t_rel)
+
+        monkeypatch.setattr(FilterBank, "step", record)
+        run_episode(bundle)
+        vo = bundle.vo_poses
+        assert len(fed) == len(vo) - 1
+        for k, t_rel in enumerate(fed, start=1):
+            want = vo[k].inverse().compose(vo[k - 1])
+            assert np.array_equal(t_rel.rotation, want.rotation)
+            assert np.array_equal(t_rel.translation, want.translation)
+
     def test_rows_and_metrics_shape(self):
         bundle = generate_scenario(quick_cfg())
         metrics, table = run_episode(bundle)
