@@ -354,21 +354,26 @@ class FilterBank:
 
     def step(self, dt: float, t_rel: RigidTransform) -> SigmaPointSet | None:
         """Advance one control tick: predict then remap by the ego increment."""
+        self._advance(dt, t_rel.rotation, t_rel.translation)
+        return self.estimate()
+
+    def _advance(self, dt: float, rotation: np.ndarray, translation: np.ndarray) -> None:
+        """``step`` on an increment given as arrays the caller has already
+        checked (see ``geometry.check_rotations``), without the estimate copy."""
         if dt < 0.0:
             raise ValueError("dt must be non-negative")
         # g = F A = [[R, dt R], [0, R]] with R = I on lanes that skip the ego
         # increment, where it is A; written out blockwise, equal to the product.
-        r = np.where(self._ego, t_rel.rotation, _EYE3)
+        r = np.where(self._ego, rotation, _EYE3)
         g = np.zeros((len(r), 6, 6))
         g[:, 0:3, 0:3] = g[:, 3:6, 3:6] = r
         g[:, 0:3, 3:6] = dt * r
         c = np.zeros((len(r), 6))
-        c[:, 0:3] = np.where(self._ego[:, 0], t_rel.translation, 0.0)
+        c[:, 0:3] = np.where(self._ego[:, 0], translation, 0.0)
         rec = _StepRecord(self.stamp + dt, g[:, None], c[:, None])
         if self.state is not None:
             self.state = rec.state = _propagate_batch(*self.state, rec.g, rec.c, self._q)
         self.history.append(rec)
-        return self.estimate()
 
     def _apply_measurement(
         self, state: BankState | None, measured: np.ndarray, stamp: float

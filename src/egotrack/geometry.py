@@ -32,6 +32,19 @@ def _matrices(*entries) -> np.ndarray:
     return np.stack(entries, axis=-1).reshape(entries[0].shape + (3, 3))
 
 
+def dots(a, b) -> np.ndarray:
+    """Row-wise dot products over a last axis of 3 (or any length); leading
+    axes broadcast.  Each equals the 1-D ``a @ b``, and so the dot product
+    ``np.linalg.norm`` takes of one vector, bit for bit."""
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+
+
+def norms(v) -> np.ndarray:
+    """Euclidean length of each row; equals ``np.linalg.norm`` of that row bit for bit."""
+    return np.sqrt(dots(v, v))
+
+
 def rotation_x(angle) -> np.ndarray:
     """Rotation about x; an array of angles gives a ``(..., 3, 3)`` stack."""
     c, s = np.cos(angle), np.sin(angle)
@@ -60,8 +73,7 @@ def rotation_about_axis(axis, angle) -> np.ndarray:
     ``axis`` may be a stack ``(..., 3)`` with ``angle`` shaped ``(...)``.
     """
     a = np.asarray(axis, dtype=float)
-    # The dot product np.linalg.norm takes of one vector, for every axis.
-    n = np.sqrt(np.matmul(a[..., None, :], a[..., :, None])[..., 0, 0])
+    n = norms(a)
     if np.any(n == 0.0):
         raise DegenerateGeometryError("rotation axis has zero norm")
     x, y, z = np.moveaxis(a / n[..., None], -1, 0)
@@ -228,8 +240,8 @@ class SurfacePointCloud:
             self.normals = np.asarray(self.normals, dtype=float).reshape(-1, 3)
             if self.normals.shape[0] != self.points.shape[0]:
                 raise ValueError("points and normals must have the same length")
-            norms = np.linalg.norm(self.normals, axis=1)
-            if np.abs(norms - 1.0).max() > 1e-6:
+            lengths = np.linalg.norm(self.normals, axis=1)
+            if np.abs(lengths - 1.0).max() > 1e-6:
                 raise ValueError("normals must have unit norm within 1e-6")
 
     def __len__(self) -> int:

@@ -44,35 +44,64 @@ def drift_step(state: DriftState, rng: np.random.Generator, target_visible: bool
     return DriftState(d, state.sigma_drift, state.d_max)
 
 
+def drift_walk(
+    visible: np.ndarray, sigma_drift: float, d_max: float, rng: np.random.Generator
+) -> np.ndarray:
+    """The drift offset of every tick ``(ticks, 3)``, starting from zero.
+
+    Equal bit for bit to ``drift_step`` applied tick by tick on one
+    generator: one ``normal`` draw of three per hidden tick, taken at once,
+    and the clip and reset run over them in tick order.
+    """
+    visible = np.asarray(visible, dtype=bool)
+    steps = iter(rng.normal(0.0, sigma_drift, size=(int(np.count_nonzero(~visible)), 3)).tolist())
+    zero = (0.0, 0.0, 0.0)
+    d, out = zero, []
+    for vis in visible.tolist():
+        # min(hi, max(lo, x)) picks the same bound or value as np.clip.
+        d = zero if vis else tuple(min(d_max, max(-d_max, x + s)) for x, s in zip(d, next(steps)))
+        out.append(d)
+    return np.array(out).reshape(len(visible), 3)
+
+
 def apply_drift(sset: SigmaPointSet, state: DriftState) -> SigmaPointSet:
     """Shift the whole set by the current drift offset."""
     return SigmaPointSet(sset.points + state.d.reshape(1, 3), sset.frame)
 
 
 def perturb_sigma_points(
-    sset: SigmaPointSet,
+    sets: SigmaPointSet | np.ndarray,
     scale_std: float,
     rot_std: float,
     rng: np.random.Generator,
-) -> SigmaPointSet:
+) -> SigmaPointSet | np.ndarray:
     """Observation-side noise on the set shape: multiplicative (1 + eps) on the
     axis offsets plus a small random rotation of the offsets about the centroid.
 
-    The centroid itself is left untouched; positional noise is modeled
-    separately (sensor noise, drift).
+    Takes one ``SigmaPointSet`` and returns one, or a stack of point arrays
+    ``(..., 7, 3)`` and returns the perturbed stack.  Each set of a stack
+    gets its own draws, in stack order, and consumes the generator as a call
+    on that set alone would: the scale draw, then the axis and the angle,
+    each only when its noise is on.  The centroid itself is left untouched;
+    positional noise is modeled separately (sensor noise, drift).
     """
-    centroid = sset.points[0]
-    offsets = sset.points[1:] - centroid
-    if scale_std > 0.0:
-        offsets = offsets * (1.0 + rng.normal(0.0, scale_std))
-    if rot_std > 0.0:
-        axis = rng.normal(0.0, 1.0, size=3)
-        angle = rng.normal(0.0, rot_std)
-        offsets = offsets @ rotation_about_axis(axis, angle).T
-    pts = np.empty((7, 3))
-    pts[0] = centroid
-    pts[1:] = centroid + offsets
-    return SigmaPointSet(pts, sset.frame)
+    single = isinstance(sets, SigmaPointSet)
+    points = np.asarray(sets.points if single else sets, dtype=float)
+    flat = points.reshape(-1, 7, 3)
+    centroid = flat[:, :1]
+    offsets = flat[:, 1:] - centroid
+    scaled, rotated = scale_std > 0.0, rot_std > 0.0
+    if scaled or rotated:
+        # One row of draws per set; 0.0 + std * z is what normal(0.0, std)
+        # returns for the same draw z.
+        z = rng.standard_normal((len(flat), int(scaled) + 4 * int(rotated)))
+        if scaled:
+            offsets = offsets * (1.0 + (0.0 + scale_std * z[:, 0]))[:, None, None]
+        if rotated:
+            r = rotation_about_axis(0.0 + z[:, -4:-1], 0.0 + rot_std * z[:, -1])
+            offsets = offsets @ np.swapaxes(r, 1, 2)
+    out = np.concatenate([centroid, centroid + offsets], axis=1).reshape(points.shape)
+    return SigmaPointSet(out, sets.frame) if single else out
 
 
 def _check_range(name: str, rng_pair) -> tuple[float, float]:

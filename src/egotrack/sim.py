@@ -35,6 +35,7 @@ from .geometry import (
     check_rotations,
     compute_visible_set,
     extract_sigma_points,
+    norms,
     project_points,
     rotate,
     rotation_about_axis,
@@ -44,11 +45,9 @@ from .geometry import (
     weighted_pca,
 )
 from .perturbation import (
-    DriftState,
     RandomizationConfig,
     RandomizationDraw,
-    apply_drift,
-    drift_step,
+    drift_walk,
     perturb_sigma_points,
     sample_randomization,
 )
@@ -532,13 +531,18 @@ def _run_bank(
     )
     delivered, count = _deliveries(measurements, times)
     done = 0
-    ident = RigidTransform.identity("camera")
+    if increments is None:
+        rotations = np.broadcast_to(np.eye(3), (len(times), 3, 3))
+        translations = np.zeros((len(times), 3))
+    else:
+        rotations, translations = increments
+        # The check each RigidTransform would run, once for the whole stack.
+        check_rotations(rotations)
     means = np.full((len(times), len(ego_lanes), N_POINTS, 6), np.nan)
     has = np.zeros(len(times), dtype=bool)
     for k in range(len(times)):
         if k > 0:
-            t_rel = ident if increments is None else RigidTransform(increments[0][k], increments[1][k])
-            bank.step(float(times[k] - times[k - 1]), t_rel)
+            bank._advance(float(times[k] - times[k - 1]), rotations[k], translations[k])
         for m in delivered[done:count[k]]:
             bank.ingest(m.sset, m.stamp)
         done = count[k]
@@ -709,8 +713,7 @@ def run_episode(
         )
 
     # (estimator, tick, point, axis), pair ambiguity resolved against truth.
-    est = np.stack([filter_mean[:, :, 0:3], zoh_est, nocomp_est])
-    err = associate_points(truth, est) - truth
+    err = associate_points(truth, np.stack([filter_mean[:, :, 0:3], zoh_est, nocomp_est])) - truth
 
     training = cfg.mode == "training"
     columns = _columns(training, geom is not None)
@@ -721,16 +724,26 @@ def run_episode(
     reward_at = len(columns) - (len(_REWARD_KEYS) if geom is not None else 0)
     values[:, 3:obs_at] = err.transpose(1, 0, 2, 3).reshape(n, -1)
 
-    # Per-tick order matters only for the drift and shape-noise draws and the
-    # reward terms; everything else above is computed for all ticks at once.
-    drift_state = DriftState(np.zeros(3), cfg.drift_sigma, cfg.drift_max)
-    drift_rng = np.random.default_rng(bundle.drift_seed)
-    obsnoise_rng = np.random.default_rng(bundle.obsnoise_seed)
-    reward_cfg = reward_cfg or RewardConfig()
-    criteria = criteria or CriteriaConfig()
-    zero_action = np.zeros(4)
+    if training:
+        # What a downstream consumer would see: truth plus occlusion drift
+        # plus the episode's shape-perturbation draws.
+        drift = drift_walk(
+            bundle.visible, cfg.drift_sigma, cfg.drift_max, np.random.default_rng(bundle.drift_seed)
+        )
+        values[:, 2] = np.abs(drift).max(axis=1)
+        observed = truth + drift[:, None, :]
+        if bundle.draw is not None:
+            observed = perturb_sigma_points(
+                observed,
+                bundle.draw.sigma_scale_noise_std,
+                bundle.draw.sigma_rot_noise_std,
+                np.random.default_rng(bundle.obsnoise_seed),
+            )
+        values[:, obs_at:reward_at] = observed.reshape(n, -1)
+
     terminal: TerminalStatus | None = None
     if geom is not None:
+        criteria = criteria or CriteriaConfig()
         # Base-frame proprioception of every tick; the base starts at rest.
         angles = np.stack([np.zeros(n), bundle.base_pitch, bundle.base_yaw], axis=1)
         to_base = np.swapaxes(rotation_rpy(0.0, bundle.base_pitch, bundle.base_yaw), 1, 2)
@@ -739,48 +752,25 @@ def run_episode(
         lin_vel[1:] = rotate(to_base[1:], np.diff(bundle.base_position, axis=0) / dt)
         ang_vel = np.zeros((n, 3))
         ang_vel[1:] = np.diff(angles, axis=0) / dt
-    for k in range(n):
-        vis = bool(bundle.visible[k])
-        if training:
-            drift_state = drift_step(drift_state, drift_rng, vis)
-            values[k, 2] = np.abs(drift_state.d).max()
-            # What a downstream consumer would see: truth plus occlusion drift
-            # plus the episode's shape-perturbation draw.
-            observed = apply_drift(SigmaPointSet(truth[k].copy()), drift_state)
-            if bundle.draw is not None:
-                observed = perturb_sigma_points(
-                    observed,
-                    bundle.draw.sigma_scale_noise_std,
-                    bundle.draw.sigma_rot_noise_std,
-                    obsnoise_rng,
-                )
-            values[k, obs_at:reward_at] = observed.points.ravel()
-
-        if geom is not None:
-            proprio = ProprioState(gravity[k], lin_vel[k], ang_vel[k], zero_action)
-            terms = compute_reward(
-                bundle.base_position[k],
-                angles[k],
-                geom,
-                criteria,
-                proprio,
-                zero_action,
-                zero_action,
-                out_fov=not vis,
-                rcfg=reward_cfg,
-            ).to_dict()
-            values[k, reward_at:] = [terms[key] for key in _REWARD_KEYS]
-            if k == n - 1:
-                terminal = terminal_status(
-                    bundle.base_position[k], angles[k], geom, criteria, timed_out=True
-                )
+        zero_action = np.zeros(4)
+        terms = compute_reward(
+            bundle.base_position,
+            angles,
+            geom,
+            criteria,
+            ProprioState(gravity, lin_vel, ang_vel, zero_action),
+            zero_action,
+            zero_action,
+            out_fov=~bundle.visible,
+            rcfg=reward_cfg or RewardConfig(),
+        ).to_dict()
+        values[:, reward_at:] = np.stack([terms[key] for key in _REWARD_KEYS], axis=1)
+        terminal = terminal_status(bundle.base_position[-1], angles[-1], geom, criteria, timed_out=True)
 
     # Sums run over scored ticks in tick order (see _running_sum).
     sq = _running_sum(np.sum(err**2, axis=-1).transpose(1, 0, 2)[scored])
     centroid = err[:, scored, 0, :]
-    # The same dot product np.linalg.norm takes of one vector, so each
-    # distance matches it bit for bit.
-    dist = np.sqrt(np.matmul(centroid[..., None, :], centroid[..., :, None])[..., 0, 0])
+    dist = norms(centroid)
     abs_sum = _running_sum(dist.T)
     dv = filter_mean[scored, :, 3:6] - bundle.true_velocities[scored, None, :]
     sq_vel = float(_running_sum(np.mean(np.sum(dv**2, axis=-1), axis=-1)))

@@ -2,7 +2,9 @@
 adaptive start-pose curriculum, and dual-horizon observation assembly.
 
 Angles are intrinsic (roll, pitch, yaw) in radians; angle differences are
-always wrapped to (-pi, pi] before use.
+always wrapped to (-pi, pi] before use.  The pose errors, the success band
+and the reward terms take one pose or a stack of poses with leading axes;
+one pose gives floats, a stack gives arrays over its leading axes.
 """
 
 from __future__ import annotations
@@ -14,20 +16,36 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .geometry import dots, norms
+
 TWO_PI = 2.0 * math.pi
+# Steps per block of compute_reward's per-step terms.
+_BLOCK = 128
+
+
+def wrap_angles(a) -> np.ndarray:
+    """Wrap each angle to (-pi, pi]."""
+    w = (np.asarray(a, dtype=float) + math.pi) % TWO_PI - math.pi
+    return np.where(w == -math.pi, math.pi, w)
 
 
 def wrap_angle(a: float) -> float:
-    """Wrap to (-pi, pi]."""
-    w = (a + math.pi) % TWO_PI - math.pi
-    if w == -math.pi:
-        w = math.pi
-    return w
+    """Wrap one angle to (-pi, pi]; the scalar case of ``wrap_angles``."""
+    return float(wrap_angles(a))
 
 
-def wrap_angles(a: np.ndarray) -> np.ndarray:
-    w = (np.asarray(a, dtype=float) + math.pi) % TWO_PI - math.pi
-    return np.where(w == -math.pi, math.pi, w)
+def _scalar(x):
+    """A float for a 0-d result, the array otherwise."""
+    x = np.asarray(x)
+    return float(x) if x.ndim == 0 else x
+
+
+def _rows(x, width: int) -> np.ndarray:
+    """``x`` as a float array with a last axis of ``width``."""
+    a = np.asarray(x, dtype=float)
+    if a.shape[-1:] != (width,):
+        raise ValueError(f"expected a last axis of {width}, got shape {a.shape}")
+    return a
 
 
 class TerminalStatus(enum.Enum):
@@ -117,7 +135,8 @@ class RewardConfig:
 
 @dataclass
 class ProprioState:
-    """Body-frame proprioception snapshot (z-up base frame)."""
+    """Body-frame proprioception snapshot (z-up base frame); every field may
+    carry leading tick axes, and each gravity row must be a unit vector."""
 
     gravity_proj: np.ndarray
     lin_vel: np.ndarray
@@ -126,75 +145,86 @@ class ProprioState:
     task_flag: int = 0
 
     def __post_init__(self):
-        self.gravity_proj = np.asarray(self.gravity_proj, dtype=float).reshape(3)
-        self.lin_vel = np.asarray(self.lin_vel, dtype=float).reshape(3)
-        self.ang_vel = np.asarray(self.ang_vel, dtype=float).reshape(3)
-        self.prev_action = np.asarray(self.prev_action, dtype=float).reshape(4)
-        if abs(np.linalg.norm(self.gravity_proj) - 1.0) > 1e-6:
+        self.gravity_proj = _rows(self.gravity_proj, 3)
+        self.lin_vel = _rows(self.lin_vel, 3)
+        self.ang_vel = _rows(self.ang_vel, 3)
+        self.prev_action = _rows(self.prev_action, 4)
+        if np.any(np.abs(norms(self.gravity_proj) - 1.0) > 1e-6):
             raise ValueError("projected gravity must be a unit vector")
 
 
-def alignment_errors(position, angles, geom: TaskGeometry) -> tuple[float, float]:
+def _pose_deltas(position, angles, geom: TaskGeometry) -> tuple[np.ndarray, np.ndarray]:
+    """Position offset and wrapped angle offset from the optimal pose."""
+    dp = _rows(position, 3) - geom.p_opt
+    return dp, wrap_angles(_rows(angles, 3) - geom.theta_opt)
+
+
+def alignment_errors(position, angles, geom: TaskGeometry):
     """Weighted position and rotation distances to the optimal pose."""
-    dp = np.asarray(position, dtype=float).reshape(3) - geom.p_opt
-    dth = wrap_angles(np.asarray(angles, dtype=float).reshape(3) - geom.theta_opt)
-    e_pos = math.sqrt(float(dp @ (geom.w_pos * dp)))
-    e_rot = math.sqrt(float(dth @ (geom.w_rot * dth)))
-    return e_pos, e_rot
+    dp, dth = _pose_deltas(position, angles, geom)
+    return _scalar(np.sqrt(dots(dp, geom.w_pos * dp))), _scalar(np.sqrt(dots(dth, geom.w_rot * dth)))
 
 
-def cross_track_error(position, p_hint, p_opt) -> float:
+def cross_track_error(position, p_hint, p_opt):
     """Distance to the segment from the approach hint to the optimal point.
 
     The projection parameter is clamped to [0, 1], so beyond either endpoint
     this is the plain distance to that endpoint; a degenerate segment reduces
-    to distance-to-point.
+    to distance-to-point.  ``position`` may be a stack; the segment is one.
     """
-    p = np.asarray(position, dtype=float).reshape(3)
+    p = _rows(position, 3)
     a = np.asarray(p_hint, dtype=float).reshape(3)
     b = np.asarray(p_opt, dtype=float).reshape(3)
     seg = b - a
-    seg_sq = float(seg @ seg)
+    seg_sq = float(dots(seg, seg))
     if seg_sq == 0.0:
-        return float(np.linalg.norm(p - b))
-    s = float((p - a) @ seg) / seg_sq
-    s = min(1.0, max(0.0, s))
-    return float(np.linalg.norm(p - (a + s * seg)))
+        return _scalar(norms(p - b))
+    s = np.clip(dots(p - a, seg) / seg_sq, 0.0, 1.0)
+    return _scalar(norms(p - (a + s[..., None] * seg)))
+
+
+def _band_errors(position, angles, geom: TaskGeometry) -> np.ndarray:
+    """Raw per-axis errors (x, y, yaw, pitch) along a last axis."""
+    dp, dth = _pose_deltas(position, angles, geom)
+    return np.abs(np.stack([dp[..., 0], dp[..., 1], dth[..., 2], dth[..., 1]], axis=-1))
+
+
+def _in_success_band(position, angles, geom: TaskGeometry, crit: CriteriaConfig):
+    """Whether every raw axis error is strictly inside its success limit."""
+    eps = (crit.eps_x, crit.eps_y, crit.eps_yaw, crit.eps_pitch)
+    return np.all(_band_errors(position, angles, geom) < eps, axis=-1)
 
 
 def terminal_status(position, angles, geom: TaskGeometry, crit: CriteriaConfig,
                     timed_out: bool) -> TerminalStatus:
-    """Success/failure bands on raw per-axis errors.
+    """Success/failure bands on raw per-axis errors of one pose.
 
     Success can fire at any step; failure only at timeout, and only when some
     axis sits at or beyond its failure band.  A timeout inside the dead band
     (eps <= err < delta on every axis) stays RUNNING: not a success, but also
     not a failure worth replaying.
     """
-    dp = np.asarray(position, dtype=float).reshape(3) - geom.p_opt
-    dth = wrap_angles(np.asarray(angles, dtype=float).reshape(3) - geom.theta_opt)
-    errs = (abs(dp[0]), abs(dp[1]), abs(dth[2]), abs(dth[1]))  # x, y, yaw, pitch
-    eps = (crit.eps_x, crit.eps_y, crit.eps_yaw, crit.eps_pitch)
-    delta = (crit.delta_x, crit.delta_y, crit.delta_yaw, crit.delta_pitch)
-    if all(e < lim for e, lim in zip(errs, eps)):
+    if _in_success_band(position, angles, geom, crit):
         return TerminalStatus.SUCCESS
-    if timed_out and any(e >= lim for e, lim in zip(errs, delta)):
+    delta = (crit.delta_x, crit.delta_y, crit.delta_yaw, crit.delta_pitch)
+    if timed_out and np.any(_band_errors(position, angles, geom) >= delta):
         return TerminalStatus.FAILURE
     return TerminalStatus.RUNNING
 
 
 @dataclass(frozen=True)
 class RewardBreakdown:
-    """Raw (unweighted) term values plus the weighted total."""
+    """Raw (unweighted) term values plus the weighted total: floats for one
+    step, arrays over the leading axes of a stack of steps."""
 
-    hint: float
-    opt: float
-    miss: float
-    roll: float
-    ang: float
-    smooth: float
-    limit: float
-    total: float
+    hint: float | np.ndarray
+    opt: float | np.ndarray
+    miss: float | np.ndarray
+    roll: float | np.ndarray
+    ang: float | np.ndarray
+    smooth: float | np.ndarray
+    limit: float | np.ndarray
+    total: float | np.ndarray
 
     def to_dict(self) -> dict:
         return {
@@ -235,45 +265,52 @@ def compute_reward(
     proprio: ProprioState,
     action,
     prev_action,
-    out_fov: bool,
+    out_fov,
     rcfg: RewardConfig,
-    limit_sq: float = 0.0,
+    limit_sq=0.0,
 ) -> RewardBreakdown:
-    """Evaluate every reward term at one step.
+    """Evaluate every reward term at one step, or at every step of a stack.
 
+    The pose, ``proprio``'s fields, the actions, ``out_fov`` and
+    ``limit_sq`` may carry leading axes, which broadcast together.
     ``action`` must already be clipped (see ``clip_action``), which also
     supplies ``limit_sq``.  The convergence bonus gates on the success
     criterion evaluated without timeout.
     """
     sigma = rcfg.sigma_track
-    action = np.asarray(action, dtype=float).reshape(4)
-    prev_action = np.asarray(prev_action, dtype=float).reshape(4)
-
     e_pos, e_rot = alignment_errors(position, angles, geom)
     d_path = cross_track_error(position, geom.p_hint, geom.p_opt)
-
-    hint = _kernel(d_path**2, sigma) * _kernel(e_rot**2, sigma) * (
-        1.0 + rcfg.k_pos * _kernel(e_pos**2, sigma)
+    lin, ang_vel = proprio.lin_vel, proprio.ang_vel
+    if rcfg.opt_velocity == "planar":
+        v = np.stack([lin[..., 0], lin[..., 1], ang_vel[..., 2]], axis=-1)
+    else:
+        v = np.concatenate([lin, ang_vel[..., 2:]], axis=-1)
+    success = _in_success_band(position, angles, geom, crit)
+    action, prev_action = _rows(action, 4), _rows(prev_action, 4)
+    *per_step, miss, smooth, limit = np.broadcast_arrays(
+        d_path, e_rot, e_pos, dots(v, v), success,
+        proprio.gravity_proj[..., 1], ang_vel[..., 0], ang_vel[..., 1],
+        np.where(out_fov, 1.0, 0.0),
+        np.sum((action - prev_action) ** 2, axis=-1),
+        np.asarray(limit_sq, dtype=float),
     )
 
-    if rcfg.opt_velocity == "planar":
-        v = np.array([proprio.lin_vel[0], proprio.lin_vel[1], proprio.ang_vel[2]])
-    else:
-        v = np.array([*proprio.lin_vel, proprio.ang_vel[2]])
-    success = terminal_status(position, angles, geom, crit, timed_out=False)
-    opt = 0.0
-    if success is TerminalStatus.SUCCESS:
-        opt = (
-            _kernel(e_pos**2, sigma)
-            * _kernel(e_rot**2, sigma)
-            * _kernel(float(v @ v), sigma)
-        )
+    # Python's x**2 and math.exp round differently from numpy's square and
+    # exp on a small share of inputs, so these terms are taken per step, in
+    # blocks: holding every step's Python floats at once raised the peak
+    # memory of a long run.
+    def terms(d, er, ep, vv, ok, g_y, w_x, w_y):
+        k_pos, k_rot = _kernel(ep**2, sigma), _kernel(er**2, sigma)
+        hint = _kernel(d**2, sigma) * k_rot * (1.0 + rcfg.k_pos * k_pos)
+        opt = k_pos * k_rot * _kernel(vv, sigma) if ok else 0.0
+        return hint, opt, g_y**2, w_x**2 + w_y**2
 
-    miss = 1.0 if out_fov else 0.0
-    roll = float(proprio.gravity_proj[1]) ** 2
-    ang = float(proprio.ang_vel[0]) ** 2 + float(proprio.ang_vel[1]) ** 2
-    smooth = float(np.sum((action - prev_action) ** 2))
-    limit = float(limit_sq)
+    cols = [c.ravel() for c in per_step]
+    rows = np.empty((miss.size, 4))
+    for lo in range(0, miss.size, _BLOCK):
+        block = zip(*(c[lo:lo + _BLOCK].tolist() for c in cols))
+        rows[lo:lo + _BLOCK] = [terms(*step) for step in block]
+    hint, opt, roll, ang = np.moveaxis(rows.reshape(miss.shape + (4,)), -1, 0)
 
     total = (
         rcfg.w_hint * hint
@@ -284,7 +321,7 @@ def compute_reward(
         + rcfg.w_smooth * smooth
         + rcfg.w_limit * limit
     )
-    return RewardBreakdown(hint, opt, miss, roll, ang, smooth, limit, total)
+    return RewardBreakdown(*map(_scalar, (hint, opt, miss, roll, ang, smooth, limit, total)))
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,6 @@
 """Golden outputs: sha256 digests of ``metrics.csv`` and ``summary.json``.
 
-Five short episodes run through the CLI and must reproduce stored bytes
+Six short episodes run through the CLI and must reproduce stored bytes
 exactly, so any drift in a number the CLI writes is caught, not only a rerun
 that differs from itself.  A change that alters outputs on purpose
 regenerates the digests and says why in CHANGES.md:
@@ -75,6 +75,24 @@ CASES = {
             "mode": "training",
         },
         [],
+    ),
+    # The branches the walking task misses: the base passes through the
+    # success band (nonzero convergence bonus, linear3d stillness kernel),
+    # the hint segment is one point, the shape noise is scale-only, and the
+    # drift walk reaches its clip over a long blind spot.
+    "walk-training-success-band": (
+        {
+            "scenario": {
+                "duration": 2.0,
+                "camera_motion": {"kind": "walking"},
+                "target": {"velocity": [0, -2.0, 0]},
+            },
+            "mode": "training",
+            "randomization": {"sigma_rot_noise_std": 0.0},
+            "reward": {"opt_velocity": "linear3d"},
+            "task": {"p_opt": [0, 0, 0], "p_hint": [0, 0, 0]},
+        },
+        ["--seed", "3"],
     ),
     "truth-late-replay": (_LATE, ["--seed", "1"]),
     "truth-late-in-place": (_LATE, ["--seed", "1", "--oosm-mode", "in_place"]),

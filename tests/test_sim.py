@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from egotrack import sim
 from egotrack.errors import ConfigError
 from egotrack.estimator import FilterBank
 from egotrack.geometry import (
@@ -359,20 +360,32 @@ class TestRunEpisode:
         )
         bundle = generate_scenario(cfg)
         fed = []
-        step = FilterBank.step
+        advance = FilterBank._advance
 
-        def record(bank, dt, t_rel):
-            fed.append(t_rel)
-            return step(bank, dt, t_rel)
+        def record(bank, dt, rotation, translation):
+            fed.append((rotation, translation))
+            return advance(bank, dt, rotation, translation)
 
-        monkeypatch.setattr(FilterBank, "step", record)
+        # FilterBank.step is the same advance behind a RigidTransform.
+        monkeypatch.setattr(FilterBank, "_advance", record)
         run_episode(bundle)
         vo = bundle.vo_poses
         assert len(fed) == len(vo) - 1
-        for k, t_rel in enumerate(fed, start=1):
+        for k, (rotation, translation) in enumerate(fed, start=1):
             want = vo[k].inverse().compose(vo[k - 1])
-            assert np.array_equal(t_rel.rotation, want.rotation)
-            assert np.array_equal(t_rel.translation, want.translation)
+            assert np.array_equal(rotation, want.rotation)
+            assert np.array_equal(translation, want.translation)
+
+    def test_bank_rejects_a_non_rotation_increment(self, monkeypatch):
+        # The bank takes the increments as arrays; the stack is checked once,
+        # as each per-tick RigidTransform used to be.
+        bundle = generate_scenario(quick_cfg(camera_motion=CameraMotion(kind="walking")))
+        rotations, translations = ego_increments(bundle)
+        rotations = rotations.copy()
+        rotations[17] *= 1.001
+        monkeypatch.setattr(sim, "ego_increments", lambda b: (rotations, translations))
+        with pytest.raises(ValueError, match="orthonormal"):
+            run_episode(bundle)
 
     def test_rows_and_metrics_shape(self):
         bundle = generate_scenario(quick_cfg())
