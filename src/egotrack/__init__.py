@@ -25,9 +25,7 @@ from .estimator import (
     FilterBank,
     FilterConfig,
     IngestStatus,
-    TrackState,
     associate_measurement,
-    associate_points,
     compensate_ego_motion,
     init_track,
     measurement_covariance,
@@ -59,7 +57,6 @@ from .perturbation import (
     DriftState,
     RandomizationConfig,
     RandomizationDraw,
-    apply_drift,
     drift_step,
     perturb_sigma_points,
     sample_randomization,

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import __version__
 from .config import build_configs, canonical_config, config_hash
-from .errors import ConfigError, EgoTrackError
+from .errors import ConfigError, EgoTrackError, NumericalError
 from .sim import EpisodeTable, generate_scenario, run_episode
 
 # Scalar episode metrics aggregated across a sweep.
@@ -89,16 +89,22 @@ def execute_run(
 ) -> dict:
     """Run one episode from a canonical config and write the output files."""
     scenario, filter_cfg, criteria, reward, _asc, task = build_configs(canonical)
-    bundle = generate_scenario(scenario)
-    metrics, table = run_episode(
-        bundle,
-        filter_cfg,
-        geom=task,
-        criteria=criteria,
-        reward_cfg=reward,
-        disable_ego_compensation=disable_ego_compensation,
-        oosm_mode=oosm_mode,
-    )
+    # An overflow or invalid value ends the run with one error line instead
+    # of printing warnings and scoring what is left.
+    try:
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            bundle = generate_scenario(scenario)
+            metrics, table = run_episode(
+                bundle,
+                filter_cfg,
+                geom=task,
+                criteria=criteria,
+                reward_cfg=reward,
+                disable_ego_compensation=disable_ego_compensation,
+                oosm_mode=oosm_mode,
+            )
+    except FloatingPointError as exc:
+        raise NumericalError(f"floating-point error in the episode: {exc}") from exc
     os.makedirs(out_dir, exist_ok=True)
     chash = config_hash(canonical)
     summary = {

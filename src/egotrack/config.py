@@ -98,7 +98,10 @@ def config_hash(canonical: dict) -> str:
 
 
 def _number(kind: type, value, path: str):
-    """A finite int or float leaf; booleans, NaN, infinities and fractional ints fail."""
+    """A finite int or float leaf; booleans, NaN, infinities and fractional ints fail.
+
+    -0.0 becomes 0.0: numpy's samplers reject a scale whose sign bit is set.
+    """
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ConfigError(f"config key {path!r} must be a number, got {value!r}")
     if isinstance(value, numbers.Integral):
@@ -111,7 +114,7 @@ def _number(kind: type, value, path: str):
         raise ConfigError(f"config key {path!r} must be finite, got {value!r}")
     if kind is int and not value.is_integer():
         raise ConfigError(f"config key {path!r} must be an integer, got {value!r}")
-    return kind(value)
+    return kind(value + 0.0)
 
 
 def _leaf(kind: type, value, path: str, default):
@@ -145,7 +148,7 @@ def _build(cls: type, values: dict, path: str, **fixed):
     }
     try:
         return cls(**kwargs, **fixed)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
 

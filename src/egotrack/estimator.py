@@ -1,16 +1,16 @@
 """Constant-velocity Kalman filtering of sigma points in the moving camera frame.
 
 Each of the seven points gets its own independent 6D filter (position and
-velocity).  Every control step does a constant-velocity predict followed by a
-deterministic ego-motion remap into the new camera frame; delayed measurements
-are handled by rolling back to a history snapshot and replaying.
+velocity).  Every control step does a constant-velocity predict fused with a
+deterministic ego-motion remap into the new camera frame; delayed
+measurements are handled by rolling back to a history snapshot and replaying.
 
-The filter math lives in batched kernels over ``n`` independent states: means
-shaped ``(n, 6)`` (position then velocity) and covariances ``(n, 6, 6)``.
-``predict``, ``update`` and the other per-point functions are batch-of-1
-wrappers around them.  The bank runs all seven points of one or more lanes at
-once (a lane per ego-compensation setting) and fuses predict and ego remap
-into one step, ``_propagate_batch``.  Kernels return new arrays and never
+The filter math is a set of batched functions over ``n`` independent states:
+means shaped ``(n, 6)`` (position then velocity) and covariances
+``(n, 6, 6)``.  ``init_track``, ``compensate_ego_motion``, ``predict``,
+``measurement_covariance``, ``update`` and ``associate_measurement`` are the
+functions the bank itself calls, for all seven points of one or more lanes at
+once (a lane per ego-compensation setting).  They return new arrays and never
 write into their inputs.
 """
 
@@ -23,9 +23,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidDepthError, NumericalError
-from .geometry import CameraModel, RigidTransform, SigmaPointSet, rotate
+from .geometry import CameraModel, RigidTransform, SigmaPointSet
 
 N_POINTS = 7
+_EYE3 = np.eye(3)
 
 
 @dataclass(frozen=True)
@@ -46,23 +47,8 @@ class FilterConfig:
                 raise ValueError(f"{name} must be positive")
 
 
-@dataclass(frozen=True)
-class TrackState:
-    """Posterior of one tracked point: mean (position, velocity) and 6x6 covariance."""
-
-    position: np.ndarray
-    velocity: np.ndarray
-    covariance: np.ndarray
-    last_stamp: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "position", np.asarray(self.position, dtype=float).reshape(3))
-        object.__setattr__(self, "velocity", np.asarray(self.velocity, dtype=float).reshape(3))
-        object.__setattr__(self, "covariance", np.asarray(self.covariance, dtype=float).reshape(6, 6))
-
-
 # ---------------------------------------------------------------------------
-# Batched kernels over n states: mean (n, 6), cov (n, 6, 6).
+# Batched filter functions over n states: mean (n, 6), cov (n, 6, 6).
 
 
 def _prior(cfg: FilterConfig) -> np.ndarray:
@@ -73,60 +59,58 @@ def _process_noise(cfg: FilterConfig) -> np.ndarray:
     return np.diag([cfg.q_pos] * 3 + [cfg.q_vel] * 3)
 
 
-def _transition(dt: float) -> np.ndarray:
-    """Constant-velocity state transition A over one step of length dt."""
-    a = np.eye(6)
-    a[0:3, 3:6] = dt * np.eye(3)
-    return a
-
-
-def _ego_map(rotation: np.ndarray) -> np.ndarray:
-    """blockdiag(R, R): the ego remap of a (position, velocity) covariance."""
-    f = np.zeros((6, 6))
-    f[0:3, 0:3] = rotation
-    f[3:6, 3:6] = rotation
-    return f
-
-
-def _init_batch(z: np.ndarray, p0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def init_track(z: np.ndarray, p0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Fresh states at measured positions z (n, 3): zero velocity, prior p0."""
     mean = np.concatenate([z, np.zeros_like(z)], axis=1)
     return mean, np.repeat(p0[None], len(z), axis=0)
 
 
-def _predict_batch(
-    mean: np.ndarray, cov: np.ndarray, dt: float, a: np.ndarray, q: np.ndarray
+def compensate_ego_motion(
+    dt: float, rotation: np.ndarray, translation: np.ndarray, ego: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Constant-velocity time update with transition a = A(dt) and noise q."""
-    pos = mean[:, 0:3] + dt * mean[:, 3:6]
-    return np.concatenate([pos, mean[:, 3:6]], axis=1), a @ cov @ a.T + q
+    """One step's propagation ``(g, c)`` for each lane, shaped (L, 6, 6) and (L, 6).
+
+    ``g = F A`` is the constant-velocity transition A(dt) followed by the ego
+    remap F = blockdiag(R, R), and ``c = [t; 0]``: positions take the full
+    rigid map and velocities rotate only.  A lane whose ``ego`` flag is false
+    skips the increment (R = I, t = 0); the flags are shaped (L, 1, 1) so they
+    broadcast over each lane's 3x3 blocks.  No noise is added for the
+    remap, because the ego increment is treated as known.
+    """
+    if dt < 0.0:
+        raise ValueError("dt must be non-negative")
+    # g = [[R, dt R], [0, R]], written out blockwise, equal to the product.
+    r = np.where(ego, rotation, _EYE3)
+    g = np.zeros((len(r), 6, 6))
+    g[:, 0:3, 0:3] = g[:, 3:6, 3:6] = r
+    g[:, 0:3, 3:6] = dt * r
+    c = np.zeros((len(r), 6))
+    c[:, 0:3] = np.where(ego[:, 0], translation, 0.0)
+    return g, c
 
 
-def _compensate_batch(
-    mean: np.ndarray, cov: np.ndarray, t_rel: RigidTransform, f: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Remap into the new camera frame; f = blockdiag(R, R) of t_rel."""
-    r = t_rel.rotation
-    pos = rotate(r, mean[:, 0:3]) + t_rel.translation
-    return np.concatenate([pos, rotate(r, mean[:, 3:6])], axis=1), f @ cov @ f.T
-
-
-def _propagate_batch(
+def predict(
     mean: np.ndarray, cov: np.ndarray, g: np.ndarray, c: np.ndarray, q: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Fused predict and ego remap: mean' = g mean + c, cov' = g cov g^T + q.
 
-    With g = F A and c = [t; 0] this is ``_predict_batch`` followed by
-    ``_compensate_batch`` up to rounding, since F Q F^T = Q for the isotropic
-    per-block Q.  ``g`` broadcasts against the leading axes of ``cov``.  The
-    mean is rotated as column vectors, which rounds the same for any number
-    of leading rows; ``mean @ g^T`` would not.
+    With ``(g, c)`` from ``compensate_ego_motion`` this is the
+    constant-velocity time update followed by the ego remap, up to rounding,
+    since F Q F^T = Q for the isotropic per-block Q; Q is added once per step
+    regardless of dt.  ``g`` broadcasts against the leading axes of ``cov``.
+    The mean is rotated as column vectors, which rounds the same for any
+    number of leading rows; ``mean @ g^T`` would not.
     """
     return (g @ mean[..., None])[..., 0] + c, g @ cov @ g.swapaxes(-1, -2) + q
 
 
-def _measurement_cov_batch(cam: CameraModel, depth: np.ndarray, cfg: FilterConfig) -> np.ndarray:
-    """Depth-scaled measurement covariances (n, 3, 3) for depths (n,)."""
+def measurement_covariance(cam: CameraModel, depth: np.ndarray, cfg: FilterConfig) -> np.ndarray:
+    """Depth-scaled position measurement covariances (n, 3, 3) for depths (n,).
+
+    Pixel noise maps to metric noise through the pinhole model at the point's
+    depth: sigma_X = (Z/fx) sigma_u, sigma_Y = (Z/fy) sigma_v; depth noise is
+    constant sigma_z.
+    """
     bad = depth <= 0.0
     if bad.any():
         raise InvalidDepthError(
@@ -141,10 +125,14 @@ def _measurement_cov_batch(cam: CameraModel, depth: np.ndarray, cfg: FilterConfi
     return r
 
 
-def _update_batch(
+def update(
     mean: np.ndarray, cov: np.ndarray, z: np.ndarray, r: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Position-only Joseph-form update of n states by z (n, 3), r (n, 3, 3)."""
+    """Position-only Joseph-form update of n states by z (n, 3), r (n, 3, 3).
+
+    Joseph form keeps the covariance symmetric positive semidefinite under
+    roundoff, which matters after long replay chains.
+    """
     s = cov[:, 0:3, 0:3] + r
     try:
         s_inv = np.linalg.inv(s)
@@ -165,75 +153,22 @@ def _mahalanobis2(mean: np.ndarray, cov: np.ndarray, z: np.ndarray, r: np.ndarra
     return (y.swapaxes(1, 2) @ np.linalg.solve(cov[:, 0:3, 0:3] + r, y))[:, 0, 0]
 
 
-# ---------------------------------------------------------------------------
-# Per-point API: batch-of-1 wrappers around the kernels.
-
-
-def _stacked(track: TrackState) -> tuple[np.ndarray, np.ndarray]:
-    return np.concatenate([track.position, track.velocity])[None], track.covariance[None]
-
-
-def _track(mean: np.ndarray, cov: np.ndarray, stamp: float) -> TrackState:
-    return TrackState(mean[0, 0:3], mean[0, 3:6], cov[0], stamp)
-
-
-def init_track(z: np.ndarray, cfg: FilterConfig, stamp: float) -> TrackState:
-    """Fresh track at a measured position: zero velocity, diagonal prior."""
-    return _track(*_init_batch(np.asarray(z, dtype=float).reshape(1, 3), _prior(cfg)), stamp)
-
-
-def predict(track: TrackState, dt: float, cfg: FilterConfig) -> TrackState:
-    """Constant-velocity time update; Q is added once per step regardless of dt."""
-    if dt < 0.0:
-        raise ValueError("dt must be non-negative")
-    mean, cov = _predict_batch(*_stacked(track), dt, _transition(dt), _process_noise(cfg))
-    return _track(mean, cov, track.last_stamp + dt)
-
-
-def compensate_ego_motion(track: TrackState, t_rel: RigidTransform) -> TrackState:
-    """Deterministic remap of the state into the new camera frame.
-
-    Positions take the full rigid map, velocities rotate only, and the
-    covariance is conjugated by blockdiag(R, R); no noise is added because the
-    ego increment is treated as known.
-    """
-    mean, cov = _compensate_batch(*_stacked(track), t_rel, _ego_map(t_rel.rotation))
-    return _track(mean, cov, track.last_stamp)
-
-
-def measurement_covariance(cam: CameraModel, depth_z: float, cfg: FilterConfig) -> np.ndarray:
-    """Depth-scaled position measurement covariance.
-
-    Pixel noise maps to metric noise through the pinhole model at the point's
-    depth: sigma_X = (Z/fx) sigma_u, sigma_Y = (Z/fy) sigma_v; depth noise is
-    constant sigma_z.
-    """
-    return _measurement_cov_batch(cam, np.array([depth_z], dtype=float), cfg)[0]
-
-
-def update(track: TrackState, z: np.ndarray, r_t: np.ndarray, cfg: FilterConfig) -> TrackState:
-    """Position-only measurement update in Joseph form.
-
-    Joseph form keeps the covariance symmetric positive semidefinite under
-    roundoff, which matters after long replay chains.
-    """
-    z = np.asarray(z, dtype=float).reshape(1, 3)
-    r_t = np.asarray(r_t, dtype=float).reshape(1, 3, 3)
-    return _track(*_update_batch(*_stacked(track), z, r_t), track.last_stamp)
-
-
-def associate_points(predicted: np.ndarray, measured: np.ndarray) -> np.ndarray:
+def associate_measurement(
+    predicted: SigmaPointSet | np.ndarray, measured: SigmaPointSet | np.ndarray
+) -> SigmaPointSet | np.ndarray:
     """Resolve the +/- sign ambiguity of each measured axis pair, batched.
 
-    ``measured`` is shaped ``(..., 7, 3)`` and ``predicted``'s leading
-    dimensions broadcast to its own.  The centroid maps to the centroid and
-    axes correspond by eigenvalue rank; the only freedom is which end of each
-    measured pair is which, chosen to minimize the summed squared distance to
-    the prediction.  A pair is swapped only when that is strictly closer, so
-    ties and NaN sets keep the measured order.  Returns a new array.
+    Takes two ``SigmaPointSet``s and returns one, or two point arrays and
+    returns an array: ``measured`` shaped ``(..., 7, 3)``, and ``predicted``
+    with leading dimensions that broadcast to its own.  The centroid maps to
+    the centroid and axes correspond by eigenvalue rank; the only freedom is
+    which end of each measured pair is which, chosen to minimize the summed
+    squared distance to the prediction.  A pair is swapped only when that is
+    strictly closer, so ties and NaN sets keep the measured order.
     """
-    p = np.asarray(predicted, dtype=float)
-    m = np.asarray(measured, dtype=float)
+    single = isinstance(measured, SigmaPointSet)
+    p = np.asarray(predicted.points if single else predicted, dtype=float)
+    m = np.asarray(measured.points if single else measured, dtype=float)
     lead = m.shape[:-2]
     p_pairs = p[..., 1:, :].reshape(p.shape[:-2] + (3, 2, 3))
     m_pairs = m[..., 1:, :].reshape(lead + (3, 2, 3))
@@ -241,12 +176,8 @@ def associate_points(predicted: np.ndarray, measured: np.ndarray) -> np.ndarray:
     swap = np.sum((m_pairs - p_pairs[..., ::-1, :]) ** 2, axis=-1)
     flip = swap[..., 0] + swap[..., 1] < keep[..., 0] + keep[..., 1]
     pairs = np.where(flip[..., None, None], m_pairs[..., ::-1, :], m_pairs)
-    return np.concatenate([m[..., :1, :], pairs.reshape(lead + (6, 3))], axis=-2)
-
-
-def associate_measurement(predicted: SigmaPointSet, measured: SigmaPointSet) -> SigmaPointSet:
-    """``associate_points`` on one predicted and one measured set."""
-    return SigmaPointSet(associate_points(predicted.points, measured.points), measured.frame)
+    out = np.concatenate([m[..., :1, :], pairs.reshape(lead + (6, 3))], axis=-2)
+    return SigmaPointSet(out, measured.frame) if single else out
 
 
 class IngestStatus(enum.Enum):
@@ -280,7 +211,6 @@ class _StepRecord:
 
 # Stamp comparisons tolerate accumulated float error, far below one tick.
 _STAMP_EPS = 1e-9
-_EYE3 = np.eye(3)
 
 
 class FilterBank:
@@ -289,11 +219,11 @@ class FilterBank:
     The bank carries one lane per entry of ``ego_lanes``: every lane sees the
     same steps and measurements, and a lane applies the ego increment only
     when its flag is true (a false lane is the no-compensation baseline).
-    One rollback replays all lanes at once.  ``estimate``, ``velocities`` and
-    ``tracks`` read lane 0.
+    One rollback replays all lanes at once.  ``estimate`` and ``velocities``
+    read lane 0.
 
     The bank starts uninitialized; the first accepted measurement creates the
-    tracks at its own stamp and replays forward, so initialization is
+    filters at its own stamp and replays forward, so initialization is
     latency-correct like every later update.
     """
 
@@ -331,17 +261,6 @@ class FilterBank:
     def stamp(self) -> float:
         return self.history[-1].stamp
 
-    @property
-    def tracks(self) -> list[TrackState] | None:
-        """Per-point copies of lane 0; editing them changes nothing."""
-        if self.state is None:
-            return None
-        mean, cov = self.state
-        return [
-            TrackState(mean[0, j, 0:3].copy(), mean[0, j, 3:6].copy(), cov[0, j].copy(), self.stamp)
-            for j in range(N_POINTS)
-        ]
-
     def estimate(self) -> SigmaPointSet | None:
         if self.state is None:
             return None
@@ -360,36 +279,27 @@ class FilterBank:
     def _advance(self, dt: float, rotation: np.ndarray, translation: np.ndarray) -> None:
         """``step`` on an increment given as arrays the caller has already
         checked (see ``geometry.check_rotations``), without the estimate copy."""
-        if dt < 0.0:
-            raise ValueError("dt must be non-negative")
-        # g = F A = [[R, dt R], [0, R]] with R = I on lanes that skip the ego
-        # increment, where it is A; written out blockwise, equal to the product.
-        r = np.where(self._ego, rotation, _EYE3)
-        g = np.zeros((len(r), 6, 6))
-        g[:, 0:3, 0:3] = g[:, 3:6, 3:6] = r
-        g[:, 0:3, 3:6] = dt * r
-        c = np.zeros((len(r), 6))
-        c[:, 0:3] = np.where(self._ego[:, 0], translation, 0.0)
+        g, c = compensate_ego_motion(dt, rotation, translation, self._ego)
         rec = _StepRecord(self.stamp + dt, g[:, None], c[:, None])
         if self.state is not None:
-            self.state = rec.state = _propagate_batch(*self.state, rec.g, rec.c, self._q)
+            self.state = rec.state = predict(*self.state, rec.g, rec.c, self._q)
         self.history.append(rec)
 
     def _apply_measurement(
         self, state: BankState | None, measured: np.ndarray, stamp: float
     ) -> BankState:
-        """Associate and update all seven tracks of every lane at one stamp."""
+        """Associate and update all seven points of every lane at one stamp."""
         shape = (len(self._ego), N_POINTS)
         if state is None:
-            mean, cov = _init_batch(np.tile(measured, (len(self._ego), 1)), self._p0)
+            mean, cov = init_track(np.tile(measured, (len(self._ego), 1)), self._p0)
             return mean.reshape(shape + (6,)), cov.reshape(shape + (6, 6))
         mean, cov = state
-        assoc = associate_points(mean[..., 0:3], np.broadcast_to(measured, shape + (3,)))
+        assoc = associate_measurement(mean[..., 0:3], np.broadcast_to(measured, shape + (3,)))
         # The kernels run on the (L * 7) rows of all lanes together.
         mean, cov, assoc = mean.reshape(-1, 6), cov.reshape(-1, 6, 6), assoc.reshape(-1, 3)
         depth = np.maximum(mean[:, 2], self.cam.near_z)
-        r = _measurement_cov_batch(self.cam, depth, self.cfg)
-        new_mean, new_cov = _update_batch(mean, cov, assoc, r)
+        r = measurement_covariance(self.cam, depth, self.cfg)
+        new_mean, new_cov = update(mean, cov, assoc, r)
         gap = (
             np.inf
             if self.last_measurement_stamp is None
@@ -400,7 +310,7 @@ class FilterBank:
             # explains the measurement instead of dragging it.
             reset = _mahalanobis2(mean, cov, assoc, r) > self.reacquire_gate**2
             if reset.any():
-                new_mean[reset], new_cov[reset] = _init_batch(assoc[reset], self._p0)
+                new_mean[reset], new_cov[reset] = init_track(assoc[reset], self._p0)
         return new_mean.reshape(shape + (6,)), new_cov.reshape(shape + (6, 6))
 
     def _note_measurement(self, meas_stamp: float) -> None:
@@ -438,7 +348,7 @@ class FilterBank:
         self._note_measurement(meas_stamp)
         for i in range(idx + 1, len(self.history)):
             nxt = self.history[i]
-            state = _propagate_batch(*state, nxt.g, nxt.c, self._q)
+            state = predict(*state, nxt.g, nxt.c, self._q)
             for old in nxt.measurements:
                 state = self._apply_measurement(state, old, nxt.stamp)
             nxt.state = state

@@ -146,10 +146,6 @@ class RigidTransform:
         pts = np.asarray(points, dtype=float).reshape(-1, 3)
         return pts @ self.rotation.T + self.translation
 
-    def apply_vectors(self, vectors: np.ndarray) -> np.ndarray:
-        """Rotate direction vectors (no translation)."""
-        return np.asarray(vectors, dtype=float).reshape(-1, 3) @ self.rotation.T
-
 
 @dataclass(frozen=True)
 class CameraModel:
@@ -313,12 +309,14 @@ def weighted_pca(points: np.ndarray, weights: np.ndarray) -> PcaResult:
     centered = pts - centroid
     cov = (centered * w[:, None]).T @ centered / total
     cov = 0.5 * (cov + cov.T)
+    if not np.all(np.isfinite(cov)):
+        raise NumericalError("point covariance is not finite")
     evals, evecs = np.linalg.eigh(cov)
     order = np.argsort(evals)[::-1]
     evals = evals[order]
     evecs = evecs[:, order]
     if evals.min() < EIGENVALUE_FLOOR:
-        raise NumericalError(f"covariance eigenvalue {evals.min()!r} below roundoff floor")
+        raise NumericalError(f"covariance eigenvalue {float(evals.min())!r} below roundoff floor")
     evals = np.maximum(evals, 0.0)
     for k in range(3):
         lead = np.argmax(np.abs(evecs[:, k]))
@@ -352,7 +350,7 @@ def extract_sigma_points(pca: PcaResult, alpha: float) -> SigmaPointSet:
         raise ValueError("alpha must be positive")
     evals = np.asarray(pca.eigenvalues, dtype=float).reshape(3)
     if evals.min() < EIGENVALUE_FLOOR:
-        raise NumericalError(f"eigenvalue {evals.min()!r} below roundoff floor")
+        raise NumericalError(f"eigenvalue {float(evals.min())!r} below roundoff floor")
     evals = np.maximum(evals, 0.0)
     pts = np.empty((7, 3))
     pts[0] = pca.centroid

@@ -64,11 +64,6 @@ def drift_walk(
     return np.array(out).reshape(len(visible), 3)
 
 
-def apply_drift(sset: SigmaPointSet, state: DriftState) -> SigmaPointSet:
-    """Shift the whole set by the current drift offset."""
-    return SigmaPointSet(sset.points + state.d.reshape(1, 3), sset.frame)
-
-
 def perturb_sigma_points(
     sets: SigmaPointSet | np.ndarray,
     scale_std: float,
@@ -140,6 +135,10 @@ class RandomizationConfig:
             "alpha_range",
         ):
             _check_range(name, getattr(self, name))
+        if self.perception_delay_ms[0] < 0.0:
+            raise ValueError("perception_delay_ms: lower bound must be non-negative")
+        if self.alpha_range[0] <= 0.0:
+            raise ValueError("alpha_range: lower bound must be positive")
         for name in ("sigma_scale_noise_std", "sigma_rot_noise_std"):
             if getattr(self, name) < 0.0:
                 raise ValueError(f"{name} must be non-negative")

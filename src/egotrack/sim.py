@@ -18,14 +18,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigError, EgoTrackError
-from .estimator import (  # sim.associate_measurement stays importable; tracers patch it by name
-    N_POINTS,
-    FilterBank,
-    FilterConfig,
-    associate_measurement,
-    associate_points,
-)
+from .errors import ConfigError, EgoTrackError, NumericalError
+from .estimator import N_POINTS, FilterBank, FilterConfig, associate_measurement
 from .geometry import (
     CameraModel,
     RigidTransform,
@@ -192,6 +186,8 @@ class ScenarioConfig:
     mode: str = "deploy"
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ConfigError("scenario.seed must be non-negative")
         if self.duration <= 0.0:
             raise ConfigError("scenario.duration must be positive")
         if self.control_rate <= 0.0 or self.obs_rate <= 0.0:
@@ -669,7 +665,8 @@ def run_episode(
     drift magnitude, per-point error components per estimator, the logged
     downstream-facing set in training mode, reward terms when a task geometry
     is given).  Raises ``EgoTrackError`` when no tick can be scored, since
-    every aggregate metric would then be undefined.
+    every aggregate metric would then be undefined, and ``NumericalError``
+    when an aggregate metric is not finite.
     """
     cfg = bundle.config
     filter_cfg = filter_cfg or FilterConfig()
@@ -684,7 +681,8 @@ def run_episode(
         measurements = [m for m in measurements if m.available_at <= measurement_cutoff + _EPS]
 
     latency = cfg.obs_latency + (bundle.draw.perception_delay if bundle.draw else 0.0)
-    history_depth = cfg.history_depth(latency)
+    # An episode never holds more than n records, so a deeper history is the same bank.
+    history_depth = min(cfg.history_depth(latency), n)
     increments = None if disable_ego_compensation else ego_increments(bundle)
 
     # The no-compensation baseline is the filter's second lane: same
@@ -713,7 +711,7 @@ def run_episode(
         )
 
     # (estimator, tick, point, axis), pair ambiguity resolved against truth.
-    err = associate_points(truth, np.stack([filter_mean[:, :, 0:3], zoh_est, nocomp_est])) - truth
+    err = associate_measurement(truth, np.stack([filter_mean[:, :, 0:3], zoh_est, nocomp_est])) - truth
 
     training = cfg.mode == "training"
     columns = _columns(training, geom is not None)
@@ -797,4 +795,7 @@ def run_episode(
         reward_sums=reward_sums,
         terminal=None if terminal is None else terminal.value,
     )
+    aggregates = [*rmse_f, *rmse_z, *rmse_n, *abs_sum, sq_vel, *(reward_sums or {}).values()]
+    if not np.all(np.isfinite(aggregates)):
+        raise NumericalError("an episode metric is not finite; the filter or scoring overflowed")
     return metrics, EpisodeTable(columns, values)

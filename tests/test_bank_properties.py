@@ -9,14 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from egotrack.estimator import (
-    FilterBank,
-    FilterConfig,
-    associate_measurement,
-    associate_points,
-    compensate_ego_motion,
-    predict,
-)
+from egotrack.estimator import FilterBank, FilterConfig, associate_measurement
 from egotrack.geometry import CameraModel, RigidTransform, SigmaPointSet, rotation_rpy
 
 CFG = FilterConfig()
@@ -217,22 +210,34 @@ def test_each_lane_equals_a_one_lane_bank(ops):
     assert np.array_equal(both.estimate().points, alone[0].estimate().points)
 
 
+def _unfused_step(x, p, dt, rel):
+    """One point's predict, then its ego remap, as two separate steps."""
+    a = np.eye(6)
+    a[0:3, 3:6] = dt * np.eye(3)
+    x = np.concatenate([x[0:3] + dt * x[3:6], x[3:6]])
+    p = a @ p @ a.T + np.diag([CFG.q_pos] * 3 + [CFG.q_vel] * 3)
+    f = np.zeros((6, 6))
+    f[0:3, 0:3] = rel.rotation
+    f[3:6, 3:6] = rel.rotation
+    x = np.concatenate([rel.rotation @ x[0:3] + rel.translation, rel.rotation @ x[3:6]])
+    return x, f @ p @ f.T
+
+
 @SETTINGS
 @given(ops=st.lists(st.one_of(STEP, NOISE), min_size=1, max_size=30))
 def test_fused_step_matches_predict_then_compensate(ops):
-    """One fused bank step agrees with the predict and ego-remap wrappers to 1e-12."""
+    """One fused bank step agrees with a separate predict and ego remap to 1e-12."""
     bank = FilterBank(CFG, CAM, history_depth=50)
     bank.ingest(SigmaPointSet(BASE), 0.0)
     for op in ops:
         if isinstance(op, tuple):
             dt, rpy, t = op
             rel = RigidTransform(rotation_rpy(*rpy), np.array(t))
-            want = [compensate_ego_motion(predict(track, dt, CFG), rel) for track in bank.tracks]
+            want = [_unfused_step(x, p, dt, rel) for x, p in zip(bank.state[0][0], bank.state[1][0])]
             bank.step(dt, rel)
-            for got, ref in zip(bank.tracks, want):
-                assert np.abs(got.position - ref.position).max() <= 1e-12
-                assert np.abs(got.velocity - ref.velocity).max() <= 1e-12
-                assert np.abs(got.covariance - ref.covariance).max() <= 1e-12
+            for got_x, got_p, (x, p) in zip(bank.state[0][0], bank.state[1][0], want):
+                assert np.abs(got_x - x).max() <= 1e-12
+                assert np.abs(got_p - p).max() <= 1e-12
         else:
             bank.ingest(SigmaPointSet(bank.estimate().points + op), bank.stamp)
 
@@ -256,7 +261,7 @@ ELEMENT = st.one_of(st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0]), _floats(-3.0, 
 
 @SETTINGS
 @given(data=st.data())
-def test_associate_points_equals_pair_loop(data):
+def test_associate_measurement_equals_pair_loop(data):
     n = data.draw(st.integers(1, 12), label="sets")
     predicted = data.draw(arrays(float, (n, 7, 3), elements=ELEMENT), label="predicted")
     measured = data.draw(arrays(float, (n, 7, 3), elements=ELEMENT), label="measured")
@@ -268,7 +273,7 @@ def test_associate_points_equals_pair_loop(data):
     measured[data.draw(arrays(bool, n), label="blank rows")] = np.nan
     before = measured.copy()
 
-    got = associate_points(predicted, measured)
+    got = associate_measurement(predicted, measured)
     want = np.stack([_ref_associate(p, m) for p, m in zip(predicted, measured)])
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
     assert np.array_equal(measured.view(np.int64), before.view(np.int64))
@@ -283,7 +288,7 @@ def test_associate_points_equals_pair_loop(data):
 )
 def test_association_only_reorders_measured_pairs(predicted, measured):
     # predicted broadcasts over the leading axis, as one truth against several estimators
-    got = associate_points(predicted, measured)
+    got = associate_measurement(predicted, measured)
     assert got.shape == measured.shape
     assert np.array_equal(got[..., 0, :], measured[..., 0, :])
     for k in range(3):
@@ -292,4 +297,4 @@ def test_association_only_reorders_measured_pairs(predicted, measured):
         swapped = np.all(got[..., [i, j], :] == measured[..., [j, i], :], axis=(-2, -1))
         assert np.all(same | swapped)
     for e in range(2):
-        assert np.array_equal(got[e], associate_points(predicted, measured[e]))
+        assert np.array_equal(got[e], associate_measurement(predicted, measured[e]))

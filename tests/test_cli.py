@@ -1,8 +1,16 @@
+import contextlib
 import csv
+import io
 import json
+import math
+import os
+import tempfile
+import time
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from egotrack import cli
 from egotrack.cli import main
@@ -207,6 +215,17 @@ class TestRunCommand:
             ({"scenario": {"duration": 1.0, "drift_max": 0}}, "scenario.drift_max"),
             ({"scenario": {"duration": 1.0, "vo_trans_noise_std": -1}}, "scenario.vo_trans_noise_std"),
             ({"scenario": {"duration": 1.0, "vo_rot_noise_std": -0.1}}, "scenario.vo_rot_noise_std"),
+            (
+                {"scenario": {"duration": 1.0}, "mode": "training", "randomization": {"alpha_range": [0.0, 1.0]}},
+                "alpha_range",
+            ),
+            (
+                {"scenario": {"duration": 1.0, "obs_latency": 0.0}, "mode": "training",
+                 "randomization": {"perception_delay_ms": [-10.0, 0.0]}},
+                "perception_delay_ms",
+            ),
+            ({"scenario": {"duration": 1.0, "seed": -1}}, "scenario.seed"),
+            ({"scenario": {"duration": 1.0, "obs_latency": 1e308}}, "scenario"),
         ],
         ids=[
             "nan-duration",
@@ -229,6 +248,10 @@ class TestRunCommand:
             "zero-drift-max",
             "negative-vo-trans-noise",
             "negative-vo-rot-noise",
+            "zero-alpha-range",
+            "negative-perception-delay",
+            "negative-seed",
+            "huge-obs-latency",
         ],
     )
     def test_bad_leaf_exits_2_naming_the_key(self, tmp_path, capsys, payload, key):
@@ -270,6 +293,48 @@ class TestRunCommand:
         assert rc == 1
         assert "no tick scored" in err
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"mode": "training", "randomization": {"perception_delay_ms": [0.0, 1e308]}},
+            {"scenario": {"sensor": {"pixel_std_u": 1e308}}},
+            {"scenario": {"target": {"position": [1e308, 0.0, 0.0]}}},
+            {"scenario": {"target": {"velocity": [1e308, 0.0, 0.0]}}},
+            {"filter": {"q_vel": 1e308}},
+            {"scenario": {"alpha": 1e308}},
+        ],
+        ids=["huge-perception-delay", "huge-pixel-noise", "huge-position", "huge-velocity",
+             "huge-q-vel", "huge-alpha"],
+    )
+    def test_numeric_overflow_exits_1(self, tmp_path, capsys, payload):
+        user = {**payload, "scenario": {"duration": 1.0, "surface_samples": 256, **payload.get("scenario", {})}}
+        cfg = write_cfg(tmp_path, user)
+        rc = main(["run", "--config", cfg, "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "scenario",
+        [
+            {"sensor": {"pixel_std_u": -0.0}},
+            {"sensor": {"pixel_std_v": -0.0}},
+            {"sensor": {"depth_std": -0.0}},
+            {"drift_sigma": -0.0},
+        ],
+        ids=["pixel-std-u", "pixel-std-v", "depth-std", "drift-sigma"],
+    )
+    def test_negative_zero_noise_is_zero(self, tmp_path, scenario):
+        user = {"scenario": {"duration": 1.0, "surface_samples": 256, **scenario}, "mode": "training"}
+        runs = {}
+        for name, payload in (("neg", user), ("pos", json.loads(json.dumps(user).replace("-0.0", "0.0")))):
+            out = tmp_path / name
+            assert main(["run", "--config", write_cfg(tmp_path, payload, f"{name}.json"), "--out", str(out),
+                         "--quiet"]) == 0
+            runs[name] = (out / "metrics.csv").read_bytes()
+        assert runs["neg"] == runs["pos"]
 
     def test_unreadable_config_exits_2(self, tmp_path, capsys):
         rc = main(["run", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path / "o")])
@@ -375,3 +440,96 @@ def test_version(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert "egotrack" in capsys.readouterr().out
+
+
+# ---------------------------------------------------------------------------
+# CLI fuzz property: any config either runs to finite metrics or exits 1 or
+# 2 with one line.
+
+
+def _leaves(tree, path=()):
+    for key, value in tree.items():
+        if isinstance(value, dict):
+            yield from _leaves(value, path + (key,))
+        else:
+            yield path + (key,), value
+
+
+# Every configurable leaf, the task's included; duration is drawn separately.
+FUZZ_LEAVES = [
+    (path, default)
+    for path, default in _leaves(canonical_config({"scenario": {"duration": 1.0}, "task": {}}))
+    if path != ("scenario", "duration")
+]
+_EDGE_FLOATS = [0.0, -0.0, -1.0, 1e-300, 1e-9, 1e9, 1e308, -1e308, float("nan"), float("inf")]
+_EDGE_INTS = [-1, 0, 1, 2, 2**63]
+_WORDS = ["", "bogus", "sphere", "box", "cylinder", "static", "constant_velocity", "walking",
+          "turning", "cloud", "truth", "deploy", "training"]
+_WRONG_TYPE = st.sampled_from([None, True, "1.0", [], {}])
+
+
+def _fuzz_value(default):
+    """In-range, boundary, out-of-range and wrong-typed values for a leaf with this default."""
+    if isinstance(default, bool) or default is None:
+        return _WRONG_TYPE
+    if isinstance(default, int):
+        values = st.sampled_from(_EDGE_INTS + [default + 1, 2 * default])
+        return st.one_of(values, st.integers(-3, 300), _WRONG_TYPE)
+    if isinstance(default, float):
+        near = st.sampled_from([default * f for f in (0.5, 2.0, 10.0, -1.0)])
+        return st.one_of(near, st.sampled_from(_EDGE_FLOATS), st.floats(), _WRONG_TYPE)
+    if isinstance(default, str):
+        return st.one_of(st.sampled_from(_WORDS), _WRONG_TYPE)
+    near = st.sampled_from([[v * f for v in default] for f in (0.5, 2.0, -1.0)] + [default])
+    entry = st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats(-10.0, 10.0))
+    return st.one_of(
+        near,
+        st.lists(entry, min_size=len(default), max_size=len(default)),
+        st.lists(entry, max_size=len(default) + 1),
+        _WRONG_TYPE,
+    )
+
+
+@st.composite
+def fuzz_configs(draw):
+    user = {
+        "scenario": {"duration": draw(st.sampled_from([0.3, 0.6, 1.0])), "surface_samples": 64},
+        "mode": draw(st.sampled_from(["deploy", "training"])),
+    }
+    if draw(st.booleans()):
+        user["task"] = {}
+    for i in draw(st.lists(st.integers(0, len(FUZZ_LEAVES) - 1), min_size=1, max_size=3)):
+        path, default = FUZZ_LEAVES[i]
+        node = user
+        for key in path[:-1]:
+            node = node.setdefault(key, {})
+        node[path[-1]] = draw(_fuzz_value(default), label="/".join(path))
+    return user
+
+
+def _finite_metrics(metrics: dict) -> bool:
+    numbers = [*metrics["rmse_filter"], *metrics["rmse_zoh"], *metrics["rmse_nocomp"]]
+    numbers += [v for k, v in metrics.items() if k not in ("reward_sums", "terminal")
+                and not isinstance(v, list)]
+    numbers += list((metrics["reward_sums"] or {}).values())
+    return all(isinstance(v, (int, float)) and math.isfinite(v) for v in numbers)
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(user=fuzz_configs())
+def test_fuzzed_config_runs_or_exits_with_one_line(user):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = os.path.join(tmp, "cfg.json")
+        with open(cfg, "w", encoding="utf-8") as fh:
+            json.dump(user, fh)
+        err = io.StringIO()
+        start = time.perf_counter()
+        with contextlib.redirect_stderr(err):
+            rc = main(["run", "--config", cfg, "--out", os.path.join(tmp, "o"), "--quiet"])
+        assert time.perf_counter() - start < 60.0
+        assert rc in (0, 1, 2)
+        if rc == 0:
+            with open(os.path.join(tmp, "o", "summary.json"), encoding="utf-8") as fh:
+                assert _finite_metrics(json.load(fh)["metrics"])
+        else:
+            assert err.getvalue().count("\n") == 1

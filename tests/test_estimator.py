@@ -32,6 +32,21 @@ def base_set(center=(0.0, 0.0, 2.5)):
     return pts
 
 
+P0 = np.diag([1e-2] * 3 + [1e-1] * 3)
+Q = np.diag([CFG.q_pos] * 3 + [CFG.q_vel] * 3)
+EGO = np.array([True])[:, None, None]
+
+
+def one_state(position, velocity=(0.0, 0.0, 0.0), cov=P0):
+    """A batch of one state: mean (1, 6) and covariance (1, 6, 6)."""
+    return np.concatenate([position, velocity]).astype(float)[None], np.asarray(cov, dtype=float)[None]
+
+
+def step(mean, cov, dt, rotation=np.eye(3), translation=np.zeros(3), q=Q):
+    g, c = compensate_ego_motion(dt, rotation, translation, EGO)
+    return predict(mean, cov, g, c, q)
+
+
 class TestConfigAndPrimitives:
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -40,89 +55,91 @@ class TestConfigAndPrimitives:
             FilterConfig(sigma_z=-1.0)
 
     def test_init_track_prior(self):
-        t = init_track(np.array([1.0, 2.0, 3.0]), CFG, stamp=0.5)
-        np.testing.assert_array_equal(t.position, [1.0, 2.0, 3.0])
-        np.testing.assert_array_equal(t.velocity, np.zeros(3))
-        np.testing.assert_array_equal(
-            t.covariance, np.diag([1e-2] * 3 + [1e-1] * 3)
-        )
-        assert t.last_stamp == 0.5
+        mean, cov = init_track(np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]), P0)
+        np.testing.assert_array_equal(mean[:, 0:3], [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+        np.testing.assert_array_equal(mean[:, 3:6], np.zeros((2, 3)))
+        np.testing.assert_array_equal(cov, [P0, P0])
 
     def test_predict_moves_with_velocity(self):
-        t = init_track(np.zeros(3), CFG, 0.0)
-        t = type(t)(t.position, np.array([1.0, -2.0, 0.5]), t.covariance, t.last_stamp)
-        out = predict(t, 0.02, CFG)
-        np.testing.assert_allclose(out.position, [0.02, -0.04, 0.01], atol=1e-15)
-        np.testing.assert_array_equal(out.velocity, t.velocity)
-        assert out.last_stamp == pytest.approx(0.02)
+        mean, cov = one_state(np.zeros(3), [1.0, -2.0, 0.5])
+        out, _ = step(mean, cov, 0.02)
+        np.testing.assert_allclose(out[0, 0:3], [0.02, -0.04, 0.01], atol=1e-15)
+        np.testing.assert_array_equal(out[0, 3:6], mean[0, 3:6])
 
     def test_predict_covariance_form(self):
-        t = init_track(np.zeros(3), CFG, 0.0)
+        mean, cov = one_state(np.zeros(3))
         dt = 0.1
-        out = predict(t, dt, CFG)
+        _, out = step(mean, cov, dt)
         a = np.eye(6)
         a[0:3, 3:6] = dt * np.eye(3)
-        want = a @ t.covariance @ a.T + np.diag([CFG.q_pos] * 3 + [CFG.q_vel] * 3)
-        np.testing.assert_allclose(out.covariance, want, atol=1e-15)
+        np.testing.assert_allclose(out[0], a @ cov[0] @ a.T + Q, atol=1e-15)
 
     def test_predict_adds_noise_even_for_zero_dt(self):
-        t = init_track(np.zeros(3), CFG, 0.0)
-        out = predict(t, 0.0, CFG)
-        np.testing.assert_array_equal(out.position, t.position)
-        assert out.covariance[0, 0] == pytest.approx(t.covariance[0, 0] + CFG.q_pos)
+        mean, cov = one_state(np.zeros(3))
+        out_mean, out_cov = step(mean, cov, 0.0)
+        np.testing.assert_array_equal(out_mean, mean)
+        assert out_cov[0, 0, 0] == pytest.approx(cov[0, 0, 0] + CFG.q_pos)
 
     def test_predict_rejects_negative_dt(self):
-        t = init_track(np.zeros(3), CFG, 0.0)
         with pytest.raises(ValueError):
-            predict(t, -0.01, CFG)
+            compensate_ego_motion(-0.01, np.eye(3), np.zeros(3), EGO)
 
     def test_compensation_remaps_state(self):
-        t = init_track(np.array([1.0, 0.0, 2.0]), CFG, 0.0)
-        t = type(t)(t.position, np.array([0.5, 0.0, 0.0]), t.covariance, 0.0)
-        rel = RigidTransform(rotation_z(np.pi / 2.0), np.array([0.0, 0.0, 1.0]))
-        out = compensate_ego_motion(t, rel)
-        np.testing.assert_allclose(out.position, [0.0, 1.0, 3.0], atol=1e-12)
-        np.testing.assert_allclose(out.velocity, [0.0, 0.5, 0.0], atol=1e-12)
+        mean, cov = one_state([1.0, 0.0, 2.0], [0.5, 0.0, 0.0])
+        # dt = 0 and no process noise leave only the ego remap.
+        out_mean, out_cov = step(mean, cov, 0.0, rotation_z(np.pi / 2.0), np.array([0.0, 0.0, 1.0]),
+                                 q=np.zeros((6, 6)))
+        np.testing.assert_allclose(out_mean[0, 0:3], [0.0, 1.0, 3.0], atol=1e-12)
+        np.testing.assert_allclose(out_mean[0, 3:6], [0.0, 0.5, 0.0], atol=1e-12)
         # covariance conjugated blockwise, no inflation
-        np.testing.assert_allclose(np.trace(out.covariance), np.trace(t.covariance), atol=1e-12)
+        np.testing.assert_allclose(np.trace(out_cov[0]), np.trace(cov[0]), atol=1e-12)
+
+    def test_lane_without_ego_skips_the_increment(self):
+        dt, rot, t = 0.05, rotation_z(0.3), np.array([0.1, -0.2, 0.3])
+        g, c = compensate_ego_motion(dt, rot, t, np.array([True, False])[:, None, None])
+        a = np.eye(6)
+        a[0:3, 3:6] = dt * np.eye(3)
+        f = np.zeros((6, 6))
+        f[0:3, 0:3] = f[3:6, 3:6] = rot
+        np.testing.assert_allclose(g[0], f @ a, atol=1e-15)
+        np.testing.assert_array_equal(c[0], np.concatenate([t, np.zeros(3)]))
+        np.testing.assert_array_equal(g[1], a)
+        np.testing.assert_array_equal(c[1], np.zeros(6))
 
     def test_measurement_covariance_depth_scaling(self):
-        r1 = measurement_covariance(CAM, 1.0, CFG)
+        r1, r2 = measurement_covariance(CAM, np.array([1.0, 2.0]), CFG)
         np.testing.assert_allclose(np.diag(r1), [0.0016, 0.0016, 0.0025], atol=1e-18)
-        r2 = measurement_covariance(CAM, 2.0, CFG)
         np.testing.assert_allclose(np.diag(r2), [0.0064, 0.0064, 0.0025], atol=1e-18)
         with pytest.raises(InvalidDepthError):
-            measurement_covariance(CAM, 0.0, CFG)
+            measurement_covariance(CAM, np.array([1.0, 0.0]), CFG)
 
     def test_update_matches_simple_form(self):
         rng = np.random.default_rng(20)
         for _ in range(25):
             m = rng.normal(size=(6, 6))
             p = m @ m.T + 1e-3 * np.eye(6)
-            t = init_track(rng.normal(size=3), CFG, 0.0)
-            t = type(t)(t.position, rng.normal(size=3), p, 0.0)
-            z = t.position + rng.normal(0.0, 0.1, 3)
-            r_t = measurement_covariance(CAM, 2.0, CFG)
-            out = update(t, z, r_t, CFG)
+            mean, cov = one_state(rng.normal(size=3), rng.normal(size=3), p)
+            z = mean[0, 0:3] + rng.normal(0.0, 0.1, 3)
+            r_t = measurement_covariance(CAM, np.array([2.0]), CFG)
+            out_mean, out_cov = update(mean, cov, z[None], r_t)
 
             h = np.zeros((3, 6))
             h[:, 0:3] = np.eye(3)
-            x = np.concatenate([t.position, t.velocity])
-            s = h @ p @ h.T + r_t
+            x = mean[0]
+            s = h @ p @ h.T + r_t[0]
             k = p @ h.T @ np.linalg.inv(s)
             x2 = x + k @ (z - h @ x)
             p2 = (np.eye(6) - k @ h) @ p
-            np.testing.assert_allclose(out.position, x2[0:3], atol=1e-10)
-            np.testing.assert_allclose(out.velocity, x2[3:6], atol=1e-10)
-            np.testing.assert_allclose(out.covariance, p2, atol=1e-9)
-            np.testing.assert_allclose(out.covariance, out.covariance.T, atol=1e-15)
+            np.testing.assert_allclose(out_mean[0], x2, atol=1e-10)
+            np.testing.assert_allclose(out_cov[0], p2, atol=1e-9)
+            np.testing.assert_allclose(out_cov[0], out_cov[0].T, atol=1e-15)
 
     def test_update_shrinks_covariance(self):
-        t = init_track(np.array([0.0, 0.0, 2.0]), CFG, 0.0)
-        r_t = measurement_covariance(CAM, 2.0, CFG)
-        out = update(t, t.position, r_t, CFG)
-        np.testing.assert_array_equal(out.position, t.position)
-        assert out.covariance[0, 0] < t.covariance[0, 0]
+        mean, cov = one_state([0.0, 0.0, 2.0])
+        r_t = measurement_covariance(CAM, np.array([2.0]), CFG)
+        out_mean, out_cov = update(mean, cov, mean[:, 0:3], r_t)
+        np.testing.assert_array_equal(out_mean, mean)
+        assert out_cov[0, 0, 0] < cov[0, 0, 0]
 
 
 class TestAssociation:
@@ -222,9 +239,7 @@ class TestFilterBank:
         bank.ingest(SigmaPointSet(far), bank.stamp)
         np.testing.assert_allclose(bank.estimate().points, far, atol=1e-12)
         np.testing.assert_array_equal(bank.velocities(), np.zeros((7, 3)))
-        np.testing.assert_allclose(
-            bank.tracks[0].covariance, np.diag([1e-2] * 3 + [1e-1] * 3), atol=1e-15
-        )
+        np.testing.assert_allclose(bank.state[1][0, 0], P0, atol=1e-15)
 
     def test_reacquire_resets_only_rows_failing_the_gate(self):
         bank = FilterBank(CFG, CAM, reacquire_window=0.5, reacquire_gate=5.0)
@@ -234,13 +249,12 @@ class TestFilterBank:
         z = base_set()
         z[0] += (0.0, 3.0, 0.0)  # centroid far off; its +/- pairs stay close
         bank.ingest(SigmaPointSet(z), bank.stamp)
-        p0 = np.diag([1e-2] * 3 + [1e-1] * 3)
-        tracks = bank.tracks
-        np.testing.assert_array_equal(tracks[0].position, z[0])
-        np.testing.assert_array_equal(tracks[0].covariance, p0)
-        for track in tracks[1:]:
+        mean, cov = bank.state[0][0], bank.state[1][0]
+        np.testing.assert_array_equal(mean[0, 0:3], z[0])
+        np.testing.assert_array_equal(cov[0], P0)
+        for point_cov in cov[1:]:
             # updated, not reset: keeps the position-velocity cross term
-            assert track.covariance[0, 3] != 0.0
+            assert point_cov[0, 3] != 0.0
 
     def test_close_measurement_updates_instead_of_reinit(self):
         bank = FilterBank(CFG, CAM, reacquire_window=0.5, reacquire_gate=5.0)

@@ -5,6 +5,7 @@ from egotrack.errors import (
     DegenerateGeometryError,
     FrameMismatchError,
     InvalidDepthError,
+    NumericalError,
 )
 from egotrack.geometry import (
     CameraModel,
@@ -130,13 +131,6 @@ class TestRigidTransform:
         batch = t.apply_points(pts)
         for i in range(11):
             np.testing.assert_allclose(batch[i], t.apply_point(pts[i]), atol=1e-12)
-
-    def test_apply_vectors_ignores_translation(self):
-        rng = np.random.default_rng(5)
-        t = RigidTransform(random_rotation(rng), np.array([10.0, -5.0, 3.0]))
-        v = rng.normal(size=(4, 3))
-        np.testing.assert_allclose(t.apply_vectors(v), v @ t.rotation.T, atol=1e-15)
-
 
 
 class TestProjection:
@@ -289,6 +283,11 @@ class TestWeightedPca:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             weighted_pca(np.zeros((2, 3)), np.ones(3))
+
+    def test_overflowing_covariance_is_a_numerical_error(self):
+        pts = np.array([[0.0, 0.0, 1.0], [1e308, 0.0, 1.0], [-1e308, 1e308, 1.0]])
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericalError):
+            weighted_pca(pts, np.ones(3))
 
     def test_sign_convention_is_stable(self):
         rng = np.random.default_rng(11)

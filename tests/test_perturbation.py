@@ -7,7 +7,6 @@ from egotrack.geometry import SigmaPointSet
 from egotrack.perturbation import (
     DriftState,
     RandomizationConfig,
-    apply_drift,
     drift_step,
     perturb_sigma_points,
     sample_randomization,
@@ -60,12 +59,6 @@ class TestDrift:
         state = DriftState(np.zeros(3), 0.01, 0.1)
         drift_step(state, rng, target_visible=False)
         np.testing.assert_array_equal(state.d, np.zeros(3))
-
-    def test_apply_drift_shifts_all_points(self):
-        state = DriftState(np.array([0.01, -0.02, 0.03]), 0.01, 0.1)
-        sset = sample_set()
-        out = apply_drift(sset, state)
-        np.testing.assert_allclose(out.points - sset.points, np.tile(state.d, (7, 1)), atol=1e-15)
 
 
 class TestShapePerturbation:

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from egotrack import sim
-from egotrack.errors import ConfigError
-from egotrack.estimator import FilterBank
+from egotrack.errors import ConfigError, EgoTrackError, NumericalError
+from egotrack.estimator import FilterBank, FilterConfig
 from egotrack.geometry import (
     CameraModel,
     RigidTransform,
@@ -15,6 +15,7 @@ from egotrack.geometry import (
     sigma_points_from_cloud,
     transform_points,
 )
+from egotrack.perturbation import RandomizationConfig
 from egotrack.shapes import sample_box, sample_cylinder, sample_shape, sample_sphere
 from egotrack.sim import (
     MAX_REPLAY_WORK,
@@ -398,6 +399,28 @@ class TestRunEpisode:
         assert "obs_p0_x" not in table.columns
         assert metrics.reward_sums is None and metrics.terminal is None
         assert metrics.visible_fraction == 1.0
+
+    def test_non_finite_metric_is_a_numerical_error(self):
+        bundle = generate_scenario(quick_cfg())
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericalError):
+            run_episode(bundle, FilterConfig(q_vel=1e308))
+
+    def test_history_depth_is_clamped_to_the_episode(self, monkeypatch):
+        # A perception delay of ~1e305 s asks for more records than any
+        # deque can hold; the bank only ever needs one per tick.
+        depths = []
+        real = sim.FilterBank
+
+        def bank(*args, history_depth, **kwargs):
+            depths.append(history_depth)
+            return real(*args, history_depth=history_depth, **kwargs)
+
+        monkeypatch.setattr(sim, "FilterBank", bank)
+        delay = RandomizationConfig(perception_delay_ms=(1e308, 1e308))
+        cfg = quick_cfg(mode="training", randomization=delay)
+        with pytest.raises(EgoTrackError, match="no tick scored"):
+            run_episode(generate_scenario(cfg))
+        assert depths == [cfg.n_ticks + 1]
 
     def test_reward_columns_with_geometry(self):
         geom = TaskGeometry(p_opt=[0.0, 0.0, 0.0], theta_opt=[0.0, 0.0, 0.0], p_hint=[0.1, 0.0, 0.0])
