@@ -38,12 +38,10 @@ from .geometry import (
     RigidTransform,
     SigmaPointSet,
     SurfacePointCloud,
-    backproject_pixel,
     backproject_pixels,
     check_rotations,
     compute_visible_set,
     extract_sigma_points,
-    project_point,
     project_points,
     rotate,
     rotation_about_axis,
@@ -99,7 +97,6 @@ from .tasklogic import (
     cross_track_error,
     sample_init,
     terminal_status,
-    wrap_angle,
     wrap_angles,
 )
 

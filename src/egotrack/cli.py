@@ -88,7 +88,7 @@ def execute_run(
     oosm_mode: str = "replay",
 ) -> dict:
     """Run one episode from a canonical config and write the output files."""
-    scenario, filter_cfg, criteria, reward, _asc, task = build_configs(canonical)
+    scenario, filter_cfg, criteria, reward, task = build_configs(canonical)
     # An overflow or invalid value ends the run with one error line instead
     # of printing warnings and scoring what is left.
     try:
@@ -136,17 +136,18 @@ def execute_run(
     return summary
 
 
-def _canonical_with_overrides(args) -> dict:
-    user = _read_user_config(args.config)
-    if getattr(args, "seed", None) is not None:
-        user.setdefault("scenario", {})["seed"] = args.seed
-    if getattr(args, "mode", None):
-        user["mode"] = args.mode
+def _canonical_with_overrides(user: dict, seed: int | None, mode: str | None) -> dict:
+    """``canonical_config`` of a user config with the CLI's seed and mode
+    overrides; ``user`` itself is left unchanged."""
+    if seed is not None and isinstance(user.get("scenario", {}), dict):
+        user = {**user, "scenario": {**user.get("scenario", {}), "seed": seed}}
+    if mode:
+        user = {**user, "mode": mode}
     return canonical_config(user)
 
 
 def _cmd_run(args) -> int:
-    canonical = _canonical_with_overrides(args)
+    canonical = _canonical_with_overrides(_read_user_config(args.config), args.seed, args.mode)
     execute_run(
         canonical,
         args.out,
@@ -173,20 +174,18 @@ def _parse_seed_range(text: str) -> list[int]:
 def _cmd_sweep(args) -> int:
     seeds = _parse_seed_range(args.seeds)
     user = _read_user_config(args.config)
-    if getattr(args, "mode", None):
-        user["mode"] = args.mode
+    # A config error is the same for every seed: report it once, before any
+    # output is written, and exit 2 as ``run`` does.
+    build_configs(_canonical_with_overrides(user, seeds[0], args.mode))
     os.makedirs(args.out, exist_ok=True)
     per_seed: dict = {}
     values: dict[str, list[float]] = {k: [] for k in _SWEEP_KEYS}
     failures = 0
     for seed in seeds:
-        seeded = json.loads(json.dumps(user))
-        seeded.setdefault("scenario", {})["seed"] = seed
         sub = os.path.join(args.out, f"seed-{seed}")
         try:
-            canonical = canonical_config(seeded)
             summary = execute_run(
-                canonical,
+                _canonical_with_overrides(user, seed, args.mode),
                 sub,
                 args.config,
                 quiet=args.quiet,

@@ -27,7 +27,7 @@ from .errors import ConfigError
 from .estimator import FilterConfig
 from .perturbation import RandomizationConfig
 from .sim import ScenarioConfig
-from .tasklogic import AscConfig, CriteriaConfig, RewardConfig, TaskGeometry
+from .tasklogic import CriteriaConfig, RewardConfig, TaskGeometry
 
 _type_hints = functools.cache(typing.get_type_hints)
 _default_instance = functools.cache(lambda cls: cls())
@@ -52,7 +52,6 @@ def _defaults() -> dict:
         "filter": _as_json(FilterConfig()),
         "criteria": _as_json(CriteriaConfig()),
         "reward": _as_json(RewardConfig()),
-        "asc": _as_json(AscConfig()),
         "randomization": _as_json(RandomizationConfig()),
         # null disables per-tick reward/terminal evaluation.
         "task": None,
@@ -156,7 +155,7 @@ def build_configs(canonical: dict):
     """Instantiate the typed configuration objects from the canonical dict.
 
     Returns (ScenarioConfig, FilterConfig, CriteriaConfig, RewardConfig,
-    AscConfig, TaskGeometry | None).
+    TaskGeometry | None).
     """
     randomization = None
     if canonical["mode"] == "training":
@@ -174,6 +173,5 @@ def build_configs(canonical: dict):
         _build(FilterConfig, canonical["filter"], "filter"),
         _build(CriteriaConfig, canonical["criteria"], "criteria"),
         _build(RewardConfig, canonical["reward"], "reward"),
-        _build(AscConfig, canonical["asc"], "asc"),
         task,
     )

@@ -219,8 +219,7 @@ class FilterBank:
     The bank carries one lane per entry of ``ego_lanes``: every lane sees the
     same steps and measurements, and a lane applies the ego increment only
     when its flag is true (a false lane is the no-compensation baseline).
-    One rollback replays all lanes at once.  ``estimate`` and ``velocities``
-    read lane 0.
+    One rollback replays all lanes at once.  ``estimate`` reads lane 0.
 
     The bank starts uninitialized; the first accepted measurement creates the
     filters at its own stamp and replays forward, so initialization is
@@ -266,19 +265,13 @@ class FilterBank:
             return None
         return SigmaPointSet(self.state[0][0, :, 0:3].copy())
 
-    def velocities(self) -> np.ndarray | None:
-        if self.state is None:
-            return None
-        return self.state[0][0, :, 3:6].copy()
-
-    def step(self, dt: float, t_rel: RigidTransform) -> SigmaPointSet | None:
+    def step(self, dt: float, t_rel: RigidTransform) -> None:
         """Advance one control tick: predict then remap by the ego increment."""
         self._advance(dt, t_rel.rotation, t_rel.translation)
-        return self.estimate()
 
     def _advance(self, dt: float, rotation: np.ndarray, translation: np.ndarray) -> None:
         """``step`` on an increment given as arrays the caller has already
-        checked (see ``geometry.check_rotations``), without the estimate copy."""
+        checked (see ``geometry.check_rotations``)."""
         g, c = compensate_ego_motion(dt, rotation, translation, self._ego)
         rec = _StepRecord(self.stamp + dt, g[:, None], c[:, None])
         if self.state is not None:

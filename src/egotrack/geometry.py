@@ -139,9 +139,6 @@ class RigidTransform:
             self.to_frame,
         )
 
-    def apply_point(self, p) -> np.ndarray:
-        return self.rotation @ _vec3(p) + self.translation
-
     def apply_points(self, points: np.ndarray) -> np.ndarray:
         pts = np.asarray(points, dtype=float).reshape(-1, 3)
         return pts @ self.rotation.T + self.translation
@@ -168,28 +165,14 @@ class CameraModel:
             raise ValueError("near plane must be positive")
 
 
-def project_point(cam: CameraModel, p) -> tuple[np.ndarray, bool]:
-    """Project one camera-frame point; returns (pixel, in_fov).
+def project_points(cam: CameraModel, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Project camera-frame points; returns (pixels (N,2), in_fov (N,)).
 
     Points closer than the near plane (including behind the camera) are never
     in the field of view.  For those the pixel is still finite: it is computed
     with the depth clamped to the near plane so callers get a usable direction
     instead of an overflow.
     """
-    p = _vec3(p)
-    z = p[2] if p[2] >= cam.near_z else cam.near_z
-    u = cam.fx * p[0] / z + cam.cx
-    v = cam.fy * p[1] / z + cam.cy
-    in_fov = (
-        p[2] >= cam.near_z
-        and 0.0 <= u < cam.width
-        and 0.0 <= v < cam.height
-    )
-    return np.array([u, v]), bool(in_fov)
-
-
-def project_points(cam: CameraModel, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized ``project_point``; returns (pixels (N,2), in_fov (N,))."""
     pts = np.asarray(points, dtype=float).reshape(-1, 3)
     z = np.maximum(pts[:, 2], cam.near_z)
     u = cam.fx * pts[:, 0] / z + cam.cx
@@ -204,15 +187,8 @@ def project_points(cam: CameraModel, points: np.ndarray) -> tuple[np.ndarray, np
     return np.stack([u, v], axis=1), in_fov
 
 
-def backproject_pixel(cam: CameraModel, pixel, depth: float) -> np.ndarray:
-    """Invert the pinhole model at a given metric depth along the optical axis."""
-    if depth < cam.near_z:
-        raise InvalidDepthError(f"depth {depth!r} is in front of the near plane {cam.near_z!r}")
-    u, v = float(pixel[0]), float(pixel[1])
-    return np.array([(u - cam.cx) * depth / cam.fx, (v - cam.cy) * depth / cam.fy, depth])
-
-
 def backproject_pixels(cam: CameraModel, pixels: np.ndarray, depths: np.ndarray) -> np.ndarray:
+    """Invert the pinhole model at given metric depths along the optical axis."""
     pix = np.asarray(pixels, dtype=float).reshape(-1, 2)
     d = np.asarray(depths, dtype=float).reshape(-1)
     if np.any(d < cam.near_z):

@@ -146,23 +146,13 @@ class RandomizationConfig:
 
 @dataclass(frozen=True)
 class RandomizationDraw:
-    """One episode's sampled randomization; serializable for reproducibility."""
+    """One episode's sampled randomization."""
 
     extrinsic_offset: RigidTransform
     perception_delay: float  # s
     sigma_scale_noise_std: float
     sigma_rot_noise_std: float
     alpha: float
-
-    def to_dict(self) -> dict:
-        return {
-            "extrinsic_rotation": self.extrinsic_offset.rotation.tolist(),
-            "extrinsic_translation": self.extrinsic_offset.translation.tolist(),
-            "perception_delay": self.perception_delay,
-            "sigma_scale_noise_std": self.sigma_scale_noise_std,
-            "sigma_rot_noise_std": self.sigma_rot_noise_std,
-            "alpha": self.alpha,
-        }
 
 
 def sample_randomization(cfg: RandomizationConfig, rng: np.random.Generator) -> RandomizationDraw:

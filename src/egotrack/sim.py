@@ -13,7 +13,7 @@ noise-free estimator would reproduce.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -226,7 +226,7 @@ class ScenarioConfig:
         delays = (self.randomization or RandomizationConfig()).perception_delay_ms
         max_delay = delays[1] * 1e-3 if self.mode == "training" else 0.0
         deliveries = self.n_ticks // self.obs_stride + 1
-        depth = min(self.history_depth(self.obs_latency + max_delay), self.n_ticks + 1)
+        depth = self.history_depth(self.obs_latency + max_delay)
         if deliveries * depth > MAX_REPLAY_WORK:
             raise ConfigError(
                 f"scenario.obs_latency: {deliveries} deliveries x replay depth {depth} ticks "
@@ -247,8 +247,11 @@ class ScenarioConfig:
 
     def history_depth(self, latency: float) -> int:
         """Filter-bank history, in ticks, that covers a measurement ``latency``
-        seconds late plus one observation period."""
-        return max(30, int(math.ceil((latency + 1.0 / self.obs_rate) / self.dt)) + 5)
+        seconds late plus one observation period, clamped (before the integer
+        conversion, which a huge latency would overflow) to the ``n_ticks + 1``
+        records an episode holds, since a deeper history is the same bank."""
+        ticks = min((latency + 1.0 / self.obs_rate) / self.dt, self.n_ticks + 1)
+        return min(max(30, math.ceil(ticks) + 5), self.n_ticks + 1)
 
 
 @dataclass
@@ -502,7 +505,7 @@ def ego_increments(bundle: TrajectoryBundle) -> tuple[np.ndarray, np.ndarray]:
 
 def _run_bank(
     times: np.ndarray,
-    increments: tuple[np.ndarray, np.ndarray] | None,
+    increments: tuple[np.ndarray, np.ndarray],
     measurements: list[Measurement],
     cfg: FilterConfig,
     cam: CameraModel,
@@ -512,10 +515,11 @@ def _run_bank(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Drive one filter bank over the episode.
 
-    ``increments`` are ``ego_increments``' arrays, or None for the identity
-    at every step.  Returns the bank mean of every lane at every tick, shaped
-    ``(ticks, lanes, 7, 6)`` (position then velocity) and NaN before
-    initialization, and the ``(ticks,)`` mask of ticks that have an estimate.
+    ``increments`` are ``ego_increments``' arrays; a lane whose
+    ``ego_lanes`` flag is false never applies them.  Returns the bank mean of
+    every lane at every tick, shaped ``(ticks, lanes, 7, 6)`` (position then
+    velocity) and NaN before initialization, and the ``(ticks,)`` mask of
+    ticks that have an estimate.
     """
     bank = FilterBank(
         cfg,
@@ -527,13 +531,9 @@ def _run_bank(
     )
     delivered, count = _deliveries(measurements, times)
     done = 0
-    if increments is None:
-        rotations = np.broadcast_to(np.eye(3), (len(times), 3, 3))
-        translations = np.zeros((len(times), 3))
-    else:
-        rotations, translations = increments
-        # The check each RigidTransform would run, once for the whole stack.
-        check_rotations(rotations)
+    rotations, translations = increments
+    # The check each RigidTransform would run, once for the whole stack.
+    check_rotations(rotations)
     means = np.full((len(times), len(ego_lanes), N_POINTS, 6), np.nan)
     has = np.zeros(len(times), dtype=bool)
     for k in range(len(times)):
@@ -550,19 +550,20 @@ def _run_bank(
 
 def baseline_no_compensation(
     times: np.ndarray,
+    increments: tuple[np.ndarray, np.ndarray],
     measurements: list[Measurement],
     cfg: FilterConfig,
     cam: CameraModel,
     history_depth: int = 30,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Identical replay filter bank that never applies the ego increment.
+    """Identical replay filter bank that never applies the ego ``increments``.
 
     Returns per-tick positions ``(ticks, 7, 3)``, NaN before initialization,
     and the has-estimate mask.  ``run_episode`` runs this as the second lane
     of the filter's own bank; it calls it alone only when the filter does
     not replay (``oosm_mode="in_place"``).
     """
-    means, has = _run_bank(times, None, measurements, cfg, cam, history_depth, ego_lanes=(False,))
+    means, has = _run_bank(times, increments, measurements, cfg, cam, history_depth, ego_lanes=(False,))
     return means[:, 0, :, 0:3], has
 
 
@@ -598,24 +599,7 @@ class EpisodeMetrics:
     terminal: str | None
 
     def to_dict(self) -> dict:
-        return {
-            "rmse_filter": list(self.rmse_filter),
-            "rmse_zoh": list(self.rmse_zoh),
-            "rmse_nocomp": list(self.rmse_nocomp),
-            "rmse_filter_centroid": self.rmse_filter_centroid,
-            "rmse_zoh_centroid": self.rmse_zoh_centroid,
-            "rmse_nocomp_centroid": self.rmse_nocomp_centroid,
-            "mean_err_filter": self.mean_err_filter,
-            "mean_err_zoh": self.mean_err_zoh,
-            "mean_err_nocomp": self.mean_err_nocomp,
-            "velocity_rmse": self.velocity_rmse,
-            "visible_fraction": self.visible_fraction,
-            "max_drift": self.max_drift,
-            "ticks": self.ticks,
-            "scored_ticks": self.scored_ticks,
-            "reward_sums": self.reward_sums,
-            "terminal": self.terminal,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -681,24 +665,24 @@ def run_episode(
         measurements = [m for m in measurements if m.available_at <= measurement_cutoff + _EPS]
 
     latency = cfg.obs_latency + (bundle.draw.perception_delay if bundle.draw else 0.0)
-    # An episode never holds more than n records, so a deeper history is the same bank.
-    history_depth = min(cfg.history_depth(latency), n)
-    increments = None if disable_ego_compensation else ego_increments(bundle)
+    history_depth = cfg.history_depth(latency)
+    increments = ego_increments(bundle)
+    ego = not disable_ego_compensation  # the filter lane's flag
 
     # The no-compensation baseline is the filter's second lane: same
     # measurements at the same ticks, so one rollback replays both.  Only the
     # replay bank can carry it; an in_place filter runs alone.
     if oosm_mode == "replay":
         means, has_filter = _run_bank(
-            times, increments, measurements, filter_cfg, cam, history_depth, ego_lanes=(True, False)
+            times, increments, measurements, filter_cfg, cam, history_depth, ego_lanes=(ego, False)
         )
         nocomp_est, has_nocomp = means[:, 1, :, 0:3], has_filter
     else:
         means, has_filter = _run_bank(
-            times, increments, measurements, filter_cfg, cam, history_depth, oosm_mode
+            times, increments, measurements, filter_cfg, cam, history_depth, oosm_mode, ego_lanes=(ego,)
         )
         nocomp_est, has_nocomp = baseline_no_compensation(
-            times, measurements, filter_cfg, cam, history_depth
+            times, increments, measurements, filter_cfg, cam, history_depth
         )
     filter_mean = means[:, 0]
     zoh_est, has_zoh = baseline_zoh(measurements, times)

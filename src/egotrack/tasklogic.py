@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -27,11 +27,6 @@ def wrap_angles(a) -> np.ndarray:
     """Wrap each angle to (-pi, pi]."""
     w = (np.asarray(a, dtype=float) + math.pi) % TWO_PI - math.pi
     return np.where(w == -math.pi, math.pi, w)
-
-
-def wrap_angle(a: float) -> float:
-    """Wrap one angle to (-pi, pi]; the scalar case of ``wrap_angles``."""
-    return float(wrap_angles(a))
 
 
 def _scalar(x):
@@ -227,16 +222,7 @@ class RewardBreakdown:
     total: float | np.ndarray
 
     def to_dict(self) -> dict:
-        return {
-            "hint": self.hint,
-            "opt": self.opt,
-            "miss": self.miss,
-            "roll": self.roll,
-            "ang": self.ang,
-            "smooth": self.smooth,
-            "limit": self.limit,
-            "total": self.total,
-        }
+        return asdict(self)
 
 
 def _kernel(sq: float, sigma: float) -> float:

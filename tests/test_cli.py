@@ -19,7 +19,7 @@ from egotrack.errors import ConfigError
 from egotrack.estimator import FilterConfig
 from egotrack.perturbation import RandomizationConfig
 from egotrack.sim import MAX_SURFACE_SAMPLES, MAX_TICK_SAMPLES, MAX_TICKS, ScenarioConfig
-from egotrack.tasklogic import AscConfig, CriteriaConfig, RewardConfig, TaskGeometry
+from egotrack.tasklogic import CriteriaConfig, RewardConfig, TaskGeometry
 
 
 def write_cfg(tmp_path, payload, name="cfg.json"):
@@ -59,19 +59,18 @@ class TestConfigModule:
         c = canonical_config(
             {"scenario": {"duration": 1.0}, "task": {"p_opt": [1.0, 0.0, 0.0]}}
         )
-        scenario, _, _, _, _, task = build_configs(c)
+        scenario, _, _, _, task = build_configs(c)
         assert scenario.duration == 1.0
         assert task is not None and task.p_opt[0] == 1.0
 
     def test_defaults_are_the_dataclass_defaults(self):
-        scenario, filt, crit, reward, asc, task = build_configs(
+        scenario, filt, crit, reward, task = build_configs(
             canonical_config({"scenario": {"duration": 2.0}})
         )
         assert scenario == ScenarioConfig(duration=2.0)
         assert filt == FilterConfig()
         assert crit == CriteriaConfig()
         assert reward == RewardConfig()
-        assert asc == AscConfig()
         assert task is None
         scenario, *_, task = build_configs(
             canonical_config({"scenario": {"duration": 2.0}, "mode": "training", "task": {}})
@@ -168,11 +167,12 @@ class TestRunCommand:
     def test_unknown_key_exits_2(self, tmp_path, capsys):
         for payload, key in (
             ({"scenario": {"duration": 1.0, "durration": 2.0}}, "scenario.durration"),
-            # removed: nothing read it
+            # removed: nothing read them
             (
                 {"scenario": {"duration": 1.0}, "randomization": {"friction_range": [0.2, 5.0]}},
                 "randomization.friction_range",
             ),
+            ({"scenario": {"duration": 1.0}, "asc": {"lambda_asc": 5.0}}, "'asc'"),
         ):
             cfg = write_cfg(tmp_path, payload)
             rc = main(["run", "--config", cfg, "--out", str(tmp_path / "o")])
@@ -225,7 +225,6 @@ class TestRunCommand:
                 "perception_delay_ms",
             ),
             ({"scenario": {"duration": 1.0, "seed": -1}}, "scenario.seed"),
-            ({"scenario": {"duration": 1.0, "obs_latency": 1e308}}, "scenario"),
         ],
         ids=[
             "nan-duration",
@@ -251,7 +250,6 @@ class TestRunCommand:
             "zero-alpha-range",
             "negative-perception-delay",
             "negative-seed",
-            "huge-obs-latency",
         ],
     )
     def test_bad_leaf_exits_2_naming_the_key(self, tmp_path, capsys, payload, key):
@@ -283,6 +281,16 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert rc == 2
         assert key in err and "cap" in err
+        assert err.count("\n") == 1
+
+    def test_huge_obs_latency_exits_1_naming_the_key(self, tmp_path, capsys):
+        # The replay history is clamped to the episode before it becomes an
+        # integer, so the config is valid and no measurement ever arrives.
+        cfg = write_cfg(tmp_path, {"scenario": {"duration": 1.0, "obs_latency": 1e308}})
+        rc = main(["run", "--config", cfg, "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "no tick scored" in err and "obs_latency" in err
         assert err.count("\n") == 1
 
     def test_no_scored_tick_exits_1(self, tmp_path, capsys):
@@ -372,6 +380,25 @@ class TestSweepCommand:
             rc = main(["sweep", "--config", cfg, "--out", str(tmp_path / "s"), "--seeds", spec])
             assert rc == 2
         assert "seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "payload, key",
+        [
+            ({"scenario": {"duration": 1.0, "durration": 2.0}}, "scenario.durration"),
+            ({"scenario": {"duration": 1.0, "alpha": -1.0}}, "alpha"),
+            ({"scenario": 5}, "'scenario'"),
+        ],
+        ids=["unknown-key", "bad-value", "scenario-not-object"],
+    )
+    def test_config_error_exits_2_once(self, tmp_path, capsys, payload, key):
+        cfg = write_cfg(tmp_path, payload)
+        out = tmp_path / "sweep"
+        rc = main(["sweep", "--config", cfg, "--out", str(out), "--seeds", "0..2", "--quiet"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("config error: ") and key in err
+        assert err.count("\n") == 1
+        assert not out.exists()
 
     def test_failing_seeds_reported(self, tmp_path, capsys):
         payload = base_cfg()

@@ -167,7 +167,7 @@ class TestFilterBank:
     def test_uninitialized_until_first_measurement(self):
         bank = FilterBank(CFG, CAM)
         assert bank.estimate() is None
-        assert bank.velocities() is None
+        assert bank.state is None
         assert bank.step(0.02, RigidTransform.identity()) is None
         bank.ingest(SigmaPointSet(base_set()), 0.0)
         assert bank.estimate() is not None
@@ -210,7 +210,7 @@ class TestFilterBank:
         np.testing.assert_allclose(
             delayed.estimate().points, direct.estimate().points, atol=1e-12
         )
-        np.testing.assert_allclose(delayed.velocities(), direct.velocities(), atol=1e-12)
+        np.testing.assert_allclose(delayed.state[0][0, :, 3:6], direct.state[0][0, :, 3:6], atol=1e-12)
 
     def test_in_place_mode_differs_under_motion(self):
         # ego motion between stamp and arrival makes naive application wrong
@@ -238,7 +238,7 @@ class TestFilterBank:
         far = base_set((3.0, 0.0, 2.5))
         bank.ingest(SigmaPointSet(far), bank.stamp)
         np.testing.assert_allclose(bank.estimate().points, far, atol=1e-12)
-        np.testing.assert_array_equal(bank.velocities(), np.zeros((7, 3)))
+        np.testing.assert_array_equal(bank.state[0][0, :, 3:6], np.zeros((7, 3)))
         np.testing.assert_allclose(bank.state[1][0, 0], P0, atol=1e-15)
 
     def test_reacquire_resets_only_rows_failing_the_gate(self):
@@ -266,7 +266,7 @@ class TestFilterBank:
         # a Kalman update pulls toward but not onto the measurement
         got = bank.estimate().points[0][0]
         assert 0.0 < got < 0.1
-        assert np.abs(bank.velocities()).max() > 0.0
+        assert np.abs(bank.state[0][0, :, 3:6]).max() > 0.0
 
     def test_history_depth_validation(self):
         with pytest.raises(ValueError):

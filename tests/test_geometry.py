@@ -12,12 +12,10 @@ from egotrack.geometry import (
     RigidTransform,
     SigmaPointSet,
     SurfacePointCloud,
-    backproject_pixel,
     backproject_pixels,
     check_rotations,
     compute_visible_set,
     extract_sigma_points,
-    project_point,
     project_points,
     rotation_about_axis,
     rotation_rpy,
@@ -33,6 +31,24 @@ from egotrack.geometry import (
 
 def random_rotation(rng):
     return rotation_about_axis(rng.normal(size=3), rng.uniform(-np.pi, np.pi))
+
+
+# Per-point references for the batched pinhole functions.
+
+
+def ref_project_point(cam, p):
+    """One camera-frame point's (pixel, in_fov), depth clamped to the near plane."""
+    z = p[2] if p[2] >= cam.near_z else cam.near_z
+    u = cam.fx * p[0] / z + cam.cx
+    v = cam.fy * p[1] / z + cam.cy
+    in_fov = p[2] >= cam.near_z and 0.0 <= u < cam.width and 0.0 <= v < cam.height
+    return np.array([u, v]), bool(in_fov)
+
+
+def ref_backproject_pixel(cam, pixel, depth):
+    """One pixel's camera-frame point at a metric depth along the optical axis."""
+    u, v = float(pixel[0]), float(pixel[1])
+    return np.array([(u - cam.cx) * depth / cam.fx, (v - cam.cy) * depth / cam.fy, depth])
 
 
 class TestRotations:
@@ -121,7 +137,7 @@ class TestRigidTransform:
         t2 = RigidTransform(random_rotation(rng), rng.normal(size=3), "b", "c")
         p = rng.normal(size=3)
         np.testing.assert_allclose(
-            t2.compose(t1).apply_point(p), t2.apply_point(t1.apply_point(p)), atol=1e-12
+            t2.compose(t1).apply_points(p), t2.apply_points(t1.apply_points(p)), atol=1e-12
         )
 
     def test_apply_points_matches_single(self):
@@ -130,7 +146,7 @@ class TestRigidTransform:
         pts = rng.normal(size=(11, 3))
         batch = t.apply_points(pts)
         for i in range(11):
-            np.testing.assert_allclose(batch[i], t.apply_point(pts[i]), atol=1e-12)
+            np.testing.assert_allclose(batch[i], t.rotation @ pts[i] + t.translation, atol=1e-12)
 
 
 class TestProjection:
@@ -142,9 +158,9 @@ class TestProjection:
 
     def test_center_pixel(self):
         cam = CameraModel()
-        pix, in_fov = project_point(cam, [0.0, 0.0, 2.0])
-        np.testing.assert_allclose(pix, [320.0, 240.0])
-        assert in_fov
+        pix, in_fov = project_points(cam, [0.0, 0.0, 2.0])
+        np.testing.assert_allclose(pix[0], [320.0, 240.0])
+        assert in_fov[0]
 
     def test_roundtrip(self):
         cam = CameraModel()
@@ -154,34 +170,36 @@ class TestProjection:
         pix, _ = project_points(cam, pts)
         back = backproject_pixels(cam, pix, z)
         np.testing.assert_allclose(back, pts, atol=1e-12)
+        for i in range(40):
+            np.testing.assert_allclose(back[i], ref_backproject_pixel(cam, pix[i], z[i]), atol=1e-12)
 
     def test_near_plane_clamp_keeps_pixel_finite(self):
         cam = CameraModel()
-        pix, in_fov = project_point(cam, [0.1, 0.0, 0.01])
-        assert not in_fov
+        pix, in_fov = project_points(cam, [0.1, 0.0, 0.01])
+        assert not in_fov[0]
         # clamped to near_z = 0.05: u = 500 * 0.1 / 0.05 + 320
-        assert pix[0] == pytest.approx(1320.0)
+        assert pix[0, 0] == pytest.approx(1320.0)
         assert np.isfinite(pix).all()
 
     def test_behind_camera_not_in_fov(self):
         cam = CameraModel()
-        _, in_fov = project_point(cam, [0.0, 0.0, -2.0])
-        assert not in_fov
+        _, in_fov = project_points(cam, [0.0, 0.0, -2.0])
+        assert not in_fov[0]
 
     def test_fov_bounds_half_open(self):
         cam = CameraModel()
         # u = 0 is inside, u = width is outside
         left = [(0.0 - cam.cx) / cam.fx * 1.0, 0.0, 1.0]
         right = [(cam.width - cam.cx) / cam.fx * 1.0, 0.0, 1.0]
-        assert project_point(cam, left)[1]
-        assert not project_point(cam, right)[1]
+        assert project_points(cam, [left, right])[1].tolist() == [True, False]
 
     def test_backproject_depth_guard(self):
         cam = CameraModel()
         with pytest.raises(InvalidDepthError):
-            backproject_pixel(cam, [320.0, 240.0], 0.01)
-        with pytest.raises(InvalidDepthError):
             backproject_pixels(cam, [[320.0, 240.0]], [0.01])
+        # one shallow depth fails the whole batch
+        with pytest.raises(InvalidDepthError):
+            backproject_pixels(cam, [[320.0, 240.0], [320.0, 240.0]], [1.0, 0.01])
 
     def test_vectorized_matches_single(self):
         cam = CameraModel()
@@ -189,7 +207,7 @@ class TestProjection:
         pts = rng.normal(0.0, 2.0, size=(30, 3))
         pix, fov = project_points(cam, pts)
         for i in range(30):
-            p1, f1 = project_point(cam, pts[i])
+            p1, f1 = ref_project_point(cam, pts[i])
             np.testing.assert_allclose(pix[i], p1, atol=1e-12)
             assert fov[i] == f1
 
@@ -264,7 +282,7 @@ class TestWeightedPca:
         t = RigidTransform(random_rotation(rng), rng.normal(size=3))
         a = weighted_pca(pts, w)
         b = weighted_pca(t.apply_points(pts), w)
-        np.testing.assert_allclose(b.centroid, t.apply_point(a.centroid), atol=1e-9)
+        np.testing.assert_allclose(b.centroid, t.apply_points(a.centroid)[0], atol=1e-9)
         np.testing.assert_allclose(b.eigenvalues, a.eigenvalues, atol=1e-9)
         for k in range(3):
             mapped = t.rotation @ a.eigenvectors[:, k]

@@ -1,6 +1,6 @@
 """Golden outputs: sha256 digests of ``metrics.csv`` and ``summary.json``.
 
-Six short episodes run through the CLI and must reproduce stored bytes
+Eight short episodes run through the CLI and must reproduce stored bytes
 exactly, so any drift in a number the CLI writes is caught, not only a rerun
 that differs from itself.  A change that alters outputs on purpose
 regenerates the digests and says why in CHANGES.md:
@@ -96,6 +96,12 @@ CASES = {
     ),
     "truth-late-replay": (_LATE, ["--seed", "1"]),
     "truth-late-in-place": (_LATE, ["--seed", "1", "--oosm-mode", "in_place"]),
+    # The negative control: the filter lane never applies the ego increment.
+    "truth-late-replay-no-ego": (_LATE, ["--seed", "1", "--disable-ego-compensation"]),
+    "truth-late-in-place-no-ego": (
+        _LATE,
+        ["--seed", "1", "--oosm-mode", "in_place", "--disable-ego-compensation"],
+    ),
     # A longer episode whose summary aggregates move when a per-tick centroid
     # distance changes in its last bit (about one seed in six does; seed 8 is
     # the first).

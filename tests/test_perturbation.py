@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -128,8 +126,3 @@ class TestRandomization:
             assert -0.005 <= d.extrinsic_offset.translation[1] <= 0.005
             assert 0.0 <= d.perception_delay <= 0.05
             assert 1.0 <= d.alpha <= 1.5
-
-    def test_draw_serializes(self):
-        draw = sample_randomization(RandomizationConfig(), np.random.default_rng(10))
-        blob = json.dumps(draw.to_dict())
-        assert "alpha" in json.loads(blob)

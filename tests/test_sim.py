@@ -9,7 +9,7 @@ from egotrack.estimator import FilterBank, FilterConfig
 from egotrack.geometry import (
     CameraModel,
     RigidTransform,
-    project_point,
+    project_points,
     rotation_about_axis,
     rotation_rpy,
     sigma_points_from_cloud,
@@ -233,8 +233,8 @@ class TestScenario:
         vo = bundle.vo_poses
         for k in range(1, len(vo)):
             p_world = rng.normal(size=3)
-            p_prev = vo[k - 1].inverse().apply_point(p_world)
-            p_curr = vo[k].inverse().apply_point(p_world)
+            p_prev = vo[k - 1].inverse().apply_points(p_world)[0]
+            p_curr = vo[k].inverse().apply_points(p_world)[0]
             np.testing.assert_allclose(rotations[k] @ p_prev + translations[k], p_curr, atol=1e-12)
 
     @pytest.mark.parametrize("mode", ["deploy", "training"])
@@ -282,7 +282,7 @@ class TestScenario:
                 (bundle.obj_to_cam_translation[k], to_cam.translation),
                 (bundle.true_sets[k], to_cam.apply_points(ref_obj)),
                 (bundle.true_velocities[k], cam.rotation.T @ obj_v),
-                (bundle.visible[k], project_point(cfg.camera, to_cam.apply_points(ref_obj)[0])[1]),
+                (bundle.visible[k], project_points(cfg.camera, to_cam.apply_points(ref_obj)[0])[1][0]),
             ]:
                 assert np.array_equal(got, want)
 

@@ -28,7 +28,6 @@ from egotrack.tasklogic import (
     cross_track_error,
     sample_init,
     terminal_status,
-    wrap_angle,
     wrap_angles,
 )
 
@@ -47,25 +46,25 @@ def simple_geom(**kw):
 
 class TestAngles:
     def test_wrap_identity_inside_range(self):
-        assert wrap_angle(0.0) == 0.0
-        assert wrap_angle(1.5) == 1.5
-        assert wrap_angle(-3.0) == -3.0
+        assert wrap_angles(0.0) == 0.0
+        assert wrap_angles(1.5) == 1.5
+        assert wrap_angles(-3.0) == -3.0
 
     def test_wrap_crossing(self):
         # 3.1 vs -3.1 differ by 6.2, which wraps past the other side
-        assert wrap_angle(3.1 - (-3.1)) == pytest.approx(6.2 - 2.0 * math.pi, abs=1e-15)
-        assert wrap_angle(6.2 - 2.0 * math.pi) < 0.0
+        assert wrap_angles(3.1 - (-3.1)) == pytest.approx(6.2 - 2.0 * math.pi, abs=1e-15)
+        assert wrap_angles(6.2 - 2.0 * math.pi) < 0.0
 
     def test_wrap_half_open_at_pi(self):
-        assert wrap_angle(math.pi) == math.pi
-        assert wrap_angle(-math.pi) == math.pi
+        assert wrap_angles(math.pi) == math.pi
+        assert wrap_angles(-math.pi) == math.pi
         # 3*pi rounds to either side of the branch cut; magnitude must be pi
-        assert abs(wrap_angle(3.0 * math.pi)) == pytest.approx(math.pi)
+        assert abs(wrap_angles(3.0 * math.pi)) == pytest.approx(math.pi)
 
     def test_wrap_matches_atan2(self):
         rng = np.random.default_rng(31)
         for a in rng.uniform(-10.0, 10.0, 200):
-            assert wrap_angle(a) == pytest.approx(math.atan2(math.sin(a), math.cos(a)), abs=1e-12)
+            assert wrap_angles(a) == pytest.approx(math.atan2(math.sin(a), math.cos(a)), abs=1e-12)
 
     def test_vector_wrap(self):
         a = np.array([0.0, 4.0, -4.0, math.pi, -math.pi])
