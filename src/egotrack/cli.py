@@ -47,6 +47,17 @@ def _read_user_config(path: str) -> dict:
     return user
 
 
+def _check_out_dir(path: str) -> None:
+    """Raise ConfigError unless ``path`` is, or can be made, a writable directory."""
+    if not path:
+        raise ConfigError("--out is empty; it must name a directory")
+    probe = os.path.abspath(path)
+    while not os.path.exists(probe):
+        probe = os.path.dirname(probe)
+    if not (os.path.isdir(probe) and os.access(probe, os.W_OK | os.X_OK)):
+        raise ConfigError(f"--out {path!r}: {probe!r} is not a writable directory")
+
+
 def _write_rows_csv(path: str, table: EpisodeTable) -> None:
     """One header line, then one ``%.17g`` row per tick, CRLF-terminated.
 
@@ -282,6 +293,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.out is not None:
+            _check_out_dir(args.out)
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

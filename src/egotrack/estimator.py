@@ -23,9 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidDepthError, NumericalError
-from .geometry import CameraModel, RigidTransform, SigmaPointSet
+from .geometry import N_POINTS, CameraModel, RigidTransform, SigmaPointSet
 
-N_POINTS = 7
 _EYE3 = np.eye(3)
 
 
@@ -177,7 +176,7 @@ def associate_measurement(
     flip = swap[..., 0] + swap[..., 1] < keep[..., 0] + keep[..., 1]
     pairs = np.where(flip[..., None, None], m_pairs[..., ::-1, :], m_pairs)
     out = np.concatenate([m[..., :1, :], pairs.reshape(lead + (6, 3))], axis=-2)
-    return SigmaPointSet(out, measured.frame) if single else out
+    return SigmaPointSet(out) if single else out
 
 
 class IngestStatus(enum.Enum):
@@ -210,7 +209,9 @@ class _StepRecord:
 
 
 # Stamp comparisons tolerate accumulated float error, far below one tick.
-_STAMP_EPS = 1e-9
+# Delivery (sim) and rollback share it: a delivered measurement whose stamp
+# lies within it of the bank's stamp must not count as in the future.
+STAMP_EPS = 1e-9
 
 
 class FilterBank:
@@ -320,7 +321,7 @@ class FilterBank:
         are dropped (stale), leaving the state unchanged.  Every lane takes
         the same rollback.
         """
-        if meas_stamp > self.stamp + _STAMP_EPS:
+        if meas_stamp > self.stamp + STAMP_EPS:
             raise ValueError("measurement stamp is in the future")
         z = np.asarray(measured.points, dtype=float).reshape(N_POINTS, 3)
 
@@ -329,7 +330,7 @@ class FilterBank:
         else:
             idx = next(
                 (i for i in range(len(self.history) - 1, -1, -1)
-                 if self.history[i].stamp <= meas_stamp + _STAMP_EPS),
+                 if self.history[i].stamp <= meas_stamp + STAMP_EPS),
                 None,
             )
             if idx is None:

@@ -18,6 +18,8 @@ from .errors import DegenerateGeometryError, FrameMismatchError, InvalidDepthErr
 ROTATION_TOL = 1e-9
 # Covariance eigenvalues below this are treated as indefinite rather than roundoff.
 EIGENVALUE_FLOOR = -1e-12
+# Points in a sigma-point set: the centroid and a +/- pair per principal axis.
+N_POINTS = 7
 
 _EYE3 = np.eye(3)
 
@@ -294,30 +296,23 @@ def weighted_pca(points: np.ndarray, weights: np.ndarray) -> PcaResult:
     if evals.min() < EIGENVALUE_FLOOR:
         raise NumericalError(f"covariance eigenvalue {float(evals.min())!r} below roundoff floor")
     evals = np.maximum(evals, 0.0)
-    for k in range(3):
-        lead = np.argmax(np.abs(evecs[:, k]))
-        if evecs[lead, k] < 0.0:
-            evecs[:, k] = -evecs[:, k]
+    lead = np.argmax(np.abs(evecs), axis=0)
+    evecs = np.where(evecs[lead, np.arange(3)] < 0.0, -evecs, evecs)
     return PcaResult(centroid, evals, evecs)
 
 
 @dataclass
 class SigmaPointSet:
-    """Seven ordered points: centroid first, then +/- pairs per principal axis.
+    """``N_POINTS`` ordered points: centroid first, then +/- pairs per principal axis.
 
     Index 0 is the centroid; indices (2k-1, 2k) are centroid +/- offset along
     axis k in descending-eigenvalue order.
     """
 
     points: np.ndarray
-    frame: str = "camera"
 
     def __post_init__(self):
-        self.points = np.asarray(self.points, dtype=float).reshape(7, 3)
-
-    @property
-    def centroid(self) -> np.ndarray:
-        return self.points[0]
+        self.points = np.asarray(self.points, dtype=float).reshape(N_POINTS, 3)
 
 
 def extract_sigma_points(pca: PcaResult, alpha: float) -> SigmaPointSet:
@@ -328,13 +323,10 @@ def extract_sigma_points(pca: PcaResult, alpha: float) -> SigmaPointSet:
     if evals.min() < EIGENVALUE_FLOOR:
         raise NumericalError(f"eigenvalue {float(evals.min())!r} below roundoff floor")
     evals = np.maximum(evals, 0.0)
-    pts = np.empty((7, 3))
-    pts[0] = pca.centroid
-    for k in range(3):
-        offset = alpha * np.sqrt(evals[k]) * pca.eigenvectors[:, k]
-        pts[1 + 2 * k] = pca.centroid + offset
-        pts[2 + 2 * k] = pca.centroid - offset
-    return SigmaPointSet(pts)
+    # Row k is the offset along eigenvector column k.
+    offsets = (alpha * np.sqrt(evals))[:, None] * pca.eigenvectors.T
+    pairs = np.stack([pca.centroid + offsets, pca.centroid - offsets], axis=1)
+    return SigmaPointSet(np.concatenate([pca.centroid[None], pairs.reshape(-1, 3)]))
 
 
 def sigma_points_from_cloud(
@@ -365,7 +357,4 @@ def sigma_points_from_cloud(
         weights = solid_angle_weights(pts, cloud.normals[visible])
     else:
         weights = np.ones(visible.size)
-    pca = weighted_pca(pts, weights)
-    out = extract_sigma_points(pca, alpha)
-    out.frame = cloud.frame
-    return out
+    return extract_sigma_points(weighted_pca(pts, weights), alpha)

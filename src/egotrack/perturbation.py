@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .geometry import RigidTransform, SigmaPointSet, rotation_about_axis, rotation_rpy
+from .geometry import N_POINTS, RigidTransform, rotation_about_axis, rotation_rpy
 
 
 @dataclass
@@ -65,24 +65,20 @@ def drift_walk(
 
 
 def perturb_sigma_points(
-    sets: SigmaPointSet | np.ndarray,
-    scale_std: float,
-    rot_std: float,
-    rng: np.random.Generator,
-) -> SigmaPointSet | np.ndarray:
+    sets: np.ndarray, scale_std: float, rot_std: float, rng: np.random.Generator
+) -> np.ndarray:
     """Observation-side noise on the set shape: multiplicative (1 + eps) on the
     axis offsets plus a small random rotation of the offsets about the centroid.
 
-    Takes one ``SigmaPointSet`` and returns one, or a stack of point arrays
-    ``(..., 7, 3)`` and returns the perturbed stack.  Each set of a stack
-    gets its own draws, in stack order, and consumes the generator as a call
-    on that set alone would: the scale draw, then the axis and the angle,
-    each only when its noise is on.  The centroid itself is left untouched;
-    positional noise is modeled separately (sensor noise, drift).
+    Takes point arrays ``(..., 7, 3)`` and returns the perturbed stack in the
+    same shape.  Each set of a stack gets its own draws, in stack order, and
+    consumes the generator as a call on that set alone would: the scale
+    draw, then the axis and the angle, each only when its noise is on.  The
+    centroid itself is left untouched; positional noise is modeled
+    separately (sensor noise, drift).
     """
-    single = isinstance(sets, SigmaPointSet)
-    points = np.asarray(sets.points if single else sets, dtype=float)
-    flat = points.reshape(-1, 7, 3)
+    points = np.asarray(sets, dtype=float)
+    flat = points.reshape(-1, N_POINTS, 3)
     centroid = flat[:, :1]
     offsets = flat[:, 1:] - centroid
     scaled, rotated = scale_std > 0.0, rot_std > 0.0
@@ -95,8 +91,7 @@ def perturb_sigma_points(
         if rotated:
             r = rotation_about_axis(0.0 + z[:, -4:-1], 0.0 + rot_std * z[:, -1])
             offsets = offsets @ np.swapaxes(r, 1, 2)
-    out = np.concatenate([centroid, centroid + offsets], axis=1).reshape(points.shape)
-    return SigmaPointSet(out, sets.frame) if single else out
+    return np.concatenate([centroid, centroid + offsets], axis=1).reshape(points.shape)
 
 
 def _check_range(name: str, rng_pair) -> tuple[float, float]:
@@ -124,17 +119,9 @@ class RandomizationConfig:
     alpha_range: tuple = (1.0, 1.5)
 
     def __post_init__(self):
-        for name in (
-            "extrinsic_trans_x",
-            "extrinsic_trans_y",
-            "extrinsic_trans_z",
-            "extrinsic_roll_deg",
-            "extrinsic_pitch_deg",
-            "extrinsic_yaw_deg",
-            "perception_delay_ms",
-            "alpha_range",
-        ):
-            _check_range(name, getattr(self, name))
+        for f in fields(self):
+            if f.type == "tuple":  # every tuple field is a (lower, upper) range
+                _check_range(f.name, getattr(self, f.name))
         if self.perception_delay_ms[0] < 0.0:
             raise ValueError("perception_delay_ms: lower bound must be non-negative")
         if self.alpha_range[0] <= 0.0:
@@ -146,12 +133,10 @@ class RandomizationConfig:
 
 @dataclass(frozen=True)
 class RandomizationDraw:
-    """One episode's sampled randomization."""
+    """One episode's drawn values; the noise levels stay in its ``RandomizationConfig``."""
 
     extrinsic_offset: RigidTransform
     perception_delay: float  # s
-    sigma_scale_noise_std: float
-    sigma_rot_noise_std: float
     alpha: float
 
 
@@ -175,7 +160,5 @@ def sample_randomization(cfg: RandomizationConfig, rng: np.random.Generator) -> 
     return RandomizationDraw(
         extrinsic_offset=offset,
         perception_delay=uni(cfg.perception_delay_ms) * 1e-3,
-        sigma_scale_noise_std=cfg.sigma_scale_noise_std,
-        sigma_rot_noise_std=cfg.sigma_rot_noise_std,
         alpha=uni(cfg.alpha_range),
     )

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimator import FilterBank, FilterConfig, measurement_covariance
+from .estimator import STAMP_EPS, FilterBank, FilterConfig, measurement_covariance
 from .geometry import (
     CameraModel,
     RigidTransform,
@@ -255,7 +255,7 @@ def check_latency_equivalence() -> CriterionResult:
     # banks end on the same information set and final states are comparable.
     measurements = [
         m for m in sensor_schedule(bundle)
-        if m.sset is not None and m.stamp <= cfg.duration - cfg.obs_latency + 1e-9
+        if m.sset is not None and m.stamp <= cfg.duration - cfg.obs_latency + STAMP_EPS
     ]
     t_rels = [RigidTransform(r, t) for r, t in zip(*ego_increments(bundle))]
 
@@ -271,7 +271,7 @@ def check_latency_equivalence() -> CriterionResult:
     for k, t in enumerate(times):
         if k > 0:
             oracle.step(float(times[k] - times[k - 1]), t_rels[k])
-        while idx < len(measurements) and measurements[idx].stamp <= t + 1e-9:
+        while idx < len(measurements) and measurements[idx].stamp <= t + STAMP_EPS:
             oracle.ingest(measurements[idx].sset, measurements[idx].stamp)
             by_stamp[round(measurements[idx].stamp * cfg.control_rate)] = snapshot(oracle.state)
             idx += 1
@@ -285,10 +285,10 @@ def check_latency_equivalence() -> CriterionResult:
     for k, t in enumerate(times):
         if k > 0:
             bank.step(float(times[k] - times[k - 1]), t_rels[k])
-        while idx < len(measurements) and measurements[idx].available_at <= t + 1e-9:
+        while idx < len(measurements) and measurements[idx].available_at <= t + STAMP_EPS:
             m = measurements[idx]
             bank.ingest(m.sset, m.stamp)
-            rec = next(r for r in bank.history if abs(r.stamp - m.stamp) <= 1e-9)
+            rec = next(r for r in bank.history if abs(r.stamp - m.stamp) <= STAMP_EPS)
             got = snapshot(rec.state)
             want = by_stamp[round(m.stamp * cfg.control_rate)]
             worst = max(worst, *(np.abs(g - w).max() for g, w in zip(got, want)))
@@ -367,7 +367,7 @@ def check_noise_scaling() -> CriterionResult:
         rng = np.random.default_rng(bundle.sensor_seed)
         draws = np.empty((1000, 3))
         for d in range(1000):
-            draws[d] = emulate_sensor(bundle, 0.0, rng).sset.points[0]
+            draws[d] = emulate_sensor(bundle, 0, rng).sset.points[0]
         emp = np.var(draws, axis=0, ddof=1)
         depth_ref = float(bundle.true_sets[0][0, 2])
         model = np.diag(measurement_covariance(cfg.camera, np.array([depth_ref]), fc)[0])

@@ -13,14 +13,15 @@ noise-free estimator would reproduce.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
 
 from .errors import ConfigError, EgoTrackError, NumericalError
-from .estimator import N_POINTS, FilterBank, FilterConfig, associate_measurement
+from .estimator import STAMP_EPS, FilterBank, FilterConfig, associate_measurement
 from .geometry import (
+    N_POINTS,
     CameraModel,
     RigidTransform,
     SigmaPointSet,
@@ -49,6 +50,7 @@ from .shapes import sample_shape
 from .tasklogic import (
     CriteriaConfig,
     ProprioState,
+    RewardBreakdown,
     RewardConfig,
     TaskGeometry,
     TerminalStatus,
@@ -63,8 +65,6 @@ MOUNT_ROTATION = np.array([
     [-1.0, 0.0, 0.0],
     [0.0, -1.0, 0.0],
 ])
-
-_EPS = 1e-9
 
 # Resource caps, checked when a ScenarioConfig is built so an oversized run
 # fails with a config error before anything is allocated.  An episode holds
@@ -182,6 +182,7 @@ class ScenarioConfig:
     sensor: SensorSpec = field(default_factory=SensorSpec)
     drift_sigma: float = 0.01
     drift_max: float = 0.10
+    # Training mode fills in the default ranges; deploy mode draws nothing.
     randomization: RandomizationConfig | None = None
     mode: str = "deploy"
 
@@ -223,8 +224,9 @@ class ScenarioConfig:
             raise ConfigError("scenario.drift_max must be positive")
         if self.mode not in ("deploy", "training"):
             raise ConfigError(f"unknown mode {self.mode!r}")
-        delays = (self.randomization or RandomizationConfig()).perception_delay_ms
-        max_delay = delays[1] * 1e-3 if self.mode == "training" else 0.0
+        if self.mode == "training" and self.randomization is None:
+            object.__setattr__(self, "randomization", RandomizationConfig())
+        max_delay = self.randomization.perception_delay_ms[1] * 1e-3 if self.mode == "training" else 0.0
         deliveries = self.n_ticks // self.obs_stride + 1
         depth = self.history_depth(self.obs_latency + max_delay)
         if deliveries * depth > MAX_REPLAY_WORK:
@@ -267,7 +269,9 @@ class Measurement:
 @dataclass
 class TrajectoryBundle:
     """Everything an episode needs, precomputed and seedable; pose streams
-    hold one entry per tick, rotations ``(n+1, 3, 3)`` and positions ``(n+1, 3)``."""
+    hold one entry per tick, rotations ``(n+1, 3, 3)`` and positions ``(n+1, 3)``.
+    ``latency`` is every measurement's delay: ``obs_latency`` plus, in training
+    mode, the drawn perception delay."""
 
     config: ScenarioConfig
     times: np.ndarray
@@ -283,6 +287,7 @@ class TrajectoryBundle:
     true_velocities: np.ndarray         # (n+1, 3) camera-frame world velocity of the target
     visible: np.ndarray                 # (n+1,) bool
     alpha: float
+    latency: float                      # s
     draw: RandomizationDraw | None
     sensor_seed: np.random.SeedSequence
     drift_seed: np.random.SeedSequence
@@ -304,9 +309,7 @@ def generate_scenario(cfg: ScenarioConfig) -> TrajectoryBundle:
 
     draw = None
     if cfg.mode == "training":
-        draw = sample_randomization(
-            cfg.randomization or RandomizationConfig(), np.random.default_rng(rand_seed)
-        )
+        draw = sample_randomization(cfg.randomization, np.random.default_rng(rand_seed))
     alpha = draw.alpha if draw is not None else cfg.alpha
 
     mount = RigidTransform(MOUNT_ROTATION, np.zeros(3), "camera", "base")
@@ -388,6 +391,7 @@ def generate_scenario(cfg: ScenarioConfig) -> TrajectoryBundle:
         true_velocities=true_velocities,
         visible=visible,
         alpha=alpha,
+        latency=cfg.obs_latency + (draw.perception_delay if draw is not None else 0.0),
         draw=draw,
         sensor_seed=sensor_seed,
         drift_seed=drift_seed,
@@ -407,22 +411,20 @@ def _jitter(
     return backproject_pixels(cam, pix + np.array([du, dv]), depth)
 
 
-def emulate_sensor(
-    bundle: TrajectoryBundle, t_obs: float, rng: np.random.Generator
-) -> Measurement:
-    """Produce one delayed observation at a control-grid time.
+def emulate_sensor(bundle: TrajectoryBundle, k: int, rng: np.random.Generator) -> Measurement:
+    """Produce the delayed observation of tick ``k``, stamped ``times[k]``.
 
     The cloud path culls the true surface, projects the visible points, adds
     one shared pixel/depth jitter draw, backprojects, and re-extracts sigma
     points with uniform weights.  Returns a Measurement whose set is None
-    when nothing is visible.
+    when nothing is visible.  Raises ValueError for a tick outside
+    ``0..n_ticks``.
     """
     cfg = bundle.config
-    k = round(t_obs * cfg.control_rate)
-    if not 0 <= k <= cfg.n_ticks or abs(t_obs - bundle.times[k]) > 1e-6:
-        raise ValueError("t_obs is not on the control grid")
-    latency = cfg.obs_latency + (bundle.draw.perception_delay if bundle.draw else 0.0)
-    available_at = t_obs + latency
+    if not 0 <= k <= cfg.n_ticks:
+        raise ValueError(f"tick {k} is outside the episode's 0..{cfg.n_ticks}")
+    t_obs = float(bundle.times[k])
+    available_at = t_obs + bundle.latency
     spec = cfg.sensor
 
     if spec.mode == "truth":
@@ -446,17 +448,12 @@ def emulate_sensor(
     return Measurement(t_obs, available_at, extract_sigma_points(pca, bundle.alpha))
 
 
-def sensor_schedule(
-    bundle: TrajectoryBundle, rng: np.random.Generator | None = None
-) -> list[Measurement]:
-    """All observations of the episode in stamp order (one rng stream)."""
-    if rng is None:
-        rng = np.random.default_rng(bundle.sensor_seed)
+def sensor_schedule(bundle: TrajectoryBundle) -> list[Measurement]:
+    """All observations of the episode in stamp order, on one stream drawn
+    from ``bundle.sensor_seed``."""
+    rng = np.random.default_rng(bundle.sensor_seed)
     cfg = bundle.config
-    out = []
-    for k in range(0, cfg.n_ticks + 1, cfg.obs_stride):
-        out.append(emulate_sensor(bundle, float(bundle.times[k]), rng))
-    return out
+    return [emulate_sensor(bundle, k, rng) for k in range(0, cfg.n_ticks + 1, cfg.obs_stride)]
 
 
 def _deliveries(
@@ -467,7 +464,7 @@ def _deliveries(
     delivered = sorted(
         (m for m in measurements if m.sset is not None), key=lambda m: m.available_at
     )
-    count = np.searchsorted([m.available_at for m in delivered], times + _EPS, side="right")
+    count = np.searchsorted([m.available_at for m in delivered], times + STAMP_EPS, side="right")
     return delivered, count
 
 
@@ -554,7 +551,7 @@ def baseline_no_compensation(
     measurements: list[Measurement],
     cfg: FilterConfig,
     cam: CameraModel,
-    history_depth: int = 30,
+    history_depth: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Identical replay filter bank that never applies the ego ``increments``.
 
@@ -618,15 +615,15 @@ class EpisodeTable:
 
 
 _ESTIMATORS = ("filter", "zoh", "nocomp")
-_REWARD_KEYS = ("hint", "opt", "miss", "roll", "ang", "smooth", "limit", "total")
+_REWARD_KEYS = tuple(f.name for f in fields(RewardBreakdown))
 
 
 def _columns(training: bool, task: bool) -> tuple[str, ...]:
     """Column order of ``run_episode``'s table and of ``metrics.csv``."""
     columns = ["stamp", "visible", "drift_mag"]
-    columns += [f"{name}_p{j}_e{axis}" for name in _ESTIMATORS for j in range(7) for axis in "xyz"]
+    columns += [f"{name}_p{j}_e{axis}" for name in _ESTIMATORS for j in range(N_POINTS) for axis in "xyz"]
     if training:
-        columns += [f"obs_p{j}_{axis}" for j in range(7) for axis in "xyz"]
+        columns += [f"obs_p{j}_{axis}" for j in range(N_POINTS) for axis in "xyz"]
     if task:
         columns += [f"reward_{key}" for key in _REWARD_KEYS]
     return tuple(columns)
@@ -662,10 +659,9 @@ def run_episode(
 
     measurements = sensor_schedule(bundle)
     if measurement_cutoff is not None:
-        measurements = [m for m in measurements if m.available_at <= measurement_cutoff + _EPS]
+        measurements = [m for m in measurements if m.available_at <= measurement_cutoff + STAMP_EPS]
 
-    latency = cfg.obs_latency + (bundle.draw.perception_delay if bundle.draw else 0.0)
-    history_depth = cfg.history_depth(latency)
+    history_depth = cfg.history_depth(bundle.latency)
     increments = ego_increments(bundle)
     ego = not disable_ego_compensation  # the filter lane's flag
 
@@ -713,14 +709,12 @@ def run_episode(
             bundle.visible, cfg.drift_sigma, cfg.drift_max, np.random.default_rng(bundle.drift_seed)
         )
         values[:, 2] = np.abs(drift).max(axis=1)
-        observed = truth + drift[:, None, :]
-        if bundle.draw is not None:
-            observed = perturb_sigma_points(
-                observed,
-                bundle.draw.sigma_scale_noise_std,
-                bundle.draw.sigma_rot_noise_std,
-                np.random.default_rng(bundle.obsnoise_seed),
-            )
+        observed = perturb_sigma_points(
+            truth + drift[:, None, :],
+            cfg.randomization.sigma_scale_noise_std,
+            cfg.randomization.sigma_rot_noise_std,
+            np.random.default_rng(bundle.obsnoise_seed),
+        )
         values[:, obs_at:reward_at] = observed.reshape(n, -1)
 
     terminal: TerminalStatus | None = None

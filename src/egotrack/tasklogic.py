@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .geometry import dots, norms
+from .geometry import N_POINTS, dots, norms
 
 TWO_PI = 2.0 * math.pi
 # Steps per block of compute_reward's per-step terms.
@@ -411,7 +411,7 @@ def sample_init(state: AscState, rng: np.random.Generator) -> InitDraw:
 N_SHORT = 5      # frames at the control rate
 N_LONG = 10      # frames at the observation rate
 LONG_STRIDE = 10  # control ticks between long-horizon samples
-FRAME_SIZE = 21  # 7 points x 3 coordinates
+FRAME_SIZE = N_POINTS * 3  # points x coordinates
 PROPRIO_SIZE = 14  # gravity 3 + lin vel 3 + ang vel 3 + prev action 4 + task flag 1
 OBS_SIZE = PROPRIO_SIZE + (N_SHORT + N_LONG) * FRAME_SIZE
 
@@ -421,31 +421,25 @@ class ObservationBuffer:
 
     The short ring keeps the last ``N_SHORT`` control ticks; the long ring
     keeps every ``LONG_STRIDE``-th tick, so a full long ring spans 1.8 s at a
-    50 Hz control rate.
+    50 Hz control rate.  The ring sizes are the layout constants, so every
+    assembled observation is ``OBS_SIZE`` long.
     """
 
-    def __init__(self, n_short: int = N_SHORT, n_long: int = N_LONG, long_stride: int = LONG_STRIDE):
-        if min(n_short, n_long, long_stride) < 1:
-            raise ValueError("ring sizes and stride must be positive")
-        self.long_stride = long_stride
-        self.short: deque[np.ndarray] = deque(maxlen=n_short)
-        self.long: deque[np.ndarray] = deque(maxlen=n_long)
+    def __init__(self):
+        self.short: deque[np.ndarray] = deque(maxlen=N_SHORT)
+        self.long: deque[np.ndarray] = deque(maxlen=N_LONG)
 
     def push(self, points: np.ndarray, tick: int) -> None:
-        frame = np.array(points, dtype=float).reshape(7, 3)
+        frame = np.array(points, dtype=float).reshape(N_POINTS, 3)
         self.short.append(frame)
-        if tick % self.long_stride == 0:
+        if tick % LONG_STRIDE == 0:
             self.long.append(frame)
 
 
-def _flatten_ring(ring: deque, capacity: int) -> np.ndarray:
+def _flatten_ring(ring: deque) -> np.ndarray:
     """Oldest-first flat block, zero-padded at the old end while filling."""
-    out = np.zeros(capacity * FRAME_SIZE)
-    pad = capacity - len(ring)
-    for i, frame in enumerate(ring):
-        start = (pad + i) * FRAME_SIZE
-        out[start:start + FRAME_SIZE] = frame.reshape(-1)
-    return out
+    padding = [np.zeros(FRAME_SIZE)] * (ring.maxlen - len(ring))
+    return np.concatenate(padding + [frame.reshape(-1) for frame in ring])
 
 
 def assemble_observation(buf: ObservationBuffer, proprio: ProprioState) -> np.ndarray:
@@ -464,6 +458,6 @@ def assemble_observation(buf: ObservationBuffer, proprio: ProprioState) -> np.nd
     ])
     return np.concatenate([
         head,
-        _flatten_ring(buf.short, buf.short.maxlen),
-        _flatten_ring(buf.long, buf.long.maxlen),
+        _flatten_ring(buf.short),
+        _flatten_ring(buf.long),
     ])

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from egotrack.geometry import SigmaPointSet, rotation_about_axis
+from egotrack.geometry import rotation_about_axis
 from egotrack.perturbation import DriftState, drift_step, drift_walk, perturb_sigma_points
 from egotrack.tasklogic import (
     CriteriaConfig,
@@ -266,10 +266,10 @@ def test_stacked_perturbation_equals_sequential_per_set_draws(seed, n, scale_std
     want = np.stack([ref_perturb(s, scale_std, rot_std, ref_rng) for s in sets])
     assert np.array_equal(got, want)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
-    # One set in, one SigmaPointSet out, with the same draws.
-    one = perturb_sigma_points(SigmaPointSet(sets[0], "object"), scale_std, rot_std, rng)
-    assert one.frame == "object"
-    assert np.array_equal(one.points, ref_perturb(sets[0], scale_std, rot_std, ref_rng))
+    # One (7, 3) set in, one set out, with the same draws.
+    one = perturb_sigma_points(sets[0], scale_std, rot_std, rng)
+    assert one.shape == (7, 3)
+    assert np.array_equal(one, ref_perturb(sets[0], scale_std, rot_std, ref_rng))
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 

@@ -462,6 +462,29 @@ class TestSelftestCommand:
         assert "FAIL criterion  6" in out
 
 
+@pytest.mark.parametrize("where", ["file", "under-file", "empty"])
+@pytest.mark.parametrize("command", ["run", "sweep", "selftest"])
+def test_unusable_out_exits_2_with_one_line(tmp_path, capsys, command, where):
+    cfg = write_cfg(tmp_path, base_cfg())
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    out = {"file": str(taken), "under-file": str(taken / "sub"), "empty": ""}[where]
+    argv = {
+        "run": ["run", "--config", cfg],
+        "sweep": ["sweep", "--config", cfg, "--seeds", "0..1"],
+        "selftest": ["selftest"],
+    }[command]
+    before = sorted(p.name for p in tmp_path.iterdir())
+    assert main(argv + ["--out", out]) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and "--out" in lines[0] and (repr(out) in lines[0] or not out)
+    assert captured.out == ""
+    # Nothing was written: no episode ran and no directory was made.
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+    assert taken.read_text() == ""
+
+
 def test_version(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

@@ -3,6 +3,7 @@ import pytest
 
 from egotrack.errors import InvalidDepthError
 from egotrack.estimator import (
+    STAMP_EPS,
     FilterBank,
     FilterConfig,
     IngestStatus,
@@ -177,6 +178,17 @@ class TestFilterBank:
         bank = FilterBank(CFG, CAM)
         with pytest.raises(ValueError):
             bank.ingest(SigmaPointSet(base_set()), 1.0)
+
+    def test_stamp_within_the_delivery_tolerance_is_not_future(self):
+        # The simulator delivers a measurement once available_at <= t +
+        # STAMP_EPS; with no latency its stamp may then lie up to STAMP_EPS
+        # past the bank's stamp, and the bank must still apply it.
+        bank = FilterBank(CFG, CAM)
+        bank.step(0.02, RigidTransform.identity())
+        z = SigmaPointSet(base_set())
+        assert bank.ingest(z, bank.stamp + 0.5 * STAMP_EPS) is IngestStatus.APPLIED
+        with pytest.raises(ValueError, match="future"):
+            bank.ingest(z, bank.stamp + 2.0 * STAMP_EPS)
 
     def test_stale_measurement_leaves_state_unchanged(self):
         bank = FilterBank(CFG, CAM, history_depth=3)

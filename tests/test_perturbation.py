@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from egotrack.geometry import SigmaPointSet
 from egotrack.perturbation import (
     DriftState,
     RandomizationConfig,
@@ -19,7 +18,7 @@ def sample_set():
     pts[4] -= [0, 0.2, 0]
     pts[5] += [0, 0, 0.1]
     pts[6] -= [0, 0, 0.1]
-    return SigmaPointSet(pts)
+    return pts
 
 
 class TestDrift:
@@ -63,14 +62,14 @@ class TestShapePerturbation:
     def test_centroid_untouched(self):
         rng = np.random.default_rng(4)
         out = perturb_sigma_points(sample_set(), 0.2, 0.2, rng)
-        np.testing.assert_array_equal(out.points[0], sample_set().points[0])
+        np.testing.assert_array_equal(out[0], sample_set()[0])
 
     def test_scale_only_scales_offsets_uniformly(self):
         rng = np.random.default_rng(5)
         sset = sample_set()
         out = perturb_sigma_points(sset, 0.1, 0.0, rng)
-        ratios = np.linalg.norm(out.points[1:] - out.points[0], axis=1) / np.linalg.norm(
-            sset.points[1:] - sset.points[0], axis=1
+        ratios = np.linalg.norm(out[1:] - out[0], axis=1) / np.linalg.norm(
+            sset[1:] - sset[0], axis=1
         )
         np.testing.assert_allclose(ratios, ratios[0], atol=1e-12)
         assert ratios[0] != pytest.approx(1.0, abs=1e-6)
@@ -80,17 +79,17 @@ class TestShapePerturbation:
         sset = sample_set()
         out = perturb_sigma_points(sset, 0.0, 0.3, rng)
         np.testing.assert_allclose(
-            np.linalg.norm(out.points[1:] - out.points[0], axis=1),
-            np.linalg.norm(sset.points[1:] - sset.points[0], axis=1),
+            np.linalg.norm(out[1:] - out[0], axis=1),
+            np.linalg.norm(sset[1:] - sset[0], axis=1),
             atol=1e-12,
         )
-        assert np.abs(out.points[1:] - sset.points[1:]).max() > 1e-6
+        assert np.abs(out[1:] - sset[1:]).max() > 1e-6
 
     def test_zero_noise_is_identity(self):
         rng = np.random.default_rng(7)
         sset = sample_set()
         out = perturb_sigma_points(sset, 0.0, 0.0, rng)
-        np.testing.assert_allclose(out.points, sset.points, atol=1e-15)
+        np.testing.assert_allclose(out, sset, atol=1e-15)
 
 
 class TestRandomization:

@@ -5,7 +5,7 @@ import pytest
 
 from egotrack import sim
 from egotrack.errors import ConfigError, EgoTrackError, NumericalError
-from egotrack.estimator import FilterBank, FilterConfig
+from egotrack.estimator import FilterBank, FilterConfig, IngestStatus
 from egotrack.geometry import (
     CameraModel,
     RigidTransform,
@@ -170,6 +170,10 @@ class TestScenarioConfig:
         with pytest.raises(ConfigError, match="scenario.obs_latency"):
             ScenarioConfig(**deploy, mode="training")
 
+    def test_training_mode_carries_the_default_randomization(self):
+        assert quick_cfg(mode="training").randomization == RandomizationConfig()
+        assert quick_cfg().randomization is None
+
     def test_sensor_validation(self):
         with pytest.raises(ConfigError):
             SensorSpec(mode="lidar")
@@ -292,7 +296,7 @@ class TestSensor:
         cfg = quick_cfg(sensor=SensorSpec(0.0, 0.0, 0.0, "truth"))
         bundle = generate_scenario(cfg)
         rng = np.random.default_rng(0)
-        m = emulate_sensor(bundle, 0.2, rng)
+        m = emulate_sensor(bundle, 10, rng)
         assert m.stamp == 0.2
         assert m.available_at == pytest.approx(0.4)
         np.testing.assert_array_equal(m.sset.points, bundle.true_sets[10])
@@ -300,13 +304,17 @@ class TestSensor:
     def test_cloud_mode_noiseless_matches_truth(self):
         cfg = quick_cfg(sensor=SensorSpec(0.0, 0.0, 0.0, "cloud"))
         bundle = generate_scenario(cfg)
-        m = emulate_sensor(bundle, 0.0, np.random.default_rng(0))
+        m = emulate_sensor(bundle, 0, np.random.default_rng(0))
         np.testing.assert_allclose(m.sset.points, bundle.true_sets[0], atol=1e-9)
 
-    def test_off_grid_time_rejected(self):
+    def test_tick_outside_episode_rejected(self):
         bundle = generate_scenario(quick_cfg())
-        with pytest.raises(ValueError):
-            emulate_sensor(bundle, 0.013, np.random.default_rng(0))
+        for k in (-1, bundle.config.n_ticks + 1):
+            with pytest.raises(ValueError, match="outside"):
+                emulate_sensor(bundle, k, np.random.default_rng(0))
+        # Both ends of the grid are ticks.
+        for k in (0, bundle.config.n_ticks):
+            assert emulate_sensor(bundle, k, np.random.default_rng(0)).stamp == bundle.times[k]
 
     def test_noise_is_common_mode_not_averaged_out(self):
         # One shared pixel/depth draw per frame: the centroid keeps the full
@@ -315,9 +323,9 @@ class TestSensor:
         bundle = generate_scenario(quick_cfg())
         rng = np.random.default_rng(1)
         noiseless = generate_scenario(quick_cfg(sensor=SensorSpec(0.0, 0.0, 0.0, "cloud")))
-        clean = emulate_sensor(noiseless, 0.0, np.random.default_rng(0)).sset.points[0]
+        clean = emulate_sensor(noiseless, 0, np.random.default_rng(0)).sset.points[0]
         shifts = np.array([
-            emulate_sensor(bundle, 0.0, rng).sset.points[0] - clean for _ in range(60)
+            emulate_sensor(bundle, 0, rng).sset.points[0] - clean for _ in range(60)
         ])
         z_ref = clean[2]
         # centroid x scatter ~ Z sigma_u / fx, z scatter ~ sigma_z
@@ -332,6 +340,45 @@ class TestSensor:
         np.testing.assert_allclose([m.stamp for m in ms], np.arange(6) * 0.2, atol=1e-12)
         for m in ms:
             assert m.available_at == pytest.approx(m.stamp + 0.2)
+
+    @pytest.mark.parametrize("mode", ["cloud", "truth"])
+    def test_unseen_frame_draws_nothing(self, mode):
+        # A fast turn loses the target and finds it again.  Sensing only the
+        # seen frames on a fresh stream must give the schedule's sets, so a
+        # frame without a set consumed no draws.
+        cfg = quick_cfg(duration=3.0, camera_motion=CameraMotion(kind="turning", yaw_rate=3.0),
+                        sensor=SensorSpec(mode=mode))
+        bundle = generate_scenario(cfg)
+        ms = sensor_schedule(bundle)
+        seen = [m.sset is not None for m in ms]
+        assert not all(seen) and seen.index(False) < len(seen) - 1 - seen[::-1].index(True)
+        rng = np.random.default_rng(bundle.sensor_seed)
+        ticks = range(0, cfg.n_ticks + 1, cfg.obs_stride)
+        for k, m in zip(ticks, ms):
+            if m.sset is not None:
+                assert np.array_equal(emulate_sensor(bundle, k, rng).sset.points, m.sset.points)
+
+    def test_training_latency_is_the_bundles(self, monkeypatch):
+        # A perception delay longer than the default 30-record history covers
+        # on its own, so a history sized without it would drop measurements.
+        delay = RandomizationConfig(perception_delay_ms=(450.0, 500.0))
+        bundle = generate_scenario(quick_cfg(duration=2.0, mode="training", randomization=delay))
+        assert 0.45 <= bundle.draw.perception_delay <= 0.5
+        assert bundle.latency == bundle.config.obs_latency + bundle.draw.perception_delay
+        ms = sensor_schedule(bundle)
+        for m in ms:
+            assert m.available_at == m.stamp + bundle.latency
+        statuses = []
+        real = FilterBank.ingest
+
+        def ingest(self, measured, stamp):
+            statuses.append(real(self, measured, stamp))
+            return statuses[-1]
+
+        monkeypatch.setattr(FilterBank, "ingest", ingest)
+        run_episode(bundle)
+        assert len(statuses) >= sum(m.sset is not None for m in ms if m.available_at <= 2.0)
+        assert IngestStatus.STALE not in statuses
 
     def test_zoh_holds_latest_delivery(self):
         times = np.array([0.0, 0.1, 0.2, 0.3, 0.45])
