@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import re
 import sys
@@ -73,20 +72,10 @@ def _write_rows_csv(path: str, table: EpisodeTable) -> None:
             fh.writelines(row % tuple(cells) for cells in chunk)
 
 
-def _sanitize(value):
-    """NaN/inf have no JSON form; map them to null recursively."""
-    if isinstance(value, float) and not math.isfinite(value):
-        return None
-    if isinstance(value, dict):
-        return {k: _sanitize(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_sanitize(v) for v in value]
-    return value
-
-
 def _write_json(path: str, payload: dict) -> None:
+    """Write ``payload``; a NaN or infinity raises, since JSON has no form for it."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(_sanitize(payload), fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
@@ -170,15 +159,15 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _parse_seed_range(text: str) -> list[int]:
+def _parse_seed_range(text: str) -> range:
     m = re.fullmatch(r"(\d+)\.\.(\d+)", text)
     if m:
         lo, hi = int(m.group(1)), int(m.group(2))
         if hi < lo:
             raise ConfigError(f"empty seed range {text!r}")
-        return list(range(lo, hi + 1))
+        return range(lo, hi + 1)
     if re.fullmatch(r"\d+", text):
-        return [int(text)]
+        return range(int(text), int(text) + 1)
     raise ConfigError(f"seeds must be an integer or A..B range, got {text!r}")
 
 
@@ -223,7 +212,7 @@ def _cmd_sweep(args) -> int:
     _write_json(
         os.path.join(args.out, "aggregate.json"),
         {
-            "seeds": seeds,
+            "seeds": list(seeds),
             "completed": len(seeds) - failures,
             "failed": failures,
             "per_seed": per_seed,
@@ -236,12 +225,15 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
-    from .selftest import run_all  # deferred: selftest drives the CLI for one check
+    from .selftest import ALL_CRITERIA, run_all  # deferred: selftest drives the CLI for one check
 
+    only = args.only_criterion
+    if only is not None and not 1 <= only <= len(ALL_CRITERIA):
+        raise ConfigError(f"--only-criterion must be in 1..{len(ALL_CRITERIA)}, got {only}")
     results = run_all(
         out_dir=args.out,
         disable_ego_compensation=args.disable_ego_compensation,
-        only=args.only_criterion,
+        only=only,
     )
     passed = sum(1 for r in results if r.passed)
     print(f"{passed}/{len(results)} criteria passed")

@@ -17,6 +17,7 @@ write into their inputs.
 from __future__ import annotations
 
 import enum
+import itertools
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -195,17 +196,19 @@ class _StepRecord:
 
     ``g`` (L, 1, 6, 6) and ``c`` (L, 1, 6) are the step's propagation
     ``mean' = g mean + c``, built once by ``step`` and reused by every replay
-    through this entry.  ``state`` is never written in place, so a record can
-    share arrays with the bank.  ``measurements`` keeps every raw set
-    accepted at this stamp (arrival order) so a later rollback can re-apply
-    them during replay.
+    through this entry.  ``state`` is never written in place, so records and
+    callers can share arrays.  ``measurements`` keeps every raw set accepted
+    at this stamp as ``(set stamp, z)`` pairs in arrival order, so a later
+    rollback can re-apply them during replay.  ``seen`` is the newest set
+    stamp applied at or before this entry (-inf before any set).
     """
 
     stamp: float
     g: np.ndarray | None = None
     c: np.ndarray | None = None
     state: BankState | None = None
-    measurements: list[np.ndarray] = field(default_factory=list)
+    measurements: list[tuple[float, np.ndarray]] = field(default_factory=list)
+    seen: float = -np.inf
 
 
 # Stamp comparisons tolerate accumulated float error, far below one tick.
@@ -252,14 +255,16 @@ class FilterBank:
         self._ego = np.array(ego_lanes, dtype=bool)[:, None, None]
         self._q = _process_noise(cfg)
         self._p0 = _prior(cfg)
-        self.state: BankState | None = None
-        self.last_measurement_stamp: float | None = None
         self.history: deque[_StepRecord] = deque(maxlen=history_depth)
         self.history.append(_StepRecord(start_stamp))
 
     @property
     def stamp(self) -> float:
         return self.history[-1].stamp
+
+    @property
+    def state(self) -> BankState | None:
+        return self.history[-1].state
 
     def estimate(self) -> SigmaPointSet | None:
         if self.state is None:
@@ -274,15 +279,27 @@ class FilterBank:
         """``step`` on an increment given as arrays the caller has already
         checked (see ``geometry.check_rotations``)."""
         g, c = compensate_ego_motion(dt, rotation, translation, self._ego)
-        rec = _StepRecord(self.stamp + dt, g[:, None], c[:, None])
-        if self.state is not None:
-            self.state = rec.state = predict(*self.state, rec.g, rec.c, self._q)
-        self.history.append(rec)
+        self.history.append(_StepRecord(self.stamp + dt, g[:, None], c[:, None]))
+        self._replay(len(self.history) - 1)
+
+    def _replay(self, start: int) -> None:
+        """Rewrite records ``start`` to newest in one forward pass: predict from
+        the record before, then re-apply the stored sets, carrying ``seen``."""
+        prev = self.history[start - 1]
+        state, seen = prev.state, prev.seen
+        for rec in itertools.islice(self.history, start, None):
+            if state is not None:
+                state = predict(*state, rec.g, rec.c, self._q)
+            for meas_stamp, z in rec.measurements:
+                state = self._apply_measurement(state, z, rec.stamp - seen)
+                seen = max(seen, meas_stamp)
+            rec.state, rec.seen = state, seen
 
     def _apply_measurement(
-        self, state: BankState | None, measured: np.ndarray, stamp: float
+        self, state: BankState | None, measured: np.ndarray, gap: float
     ) -> BankState:
-        """Associate and update all seven points of every lane at one stamp."""
+        """Associate and update all seven points of every lane with one set,
+        taken ``gap`` after the newest set applied before it."""
         shape = (len(self._ego), N_POINTS)
         if state is None:
             mean, cov = init_track(np.tile(measured, (len(self._ego), 1)), self._p0)
@@ -294,11 +311,6 @@ class FilterBank:
         depth = np.maximum(mean[:, 2], self.cam.near_z)
         r = measurement_covariance(self.cam, depth, self.cfg)
         new_mean, new_cov = update(mean, cov, assoc, r)
-        gap = (
-            np.inf
-            if self.last_measurement_stamp is None
-            else stamp - self.last_measurement_stamp
-        )
         if gap > self.reacquire_window:
             # Long blind spot: restart each track whose prediction no longer
             # explains the measurement instead of dragging it.
@@ -306,10 +318,6 @@ class FilterBank:
             if reset.any():
                 new_mean[reset], new_cov[reset] = init_track(assoc[reset], self._p0)
         return new_mean.reshape(shape + (6,)), new_cov.reshape(shape + (6, 6))
-
-    def _note_measurement(self, meas_stamp: float) -> None:
-        if self.last_measurement_stamp is None or meas_stamp > self.last_measurement_stamp:
-            self.last_measurement_stamp = meas_stamp
 
     def ingest(self, measured: SigmaPointSet, meas_stamp: float) -> IngestStatus:
         """Fold in a (possibly delayed) measurement.
@@ -336,15 +344,10 @@ class FilterBank:
             if idx is None:
                 return IngestStatus.STALE
 
+        # The new set follows the record's own sets, so its gap starts at rec.seen.
         rec = self.history[idx]
-        state = rec.state = self._apply_measurement(rec.state, z, rec.stamp)
-        rec.measurements.append(z)
-        self._note_measurement(meas_stamp)
-        for i in range(idx + 1, len(self.history)):
-            nxt = self.history[i]
-            state = predict(*state, nxt.g, nxt.c, self._q)
-            for old in nxt.measurements:
-                state = self._apply_measurement(state, old, nxt.stamp)
-            nxt.state = state
-        self.state = state
+        rec.state = self._apply_measurement(rec.state, z, rec.stamp - rec.seen)
+        rec.seen = max(rec.seen, meas_stamp)
+        rec.measurements.append((meas_stamp, z))
+        self._replay(idx + 1)
         return IngestStatus.APPLIED

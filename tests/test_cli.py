@@ -393,12 +393,14 @@ class TestSweepCommand:
     def test_config_error_exits_2_once(self, tmp_path, capsys, payload, key):
         cfg = write_cfg(tmp_path, payload)
         out = tmp_path / "sweep"
-        rc = main(["sweep", "--config", cfg, "--out", str(out), "--seeds", "0..2", "--quiet"])
-        err = capsys.readouterr().err
-        assert rc == 2
-        assert err.startswith("config error: ") and key in err
-        assert err.count("\n") == 1
-        assert not out.exists()
+        # A huge range is never expanded before the config is checked.
+        for seeds in ("0..2", "0..100000000000000"):
+            rc = main(["sweep", "--config", cfg, "--out", str(out), "--seeds", seeds, "--quiet"])
+            err = capsys.readouterr().err
+            assert rc == 2
+            assert err.startswith("config error: ") and key in err
+            assert err.count("\n") == 1
+            assert not out.exists()
 
     def test_failing_seeds_reported(self, tmp_path, capsys):
         payload = base_cfg()
@@ -460,6 +462,15 @@ class TestSelftestCommand:
         out = capsys.readouterr().out
         assert rc == 1
         assert "FAIL criterion  6" in out
+
+    @pytest.mark.parametrize("index", ["0", "12", "-3"])
+    def test_criterion_out_of_range_exits_2_with_one_line(self, capsys, index):
+        rc = main(["selftest", "--only-criterion", index])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("config error: ") and "1..11" in lines[0]
 
 
 @pytest.mark.parametrize("where", ["file", "under-file", "empty"])

@@ -268,6 +268,23 @@ class TestFilterBank:
             # updated, not reset: keeps the position-velocity cross term
             assert point_cov[0, 3] != 0.0
 
+    def test_in_place_gap_counts_from_the_sets_own_stamp(self):
+        # in_place applies a past-stamped set at the newest record; the next
+        # set's gap still runs from that set's stamp, 0.4 s, not from 0.7 s.
+        ident = RigidTransform.identity()
+        bank = FilterBank(CFG, CAM, oosm_mode="in_place", reacquire_window=0.5, reacquire_gate=5.0)
+        bank.ingest(SigmaPointSet(base_set()), 0.0)
+        for _ in range(70):
+            bank.step(0.01, ident)
+        far = base_set((3.0, 0.0, 2.5))
+        bank.ingest(SigmaPointSet(far), 0.4)
+        np.testing.assert_allclose(bank.estimate().points, far, atol=1e-12)
+        for _ in range(30):
+            bank.step(0.01, ident)
+        bank.ingest(SigmaPointSet(base_set()), bank.stamp)
+        np.testing.assert_allclose(bank.estimate().points, base_set(), atol=1e-12)
+        np.testing.assert_allclose(bank.state[1][0, 0], P0, atol=1e-15)
+
     def test_close_measurement_updates_instead_of_reinit(self):
         bank = FilterBank(CFG, CAM, reacquire_window=0.5, reacquire_gate=5.0)
         bank.ingest(SigmaPointSet(base_set()), 0.0)

@@ -63,6 +63,23 @@ MUTANTS = (
     Mutant("row-vector-mean-product", "estimator.py",
            "return (g @ mean[..., None])[..., 0] + c,",
            "return (mean[..., None, :, :] @ g.swapaxes(-1, -2))[..., 0, :, :] + c,"),
+    Mutant("state-reads-oldest-record", "estimator.py",
+           "return self.history[-1].state",
+           "return self.history[0].state"),
+    Mutant("replay-stops-carrying-seen", "estimator.py",
+           "                seen = max(seen, meas_stamp)\n",
+           ""),
+    Mutant("replay-seen-starts-unseen", "estimator.py",
+           "state, seen = prev.state, prev.seen",
+           "state, seen = prev.state, -np.inf"),
+    Mutant("rollback-gap-read-after-seen", "estimator.py",
+           "        rec.state = self._apply_measurement(rec.state, z, rec.stamp - rec.seen)\n"
+           "        rec.seen = max(rec.seen, meas_stamp)\n",
+           "        rec.seen = max(rec.seen, meas_stamp)\n"
+           "        rec.state = self._apply_measurement(rec.state, z, rec.stamp - rec.seen)\n"),
+    Mutant("seen-from-record-stamp", "estimator.py",
+           "rec.seen = max(rec.seen, meas_stamp)",
+           "rec.seen = max(rec.seen, rec.stamp)"),
     Mutant("future-check-without-stamp-eps", "estimator.py",
            "if meas_stamp > self.stamp + STAMP_EPS:",
            "if meas_stamp > self.stamp:"),
