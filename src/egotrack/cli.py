@@ -41,6 +41,8 @@ def _read_user_config(path: str) -> dict:
         raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path!r} is not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise ConfigError(f"config file {path!r} nests too deeply to read") from None
     if not isinstance(user, dict):
         raise ConfigError("top-level config must be a JSON object")
     return user

@@ -26,7 +26,7 @@ import numpy as np
 from .errors import ConfigError
 from .estimator import FilterConfig
 from .perturbation import RandomizationConfig
-from .sim import ScenarioConfig
+from .sim import MODES, ScenarioConfig
 from .tasklogic import CriteriaConfig, RewardConfig, TaskGeometry
 
 _type_hints = functools.cache(typing.get_type_hints)
@@ -104,10 +104,12 @@ def _number(kind: type, value, path: str):
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ConfigError(f"config key {path!r} must be a number, got {value!r}")
     if isinstance(value, numbers.Integral):
+        # An int no float can hold overflows wherever it meets float math.
         try:
-            return kind(value)
+            float(value)
         except OverflowError:
             raise ConfigError(f"config key {path!r} is out of range") from None
+        return kind(value)
     value = float(value)
     if not math.isfinite(value):
         raise ConfigError(f"config key {path!r} must be finite, got {value!r}")
@@ -140,6 +142,12 @@ def _leaf(kind: type, value, path: str, default):
 
 
 def _build(cls: type, values: dict, path: str, **fixed):
+    """Instantiate ``cls`` from its section at ``path``.
+
+    This is the one place a dataclass's ``ValueError`` becomes a
+    ``ConfigError``: the message starts with the field's name, so the
+    section's path completes the key.
+    """
     hints, default = _type_hints(cls), _default_instance(cls)
     kwargs = {
         key: _leaf(hints[key], value, f"{path}.{key}", getattr(default, key))
@@ -147,7 +155,9 @@ def _build(cls: type, values: dict, path: str, **fixed):
     }
     try:
         return cls(**kwargs, **fixed)
-    except (TypeError, ValueError, OverflowError) as exc:
+    except ValueError as exc:
+        raise ConfigError(f"{path}.{exc}") from exc
+    except (TypeError, OverflowError) as exc:  # no field name to complete
         raise ConfigError(f"{path}: {exc}") from exc
 
 
@@ -157,15 +167,20 @@ def build_configs(canonical: dict):
     Returns (ScenarioConfig, FilterConfig, CriteriaConfig, RewardConfig,
     TaskGeometry | None).
     """
-    randomization = None
-    if canonical["mode"] == "training":
-        randomization = _build(RandomizationConfig, canonical["randomization"], "randomization")
+    # ``mode`` is a top-level key: checked here, the line names ``mode``,
+    # where ScenarioConfig's own check would name ``scenario.mode``.
+    mode = canonical["mode"]
+    if mode not in MODES:
+        raise ConfigError(f"mode must be one of {', '.join(MODES)}, got {mode!r}")
+    # Deploy mode draws nothing, yet its randomization section is checked
+    # too, since every value is written to summary.json.
+    randomization = _build(RandomizationConfig, canonical["randomization"], "randomization")
     scenario = _build(
         ScenarioConfig,
         canonical["scenario"],
         "scenario",
-        mode=canonical["mode"],
-        randomization=randomization,
+        mode=mode,
+        randomization=randomization if mode == "training" else None,
     )
     task = None if canonical["task"] is None else _build(TaskGeometry, canonical["task"], "task")
     return (

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidDepthError, NumericalError
+from .errors import InvalidDepthError, NumericalError, check_fields
 from .geometry import N_POINTS, CameraModel, RigidTransform, SigmaPointSet
 
 _EYE3 = np.eye(3)
@@ -42,9 +42,7 @@ class FilterConfig:
     p0_vel: float = 1e-1     # (m/s)^2
 
     def __post_init__(self):
-        for name in ("q_pos", "q_vel", "sigma_u", "sigma_v", "sigma_z", "p0_pos", "p0_vel"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive")
+        check_fields(self, positive=("q_pos", "q_vel", "sigma_u", "sigma_v", "sigma_z", "p0_pos", "p0_vel"))
 
 
 # ---------------------------------------------------------------------------

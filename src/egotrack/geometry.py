@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateGeometryError, FrameMismatchError, InvalidDepthError, NumericalError
+from .errors import (DegenerateGeometryError, FrameMismatchError, InvalidDepthError, NumericalError,
+                     check_fields)
 
 # Orthonormality tolerance for accepting a rotation matrix.
 ROTATION_TOL = 1e-9
@@ -159,12 +160,7 @@ class CameraModel:
     near_z: float = 0.05
 
     def __post_init__(self):
-        if min(self.fx, self.fy) <= 0.0:
-            raise ValueError("focal lengths must be positive")
-        if self.width <= 0 or self.height <= 0:
-            raise ValueError("image size must be positive")
-        if self.near_z <= 0.0:
-            raise ValueError("near plane must be positive")
+        check_fields(self, positive=("fx", "fy", "width", "height", "near_z"))
 
 
 def project_points(cam: CameraModel, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

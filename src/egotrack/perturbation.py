@@ -7,6 +7,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from .errors import check_fields
 from .geometry import N_POINTS, RigidTransform, rotation_about_axis, rotation_rpy
 
 
@@ -28,10 +29,7 @@ class DriftState:
         self.d = np.asarray(self.d, dtype=float)
         if self.d.shape[-1] != 3:
             raise ValueError("drift offset must have a trailing dimension of 3")
-        if self.sigma_drift < 0.0:
-            raise ValueError("sigma_drift must be non-negative")
-        if self.d_max <= 0.0:
-            raise ValueError("d_max must be positive")
+        check_fields(self, positive=("d_max",), non_negative=("sigma_drift",))
 
 
 def drift_step(state: DriftState, rng: np.random.Generator, target_visible: bool) -> DriftState:
@@ -94,15 +92,6 @@ def perturb_sigma_points(
     return np.concatenate([centroid, centroid + offsets], axis=1).reshape(points.shape)
 
 
-def _check_range(name: str, rng_pair) -> tuple[float, float]:
-    if len(rng_pair) != 2:
-        raise ValueError(f"{name} must be a (lower, upper) pair")
-    lo, hi = float(rng_pair[0]), float(rng_pair[1])
-    if lo > hi:
-        raise ValueError(f"{name}: lower bound exceeds upper bound")
-    return lo, hi
-
-
 @dataclass(frozen=True)
 class RandomizationConfig:
     """Per-episode randomization ranges (uniform) and noise levels (Gaussian std)."""
@@ -120,15 +109,11 @@ class RandomizationConfig:
 
     def __post_init__(self):
         for f in fields(self):
-            if f.type == "tuple":  # every tuple field is a (lower, upper) range
-                _check_range(f.name, getattr(self, f.name))
-        if self.perception_delay_ms[0] < 0.0:
-            raise ValueError("perception_delay_ms: lower bound must be non-negative")
-        if self.alpha_range[0] <= 0.0:
-            raise ValueError("alpha_range: lower bound must be positive")
-        for name in ("sigma_scale_noise_std", "sigma_rot_noise_std"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be non-negative")
+            pair = getattr(self, f.name)
+            if f.type == "tuple" and not (len(pair) == 2 and pair[0] <= pair[1]):  # a range
+                raise ValueError(f"{f.name} must be a (lower, upper) pair, lower <= upper, got {pair!r}")
+        check_fields(self, positive=("alpha_range",),
+                     non_negative=("perception_delay_ms", "sigma_scale_noise_std", "sigma_rot_noise_std"))
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigError, EgoTrackError, NumericalError
+from .errors import ConfigError, EgoTrackError, NumericalError, check_fields
 from .estimator import STAMP_EPS, FilterBank, FilterConfig, associate_measurement
 from .geometry import (
     N_POINTS,
@@ -80,6 +80,8 @@ MAX_SURFACE_SAMPLES = 1_000_000
 MAX_TICK_SAMPLES = MAX_TICKS * 2048
 MAX_REPLAY_WORK = MAX_TICKS * 64
 
+MODES = ("deploy", "training")
+
 
 @dataclass(frozen=True)
 class CameraMotion:
@@ -99,8 +101,7 @@ class CameraMotion:
     yaw_rate: float = 0.5
 
     def __post_init__(self):
-        if self.kind not in ("static", "constant_velocity", "walking", "turning"):
-            raise ConfigError(f"unknown camera motion kind {self.kind!r}")
+        check_fields(self, choices={"kind": ("static", "constant_velocity", "walking", "turning")})
 
     def base_pose(self, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(world position, yaw, pitch) of the base at time t, or at each
@@ -136,10 +137,8 @@ class ObjectSpec:
     velocity: tuple = (0.0, 0.0, 0.0)
 
     def __post_init__(self):
-        if self.shape not in ("sphere", "box", "cylinder"):
-            raise ValueError(f"unknown shape {self.shape!r} (sphere, box or cylinder)")
-        if min(self.radius, self.height, *self.dims) <= 0.0:
-            raise ValueError("radius, height and every dim must be positive")
+        check_fields(self, positive=("radius", "height", "dims"),
+                     choices={"shape": ("sphere", "box", "cylinder")})
 
 
 @dataclass(frozen=True)
@@ -159,10 +158,8 @@ class SensorSpec:
     mode: str = "cloud"
 
     def __post_init__(self):
-        if self.mode not in ("cloud", "truth"):
-            raise ConfigError(f"unknown sensor mode {self.mode!r}")
-        if min(self.pixel_std_u, self.pixel_std_v, self.depth_std) < 0.0:
-            raise ConfigError("sensor noise levels must be non-negative")
+        check_fields(self, non_negative=("pixel_std_u", "pixel_std_v", "depth_std"),
+                     choices={"mode": ("cloud", "truth")})
 
 
 @dataclass(frozen=True)
@@ -187,53 +184,37 @@ class ScenarioConfig:
     mode: str = "deploy"
 
     def __post_init__(self):
-        if self.seed < 0:
-            raise ConfigError("scenario.seed must be non-negative")
-        if self.duration <= 0.0:
-            raise ConfigError("scenario.duration must be positive")
-        if self.control_rate <= 0.0 or self.obs_rate <= 0.0:
-            raise ConfigError("rates must be positive")
+        check_fields(
+            self,
+            positive=("duration", "control_rate", "obs_rate", "surface_samples", "alpha", "drift_max"),
+            non_negative=("seed", "obs_latency", "vo_trans_noise_std", "vo_rot_noise_std", "drift_sigma"),
+            choices={"mode": MODES},
+        )
+        # The tick cap is checked on the float product, which n_ticks rounds
+        # (half to even, so MAX_TICKS + 0.5 is MAX_TICKS) and an infinity
+        # would overflow; the stride and the period are checked finite too.
+        if self.duration * self.control_rate > MAX_TICKS + 0.5:
+            raise ValueError(f"duration {self.duration} s at control_rate {self.control_rate} Hz "
+                             f"is above the cap of {MAX_TICKS} ticks")
+        if not math.isfinite(self.dt):
+            raise ValueError(f"control_rate {self.control_rate} Hz has no finite period")
         stride = self.control_rate / self.obs_rate
-        if abs(stride - round(stride)) > 1e-9 or round(stride) < 1:
-            raise ConfigError("control_rate must be an integer multiple of obs_rate")
-        if self.obs_latency < 0.0:
-            raise ConfigError("obs_latency must be non-negative")
-        if self.alpha <= 0.0:
-            raise ConfigError("alpha must be positive")
-        if self.surface_samples < 1:
-            raise ConfigError("surface_samples must be positive")
-        if self.n_ticks > MAX_TICKS:
-            raise ConfigError(
-                f"scenario.duration: {self.duration} s at control_rate {self.control_rate} Hz "
-                f"is {self.n_ticks} ticks, above the cap of {MAX_TICKS}"
-            )
+        if not (math.isfinite(stride) and abs(stride - round(stride)) <= 1e-9 and round(stride) >= 1):
+            raise ValueError("control_rate must be an integer multiple of obs_rate")
         if self.surface_samples > MAX_SURFACE_SAMPLES:
-            raise ConfigError(
-                f"scenario.surface_samples: {self.surface_samples} is above the cap of "
-                f"{MAX_SURFACE_SAMPLES}"
-            )
+            raise ValueError(f"surface_samples {self.surface_samples} "
+                             f"is above the cap of {MAX_SURFACE_SAMPLES}")
         if self.n_ticks * self.surface_samples > MAX_TICK_SAMPLES:
-            raise ConfigError(
-                f"scenario.surface_samples: {self.n_ticks} ticks x {self.surface_samples} "
-                f"samples is above the cap of {MAX_TICK_SAMPLES}"
-            )
-        for name in ("vo_trans_noise_std", "vo_rot_noise_std", "drift_sigma"):
-            if getattr(self, name) < 0.0:
-                raise ConfigError(f"scenario.{name} must be non-negative")
-        if self.drift_max <= 0.0:
-            raise ConfigError("scenario.drift_max must be positive")
-        if self.mode not in ("deploy", "training"):
-            raise ConfigError(f"unknown mode {self.mode!r}")
+            raise ValueError(f"surface_samples {self.surface_samples} x {self.n_ticks} ticks "
+                             f"is above the cap of {MAX_TICK_SAMPLES}")
         if self.mode == "training" and self.randomization is None:
             object.__setattr__(self, "randomization", RandomizationConfig())
         max_delay = self.randomization.perception_delay_ms[1] * 1e-3 if self.mode == "training" else 0.0
         deliveries = self.n_ticks // self.obs_stride + 1
         depth = self.history_depth(self.obs_latency + max_delay)
         if deliveries * depth > MAX_REPLAY_WORK:
-            raise ConfigError(
-                f"scenario.obs_latency: {deliveries} deliveries x replay depth {depth} ticks "
-                f"is above the cap of {MAX_REPLAY_WORK}"
-            )
+            raise ValueError(f"obs_latency {self.obs_latency} s makes {deliveries} deliveries x replay "
+                             f"depth {depth} ticks, above the cap of {MAX_REPLAY_WORK}")
 
     @property
     def dt(self) -> float:

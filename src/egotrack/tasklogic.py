@@ -16,6 +16,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from .errors import check_fields
 from .geometry import N_POINTS, dots, norms
 
 TWO_PI = 2.0 * math.pi
@@ -69,10 +70,8 @@ class TaskGeometry:
     def __post_init__(self):
         for name in ("p_opt", "theta_opt", "p_hint", "w_pos", "w_rot"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float).reshape(3))
-        if np.any(self.w_pos < 0.0) or np.any(self.w_rot < 0.0):
-            raise ValueError("error weights must be non-negative")
-        if self.task_kind not in ("long_axis", "short_axis", "release"):
-            raise ValueError(f"unknown task_kind {self.task_kind!r}")
+        check_fields(self, non_negative=("w_pos", "w_rot"),
+                     choices={"task_kind": ("long_axis", "short_axis", "release")})
 
 
 @dataclass(frozen=True)
@@ -89,15 +88,9 @@ class CriteriaConfig:
     delta_pitch: float = 0.20
 
     def __post_init__(self):
-        pairs = (
-            (self.eps_x, self.delta_x),
-            (self.eps_y, self.delta_y),
-            (self.eps_yaw, self.delta_yaw),
-            (self.eps_pitch, self.delta_pitch),
-        )
-        for eps, delta in pairs:
-            if not 0.0 < eps < delta:
-                raise ValueError("each eps must be positive and strictly below its delta")
+        for axis in ("x", "y", "yaw", "pitch"):
+            if not 0.0 < getattr(self, f"eps_{axis}") < getattr(self, f"delta_{axis}"):
+                raise ValueError(f"eps_{axis} must be positive and strictly below delta_{axis}")
 
 
 @dataclass(frozen=True)
@@ -120,12 +113,8 @@ class RewardConfig:
     opt_velocity: str = "planar"
 
     def __post_init__(self):
-        if self.sigma_track <= 0.0:
-            raise ValueError("sigma_track must be positive")
-        if self.clip_planar <= 0.0 or self.clip_pitch <= 0.0:
-            raise ValueError("action limits must be positive")
-        if self.opt_velocity not in ("planar", "linear3d"):
-            raise ValueError(f"unknown opt_velocity {self.opt_velocity!r}")
+        check_fields(self, positive=("sigma_track", "clip_planar", "clip_pitch"),
+                     choices={"opt_velocity": ("planar", "linear3d")})
 
 
 @dataclass
@@ -326,8 +315,7 @@ class AscConfig:
     def __post_init__(self):
         if not 0.0 < self.s_thresh <= 1.0:
             raise ValueError("s_thresh must be in (0, 1]")
-        if self.window_n < 1 or self.replay_capacity < 1:
-            raise ValueError("window and replay capacity must be positive")
+        check_fields(self, positive=("window_n", "replay_capacity"))
         for p in (self.p_near_start, self.p_near_end, self.p_fail_start, self.p_fail_end):
             if not 0.0 <= p <= 1.0:
                 raise ValueError("probabilities must lie in [0, 1]")

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -17,8 +18,16 @@ from egotrack.cli import main
 from egotrack.config import build_configs, canonical_config, config_hash
 from egotrack.errors import ConfigError
 from egotrack.estimator import FilterConfig
+from egotrack.geometry import CameraModel
 from egotrack.perturbation import RandomizationConfig
-from egotrack.sim import MAX_SURFACE_SAMPLES, MAX_TICK_SAMPLES, MAX_TICKS, ScenarioConfig
+from egotrack.sim import (
+    MAX_SURFACE_SAMPLES,
+    MAX_TICK_SAMPLES,
+    MAX_TICKS,
+    ObjectSpec,
+    ScenarioConfig,
+    SensorSpec,
+)
 from egotrack.tasklogic import CriteriaConfig, RewardConfig, TaskGeometry
 
 
@@ -85,6 +94,38 @@ class TestConfigModule:
         c = canonical_config({"scenario": {"duration": 1.0, "sensor": {"mode": "radar"}}})
         with pytest.raises(ConfigError):
             build_configs(c)
+
+
+# The fields each config type bounds; CameraMotion bounds none.
+_BOUNDED_FIELDS = {
+    CameraModel: ("fx", "fy", "width", "height", "near_z"),
+    SensorSpec: ("pixel_std_u", "pixel_std_v", "depth_std"),
+    ObjectSpec: ("radius", "height", "dims"),
+    ScenarioConfig: ("seed", "duration", "control_rate", "obs_rate", "obs_latency", "surface_samples",
+                     "alpha", "vo_trans_noise_std", "vo_rot_noise_std", "drift_sigma", "drift_max"),
+    FilterConfig: ("q_pos", "q_vel", "sigma_u", "sigma_v", "sigma_z", "p0_pos", "p0_vel"),
+    CriteriaConfig: tuple(f.name for f in dataclasses.fields(CriteriaConfig)),
+    RewardConfig: ("sigma_track", "clip_planar", "clip_pitch"),
+    RandomizationConfig: tuple(f.name for f in dataclasses.fields(RandomizationConfig)),
+    TaskGeometry: ("w_pos", "w_rot"),
+}
+
+
+@pytest.mark.parametrize(
+    "cls, name",
+    [(cls, name) for cls, names in _BOUNDED_FIELDS.items() for name in names],
+    ids=lambda v: v.__name__ if isinstance(v, type) else v,
+)
+def test_config_types_reject_nan_naming_the_field(cls, name):
+    default = getattr(cls(), name)
+    value = float("nan") if np.ndim(default) == 0 else (float("nan"), *default[1:])
+    with pytest.raises(ValueError) as info:
+        cls(**{name: value})
+    words = str(info.value).split()
+    # The message starts with a field name, which the config layer prefixes
+    # with the section's path, and names this field.
+    assert words[0] in {f.name for f in dataclasses.fields(cls)}
+    assert name in words
 
 
 class TestRunCommand:
@@ -225,6 +266,24 @@ class TestRunCommand:
                 "perception_delay_ms",
             ),
             ({"scenario": {"duration": 1.0, "seed": -1}}, "scenario.seed"),
+            ({"scenario": {"duration": 1.0, "obs_rate": 7.0}}, "scenario.control_rate"),
+            ({"scenario": {"duration": 1.0, "obs_rate": -1.0}}, "scenario.obs_rate"),
+            ({"scenario": {"duration": 1.0, "alpha": 0.0}}, "scenario.alpha"),
+            ({"scenario": {"duration": 1.0, "camera_motion": {"kind": "x"}}}, "scenario.camera_motion.kind"),
+            ({"scenario": {"duration": 1.0, "sensor": {"mode": "radar"}}}, "scenario.sensor.mode"),
+            ({"scenario": {"duration": 1.0, "sensor": {"depth_std": -0.1}}}, "scenario.sensor.depth_std"),
+            ({"scenario": {"duration": 1.0, "obs_latency": -0.2}}, "scenario.obs_latency"),
+            ({"scenario": {"duration": 1.0, "surface_samples": 0}}, "scenario.surface_samples"),
+            ({"scenario": {"duration": 1.0, "camera": {"width": 10**400}}}, "scenario.camera.width"),
+            ({"scenario": {"duration": 1.0, "seed": 10**400}}, "scenario.seed"),
+            ({"scenario": {"duration": 1e300, "control_rate": 1e10}}, "scenario.duration"),
+            ({"scenario": {"duration": 1.0, "control_rate": 1e300, "obs_rate": 1e-300}}, "scenario.duration"),
+            ({"scenario": {"duration": 1.0, "control_rate": 1e-310, "obs_rate": 1e-310}}, "scenario.control_rate"),
+            ({"scenario": {"duration": 1.0}, "mode": "bogus"}, "config error: mode "),
+            (
+                {"scenario": {"duration": 1.0}, "randomization": {"extrinsic_trans_x": [0.0, float("nan")]}},
+                "randomization.extrinsic_trans_x[1]",
+            ),
         ],
         ids=[
             "nan-duration",
@@ -250,6 +309,21 @@ class TestRunCommand:
             "zero-alpha-range",
             "negative-perception-delay",
             "negative-seed",
+            "stride",
+            "negative-rate",
+            "zero-alpha",
+            "unknown-camera-motion",
+            "unknown-sensor-mode",
+            "negative-depth-std",
+            "negative-obs-latency",
+            "zero-surface-samples",
+            "int-beyond-float-width",
+            "int-beyond-float-seed",
+            "tick-count-overflows",
+            "stride-overflows",
+            "control-period-overflows",
+            "unknown-top-level-mode",
+            "nan-range-in-deploy-mode",
         ],
     )
     def test_bad_leaf_exits_2_naming_the_key(self, tmp_path, capsys, payload, key):
@@ -348,6 +422,16 @@ class TestRunCommand:
         rc = main(["run", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path / "o")])
         assert rc == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["run"], ["sweep", "--seeds", "0..1"]], ids=["run", "sweep"])
+    def test_deeply_nested_config_exits_2_with_one_line(self, tmp_path, capsys, command):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200_000 + "]" * 200_000)
+        rc = main(command + ["--config", str(path), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("config error: ") and "nests too deeply" in err
+        assert err.count("\n") == 1
 
 
 class TestSweepCommand:
@@ -523,7 +607,7 @@ FUZZ_LEAVES = [
     if path != ("scenario", "duration")
 ]
 _EDGE_FLOATS = [0.0, -0.0, -1.0, 1e-300, 1e-9, 1e9, 1e308, -1e308, float("nan"), float("inf")]
-_EDGE_INTS = [-1, 0, 1, 2, 2**63]
+_EDGE_INTS = [-1, 0, 1, 2, 2**63, 10**400]
 _WORDS = ["", "bogus", "sphere", "box", "cylinder", "static", "constant_velocity", "walking",
           "turning", "cloud", "truth", "deploy", "training"]
 _WRONG_TYPE = st.sampled_from([None, True, "1.0", [], {}])

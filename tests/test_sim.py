@@ -123,17 +123,17 @@ class TestCameraMotion:
             assert np.array_equal(pos[k], p_k) and yaw[k] == yaw_k and pitch[k] == pitch_k
 
     def test_unknown_kind(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError):
             CameraMotion(kind="hopping")
 
 
 class TestScenarioConfig:
     def test_rate_divisibility(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError):
             quick_cfg(control_rate=50.0, obs_rate=7.0)
 
     def test_duration_required_positive(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError):
             quick_cfg(duration=0.0)
 
     def test_derived_quantities(self):
@@ -146,13 +146,13 @@ class TestScenarioConfig:
         # Only the configs are built here; nothing is generated or allocated.
         # The longest episode at the default surface_samples is accepted.
         assert ScenarioConfig(duration=MAX_TICKS / 50.0).n_ticks == MAX_TICKS
-        with pytest.raises(ConfigError, match="scenario.duration"):
+        with pytest.raises(ValueError, match="^duration "):
             ScenarioConfig(duration=(MAX_TICKS + 1) / 50.0)
         ScenarioConfig(duration=1.0, surface_samples=MAX_SURFACE_SAMPLES)
-        with pytest.raises(ConfigError, match="scenario.surface_samples"):
+        with pytest.raises(ValueError, match="^surface_samples "):
             ScenarioConfig(duration=1.0, surface_samples=MAX_SURFACE_SAMPLES + 1)
         ScenarioConfig(duration=10.0, surface_samples=MAX_TICK_SAMPLES // 500)
-        with pytest.raises(ConfigError, match="scenario.surface_samples"):
+        with pytest.raises(ValueError, match="^surface_samples "):
             ScenarioConfig(duration=10.0, surface_samples=MAX_TICK_SAMPLES // 500 + 1)
 
     def test_replay_work_cap(self):
@@ -160,14 +160,14 @@ class TestScenarioConfig:
         # all of it, so the work is (ticks + 1) squared.
         side = math.isqrt(MAX_REPLAY_WORK)
         ScenarioConfig(duration=(side - 1) / 50.0, obs_rate=50.0, obs_latency=100.0)
-        with pytest.raises(ConfigError, match="scenario.obs_latency"):
+        with pytest.raises(ValueError, match="^obs_latency "):
             ScenarioConfig(duration=side / 50.0, obs_rate=50.0, obs_latency=100.0)
         # Training mode counts the longest perception delay it may draw
         # (50 ms by default): 10001 deliveries x depth 318 ticks fits, and
         # the 2.5 ticks more do not.
         deploy = dict(duration=200.0, obs_rate=50.0, obs_latency=6.23)
         ScenarioConfig(**deploy)
-        with pytest.raises(ConfigError, match="scenario.obs_latency"):
+        with pytest.raises(ValueError, match="^obs_latency "):
             ScenarioConfig(**deploy, mode="training")
 
     def test_training_mode_carries_the_default_randomization(self):
@@ -175,9 +175,9 @@ class TestScenarioConfig:
         assert quick_cfg().randomization is None
 
     def test_sensor_validation(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError):
             SensorSpec(mode="lidar")
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError):
             SensorSpec(depth_std=-0.1)
 
 

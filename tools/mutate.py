@@ -7,13 +7,14 @@ Each mutant is one exact source substitution.  For each, ``src/``,
 ``tests/`` and ``pyproject.toml`` are copied into a temporary directory, the
 substitution is applied to the copy, and the tier-1 suite runs there with
 ``-x`` against the copied package.  The mutant is killed when the suite
-fails.  The copy's ``conftest.py`` loads a hypothesis profile that draws a
-fixed example stream and skips shrinking: a kill needs one failing example,
-not the smallest, and a shrink of a long failing property can run for
-minutes.  So every run of this script kills the same mutants.  Before any mutant runs, every substitution must match its file
-exactly once, and the unmutated copy must pass; otherwise the script stops
-with exit 2, since a stale substitution or a failing suite would count as a
-kill.  Exit 0 when every mutant is killed, 1 when any survives.
+fails.  The suite runs under the ``mutate`` hypothesis profile of
+``tests/conftest.py``, which draws a fixed example stream and, like the
+suite's default profile, skips shrinking.  So every run of this script
+kills the same mutants.  Before any mutant runs, every substitution must
+match its file exactly once, and the unmutated copy must pass; otherwise
+the script stops with exit 2, since a stale substitution or a failing
+suite would count as a kill.  Exit 0 when every mutant is killed, 1 when
+any survives.
 
 A survivor is a gap in the tests: add a test that kills it, never drop the
 mutant.
@@ -33,14 +34,6 @@ from dataclasses import dataclass
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # A mutant that makes the suite hang counts as killed after this long.
 TIMEOUT_S = 600
-CONFTEST = """\
-from hypothesis import Phase, settings
-
-settings.register_profile(
-    "mutate", derandomize=True, phases=[Phase.explicit, Phase.reuse, Phase.generate]
-)
-settings.load_profile("mutate")
-"""
 
 
 @dataclass(frozen=True)
@@ -156,6 +149,16 @@ MUTANTS = (
     Mutant("frame-size-one-point-short", "tasklogic.py",
            "FRAME_SIZE = N_POINTS * 3",
            "FRAME_SIZE = (N_POINTS - 1) * 3"),
+    # Config validation.
+    Mutant("field-check-accepts-nan", "errors.py",
+           "if not np.all(holds(value, 0)):",
+           "if np.any(np.less_equal(value, 0) if bound == \"positive\" else np.less(value, 0)):"),
+    Mutant("positive-allows-zero", "errors.py",
+           '(positive, np.greater, "positive")',
+           '(positive, np.greater_equal, "positive")'),
+    Mutant("build-drops-section-path", "config.py",
+           'raise ConfigError(f"{path}.{exc}") from exc',
+           'raise ConfigError(f"{exc}") from exc'),
     # CLI.
     Mutant("out-dir-not-checked", "cli.py",
            "        if args.out is not None:\n            _check_out_dir(args.out)\n",
@@ -168,8 +171,6 @@ def _copy_tree(dest: str) -> None:
     shutil.copytree(os.path.join(ROOT, "src"), os.path.join(dest, "src"), ignore=ignore)
     shutil.copytree(os.path.join(ROOT, "tests"), os.path.join(dest, "tests"), ignore=ignore)
     shutil.copy2(os.path.join(ROOT, "pyproject.toml"), dest)
-    with open(os.path.join(dest, "conftest.py"), "w", encoding="utf-8") as fh:
-        fh.write(CONFTEST)
 
 
 def _read(path: str) -> str:
@@ -186,7 +187,8 @@ def _env(copy: str) -> dict:
 def _run_suite(copy: str) -> tuple[bool, str]:
     """Run tier-1 in ``copy``; returns (passed, the first failing test or
     else pytest's summary line)."""
-    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider"]
+    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+           "--hypothesis-profile=mutate"]
     try:
         proc = subprocess.run(cmd, cwd=copy, env=_env(copy), capture_output=True, text=True,
                               timeout=TIMEOUT_S)
