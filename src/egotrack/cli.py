@@ -14,7 +14,8 @@ import numpy as np
 from . import __version__
 from .config import build_configs, canonical_config, config_hash
 from .errors import ConfigError, EgoTrackError, NumericalError
-from .sim import EpisodeTable, generate_scenario, run_episode
+from .estimator import OOSM_MODES
+from .sim import MODES, EpisodeTable, generate_scenario, run_episode
 
 # Scalar episode metrics aggregated across a sweep.
 _SWEEP_KEYS = (
@@ -245,10 +246,10 @@ def _cmd_selftest(args) -> int:
 def _add_common_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", required=True, help="path to a JSON configuration file")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--mode", choices=("deploy", "training"), default=None,
+    p.add_argument("--mode", choices=MODES, default=None,
                    help="override the config's mode")
     p.add_argument("--quiet", action="store_true", help="suppress the progress line")
-    p.add_argument("--oosm-mode", choices=("replay", "in_place"), default="replay",
+    p.add_argument("--oosm-mode", choices=OOSM_MODES, default="replay",
                    help="delayed-measurement handling (in_place is the ablation)")
     p.add_argument("--disable-ego-compensation", action="store_true",
                    help=argparse.SUPPRESS)

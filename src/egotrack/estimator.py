@@ -214,6 +214,9 @@ class _StepRecord:
 # lies within it of the bank's stamp must not count as in the future.
 STAMP_EPS = 1e-9
 
+# Delayed-measurement handling; in_place (the ablation) applies a set at the newest record.
+OOSM_MODES = ("replay", "in_place")
+
 
 class FilterBank:
     """Seven independent per-point filters sharing a rollback history.
@@ -241,7 +244,7 @@ class FilterBank:
     ):
         if history_depth < 2:
             raise ValueError("history_depth must be at least 2")
-        if oosm_mode not in ("replay", "in_place"):
+        if oosm_mode not in OOSM_MODES:
             raise ValueError(f"unknown oosm_mode {oosm_mode!r}")
         if len(ego_lanes) < 1:
             raise ValueError("ego_lanes needs at least one lane")

@@ -47,7 +47,6 @@ from .tasklogic import (
     TaskGeometry,
     TerminalStatus,
     asc_probability,
-    clip_action,
     compute_reward,
     terminal_status,
 )
@@ -475,8 +474,11 @@ def _oracle_terminal(pos, ang, geom, crit, timed_out):
     return TerminalStatus.RUNNING
 
 
-def _oracle_reward(pos, ang, geom, crit, proprio, action, prev_action, out_fov, rcfg, limit_sq):
+def _oracle_reward(pos, ang, geom, crit, proprio, raw, out_fov, rcfg):
     s = rcfg.sigma_track
+    box = [rcfg.clip_planar, rcfg.clip_planar, rcfg.clip_planar, rcfg.clip_pitch]
+    action = [min(hi, max(-hi, float(x))) for x, hi in zip(raw, box)]
+    limit = sum((action[i] - raw[i]) ** 2 for i in range(4))
 
     def kern(x: float) -> float:
         return math.exp(-(x * x) / s)
@@ -507,7 +509,7 @@ def _oracle_reward(pos, ang, geom, crit, proprio, action, prev_action, out_fov, 
     miss = 1.0 if out_fov else 0.0
     roll = proprio.gravity_proj[1] ** 2
     ang_pen = proprio.ang_vel[0] ** 2 + proprio.ang_vel[1] ** 2
-    smooth = float(np.sum((np.asarray(action) - np.asarray(prev_action)) ** 2))
+    smooth = sum((action[i] - proprio.prev_action[i]) ** 2 for i in range(4))
     total = (
         rcfg.w_hint * hint
         + rcfg.w_opt * opt
@@ -515,11 +517,11 @@ def _oracle_reward(pos, ang, geom, crit, proprio, action, prev_action, out_fov, 
         + rcfg.w_roll * roll
         + rcfg.w_ang * ang_pen
         + rcfg.w_smooth * smooth
-        + rcfg.w_limit * limit_sq
+        + rcfg.w_limit * limit
     )
     return {
         "hint": hint, "opt": opt, "miss": miss, "roll": roll,
-        "ang": ang_pen, "smooth": smooth, "limit": limit_sq, "total": total,
+        "ang": ang_pen, "smooth": smooth, "limit": limit, "total": total,
     }
 
 
@@ -552,9 +554,8 @@ def check_reward_oracle() -> CriterionResult:
         g /= np.linalg.norm(g)
         proprio = ProprioState(g, rng.normal(0.0, 0.5, 3), rng.normal(0.0, 0.5, 3),
                                rng.uniform(-0.5, 0.5, 4))
+        # Raw actions cross the clip box on every axis.
         raw = rng.uniform(-1.0, 1.0, 4)
-        action, limit_sq = clip_action(raw, rcfg)
-        prev = rng.uniform(-0.5, 0.5, 4)
         out_fov = bool(rng.uniform() < 0.3)
 
         for timed_out in (False, True):
@@ -564,10 +565,8 @@ def check_reward_oracle() -> CriterionResult:
                 mismatch += 1
             if timed_out:
                 statuses.add(want)
-        breakdown = compute_reward(
-            pos, ang, geom, crit, proprio, action, prev, out_fov, rcfg, limit_sq
-        ).to_dict()
-        want = _oracle_reward(pos, ang, geom, crit, proprio, action, prev, out_fov, rcfg, limit_sq)
+        breakdown = compute_reward(pos, ang, geom, crit, proprio, raw, out_fov, rcfg).to_dict()
+        want = _oracle_reward(pos, ang, geom, crit, proprio, raw, out_fov, rcfg)
         for key in want:
             worst = max(worst, abs(breakdown[key] - want[key]))
 
@@ -589,11 +588,13 @@ def check_reward_oracle() -> CriterionResult:
 
 
 def check_determinism(out_dir: str | None = None) -> CriterionResult:
+    if out_dir is None:  # run in a temporary directory, removed afterwards
+        with tempfile.TemporaryDirectory(prefix="egotrack-selftest-") as tmp:
+            return check_determinism(tmp)
     from .cli import main as cli_main  # deferred to avoid an import cycle
 
-    base = out_dir or tempfile.mkdtemp(prefix="egotrack-selftest-")
-    os.makedirs(base, exist_ok=True)
-    cfg_path = os.path.join(base, "determinism-config.json")
+    os.makedirs(out_dir, exist_ok=True)
+    cfg_path = os.path.join(out_dir, "determinism-config.json")
     with open(cfg_path, "w", encoding="utf-8") as fh:
         json.dump(
             {
@@ -606,7 +607,7 @@ def check_determinism(out_dir: str | None = None) -> CriterionResult:
             },
             fh,
         )
-    outs = [os.path.join(base, "run-a"), os.path.join(base, "run-b")]
+    outs = [os.path.join(out_dir, "run-a"), os.path.join(out_dir, "run-b")]
     codes = [
         cli_main(["run", "--config", cfg_path, "--seed", "3", "--out", out, "--quiet"])
         for out in outs

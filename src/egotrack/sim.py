@@ -320,9 +320,9 @@ def generate_scenario(cfg: ScenarioConfig) -> TrajectoryBundle:
     vo_rotation, vo_position = cam_rotation, cam_position
     rot_std, trans_std = cfg.vo_rot_noise_std, cfg.vo_trans_noise_std
     if rot_std > 0.0 or trans_std > 0.0:
-        # One row of draws per tick in the order axis, angle, shift, each only
-        # when its noise is on; 0.0 + std * z is what normal(0.0, std) returns
-        # for the same draw z.
+        # One row of draws per tick: the axis whenever either noise is on,
+        # then the angle and the shift, each only when its noise is on;
+        # 0.0 + std * z is what normal(0.0, std) returns for the same draw z.
         draws = np.random.default_rng(vo_seed).standard_normal(
             (n + 1, 3 + (rot_std > 0.0) + 3 * (trans_std > 0.0))
         )
@@ -716,7 +716,6 @@ def run_episode(
             geom,
             criteria,
             ProprioState(gravity, lin_vel, ang_vel, zero_action),
-            zero_action,
             zero_action,
             out_fov=~bundle.visible,
             rcfg=reward_cfg or RewardConfig(),

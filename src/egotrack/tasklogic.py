@@ -65,13 +65,11 @@ class TaskGeometry:
     p_hint: np.ndarray = field(default_factory=lambda: np.zeros(3))
     w_pos: np.ndarray = field(default_factory=lambda: np.ones(3))
     w_rot: np.ndarray = field(default_factory=lambda: np.ones(3))
-    task_kind: str = "short_axis"
 
     def __post_init__(self):
         for name in ("p_opt", "theta_opt", "p_hint", "w_pos", "w_rot"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float).reshape(3))
-        check_fields(self, non_negative=("w_pos", "w_rot"),
-                     choices={"task_kind": ("long_axis", "short_axis", "release")})
+        check_fields(self, non_negative=("w_pos", "w_rot"))
 
 
 @dataclass(frozen=True)
@@ -219,17 +217,14 @@ def _kernel(sq: float, sigma: float) -> float:
     return math.exp(-sq / sigma)
 
 
-def clip_action(raw, rcfg: RewardConfig) -> tuple[np.ndarray, float]:
-    """Clamp an action to the actuator box; also return ||a_clip - a||^2.
-
-    The squared clip distance is the input of the limit penalty, kept
-    separate because downstream consumers only ever see the clipped action.
-    """
-    a = np.asarray(raw, dtype=float).reshape(4)
-    lo = np.array([-rcfg.clip_planar] * 3 + [-rcfg.clip_pitch])
-    hi = np.array([rcfg.clip_planar] * 3 + [rcfg.clip_pitch])
-    clipped = np.clip(a, lo, hi)
-    return clipped, float(np.sum((clipped - a) ** 2))
+def clip_action(raw, rcfg: RewardConfig) -> tuple[np.ndarray, float | np.ndarray]:
+    """Clamp an action, or each action of a stack, to the actuator box; also
+    return ||a_clip - a||^2, the input of the limit penalty: a float for one
+    action, an array over the leading axes of a stack."""
+    a = _rows(raw, 4)
+    box = np.array([rcfg.clip_planar] * 3 + [rcfg.clip_pitch])
+    clipped = np.clip(a, -box, box)
+    return clipped, _scalar(np.sum((clipped - a) ** 2, axis=-1))
 
 
 def compute_reward(
@@ -239,17 +234,16 @@ def compute_reward(
     crit: CriteriaConfig,
     proprio: ProprioState,
     action,
-    prev_action,
     out_fov,
     rcfg: RewardConfig,
-    limit_sq=0.0,
 ) -> RewardBreakdown:
     """Evaluate every reward term at one step, or at every step of a stack.
 
-    The pose, ``proprio``'s fields, the actions, ``out_fov`` and
-    ``limit_sq`` may carry leading axes, which broadcast together.
-    ``action`` must already be clipped (see ``clip_action``), which also
-    supplies ``limit_sq``.  The convergence bonus gates on the success
+    The pose, ``proprio``'s fields, ``action`` and ``out_fov`` may carry
+    leading axes, which broadcast together.  ``action`` is the raw policy
+    output: it is clipped to the ``rcfg`` box, the clip distance is the limit
+    term, and the smoothness term compares the clipped action with
+    ``proprio.prev_action``.  The convergence bonus gates on the success
     criterion evaluated without timeout.
     """
     sigma = rcfg.sigma_track
@@ -261,13 +255,13 @@ def compute_reward(
     else:
         v = np.concatenate([lin, ang_vel[..., 2:]], axis=-1)
     success = _in_success_band(position, angles, geom, crit)
-    action, prev_action = _rows(action, 4), _rows(prev_action, 4)
+    clipped, clip_sq = clip_action(action, rcfg)
     *per_step, miss, smooth, limit = np.broadcast_arrays(
         d_path, e_rot, e_pos, dots(v, v), success,
         proprio.gravity_proj[..., 1], ang_vel[..., 0], ang_vel[..., 1],
         np.where(out_fov, 1.0, 0.0),
-        np.sum((action - prev_action) ** 2, axis=-1),
-        np.asarray(limit_sq, dtype=float),
+        np.sum((clipped - proprio.prev_action) ** 2, axis=-1),
+        clip_sq,
     )
 
     # Python's x**2 and math.exp round differently from numpy's square and

@@ -77,8 +77,13 @@ def ref_kernel(sq, sigma):
     return math.exp(-sq / sigma)
 
 
-def ref_reward(position, angles, geom, crit, gravity, lin_vel, ang_vel, action, prev_action,
-               out_fov, rcfg, limit_sq):
+def ref_clip(raw, rcfg):
+    box = (rcfg.clip_planar, rcfg.clip_planar, rcfg.clip_planar, rcfg.clip_pitch)
+    return np.array([min(hi, max(-hi, float(x))) for x, hi in zip(raw, box)])
+
+
+def ref_reward(position, angles, geom, crit, gravity, lin_vel, ang_vel, raw, prev_action,
+               out_fov, rcfg):
     sigma = rcfg.sigma_track
     e_pos, e_rot = ref_alignment(position, angles, geom)
     d_path = ref_cross_track(position, geom.p_hint, geom.p_opt)
@@ -99,8 +104,9 @@ def ref_reward(position, angles, geom, crit, gravity, lin_vel, ang_vel, action, 
     miss = 1.0 if out_fov else 0.0
     roll = float(gravity[1]) ** 2
     ang = float(ang_vel[0]) ** 2 + float(ang_vel[1]) ** 2
+    action = ref_clip(raw, rcfg)
     smooth = float(np.sum((action - prev_action) ** 2))
-    limit = float(limit_sq)
+    limit = float(np.sum((action - raw) ** 2))
     total = (
         rcfg.w_hint * hint
         + rcfg.w_opt * opt
@@ -173,30 +179,31 @@ def _check_reward_stack(seed, n, opt_velocity, degenerate, stacked_actions):
     ang_vel = rng.normal(0.0, 0.1, (n, 3))
     lin_vel[0] = ang_vel[0] = 0.0
     shape = (n, 4) if stacked_actions else (4,)
-    action = rng.uniform(-0.5, 0.5, shape)
+    # Raw actions cross the clip box on every axis.
+    action = rng.uniform(-1.0, 1.0, shape)
     prev = rng.uniform(-0.5, 0.5, shape)
     out_fov = rng.uniform(size=n) < 0.3
-    limit_sq = rng.uniform(0.0, 0.1, n)
 
     def actions(k):
         return (action[k], prev[k]) if stacked_actions else (action, prev)
 
-    proprio = ProprioState(gravity, lin_vel, ang_vel, np.zeros(4))
-    got = compute_reward(pos, ang, geom, crit, proprio, action, prev, out_fov, rcfg, limit_sq).to_dict()
+    proprio = ProprioState(gravity, lin_vel, ang_vel, prev)
+    got = compute_reward(pos, ang, geom, crit, proprio, action, out_fov, rcfg).to_dict()
     for k in range(n):
         want = ref_reward(pos[k], ang[k], geom, crit, gravity[k], lin_vel[k], ang_vel[k],
-                          *actions(k), bool(out_fov[k]), rcfg, limit_sq[k])
+                          *actions(k), bool(out_fov[k]), rcfg)
         for key in KEYS:
             assert got[key].shape == (n,)
             assert got[key][k] == want[key], (key, k)
     assert got["opt"][0] > 0.0  # row 0 is inside the success band
 
     # One pose gives the reference's floats.
+    last, last_prev = actions(-1)
     one = compute_reward(pos[-1], ang[-1], geom, crit,
-                         ProprioState(gravity[-1], lin_vel[-1], ang_vel[-1], np.zeros(4)),
-                         *actions(-1), bool(out_fov[-1]), rcfg, float(limit_sq[-1])).to_dict()
+                         ProprioState(gravity[-1], lin_vel[-1], ang_vel[-1], last_prev),
+                         last, bool(out_fov[-1]), rcfg).to_dict()
     want = ref_reward(pos[-1], ang[-1], geom, crit, gravity[-1], lin_vel[-1], ang_vel[-1],
-                      *actions(-1), bool(out_fov[-1]), rcfg, limit_sq[-1])
+                      last, last_prev, bool(out_fov[-1]), rcfg)
     for key in KEYS:
         assert type(one[key]) is float and one[key] == want[key], key
 

@@ -88,7 +88,6 @@ class TestConfigModule:
         expected = TaskGeometry()
         for name in ("p_opt", "theta_opt", "p_hint", "w_pos", "w_rot"):
             np.testing.assert_array_equal(getattr(task, name), getattr(expected, name))
-        assert task.task_kind == expected.task_kind
 
     def test_build_configs_bad_value(self):
         c = canonical_config({"scenario": {"duration": 1.0, "sensor": {"mode": "radar"}}})
@@ -214,6 +213,7 @@ class TestRunCommand:
                 "randomization.friction_range",
             ),
             ({"scenario": {"duration": 1.0}, "asc": {"lambda_asc": 5.0}}, "'asc'"),
+            ({"scenario": {"duration": 1.0}, "task": {"task_kind": "release"}}, "task.task_kind"),
         ):
             cfg = write_cfg(tmp_path, payload)
             rc = main(["run", "--config", cfg, "--out", str(tmp_path / "o")])

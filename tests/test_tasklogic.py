@@ -78,10 +78,6 @@ class TestValidation:
         with pytest.raises(ValueError):
             simple_geom(w_pos=[-1.0, 1.0, 1.0])
 
-    def test_geometry_rejects_bad_kind(self):
-        with pytest.raises(ValueError):
-            simple_geom(task_kind="sideways")
-
     def test_criteria_band_ordering(self):
         with pytest.raises(ValueError):
             CriteriaConfig(eps_x=0.2, delta_x=0.1)
@@ -181,6 +177,15 @@ class TestReward:
         assert clipped[3] == pytest.approx(math.pi / 6.0)
         assert sq == pytest.approx((1.0 - math.pi / 6.0) ** 2)
 
+    def test_clip_action_stack(self):
+        raw = np.array([[0.7, 0.0, -0.9, 1.0], [0.1, -0.2, 0.3, 0.4]])
+        clipped, sq = clip_action(raw[None], RewardConfig())
+        assert clipped.shape == (1, 2, 4) and sq.shape == (1, 2)
+        for k in range(2):
+            one, one_sq = clip_action(raw[k], RewardConfig())
+            np.testing.assert_array_equal(clipped[0, k], one)
+            assert sq[0, k] == one_sq
+
     def test_inside_box_untouched(self):
         a = [0.1, -0.2, 0.3, 0.4]
         clipped, sq = clip_action(a, RewardConfig())
@@ -191,7 +196,7 @@ class TestReward:
         geom = simple_geom()
         bd = compute_reward(
             geom.p_opt, geom.theta_opt, geom, CriteriaConfig(), still_proprio(),
-            np.zeros(4), np.zeros(4), out_fov=False, rcfg=RewardConfig(),
+            np.zeros(4), out_fov=False, rcfg=RewardConfig(),
         )
         assert bd.hint == pytest.approx(2.0)
         assert bd.opt == pytest.approx(1.0)
@@ -204,7 +209,7 @@ class TestReward:
         pos = geom.p_opt + np.array([0.06, 0.0, 0.0])  # outside eps_x
         bd = compute_reward(
             pos, geom.theta_opt, geom, CriteriaConfig(), still_proprio(),
-            np.zeros(4), np.zeros(4), out_fov=False, rcfg=RewardConfig(),
+            np.zeros(4), out_fov=False, rcfg=RewardConfig(),
         )
         assert bd.opt == 0.0
 
@@ -213,7 +218,7 @@ class TestReward:
         proprio = ProprioState(GRAVITY, [0.2, 0.0, 0.0], np.zeros(3), np.zeros(4))
         bd = compute_reward(
             geom.p_opt, geom.theta_opt, geom, CriteriaConfig(), proprio,
-            np.zeros(4), np.zeros(4), out_fov=False, rcfg=RewardConfig(),
+            np.zeros(4), out_fov=False, rcfg=RewardConfig(),
         )
         assert bd.opt == pytest.approx(math.exp(-0.04 / 0.04))
 
@@ -222,7 +227,7 @@ class TestReward:
         proprio = ProprioState(GRAVITY, [0.0, 0.0, 0.5], np.zeros(3), np.zeros(4))
         bd = compute_reward(
             geom.p_opt, geom.theta_opt, geom, CriteriaConfig(), proprio,
-            np.zeros(4), np.zeros(4), out_fov=False, rcfg=RewardConfig(),
+            np.zeros(4), out_fov=False, rcfg=RewardConfig(),
         )
         assert bd.opt == pytest.approx(1.0)
 
@@ -233,7 +238,7 @@ class TestReward:
         proprio = ProprioState(gravity, np.zeros(3), [0.3, -0.2, 0.0], np.zeros(4))
         bd = compute_reward(
             [5.0, 5.0, 5.0], [1.0, 1.0, 1.0], geom, CriteriaConfig(), proprio,
-            np.zeros(4), np.zeros(4), out_fov=True, rcfg=RewardConfig(),
+            np.zeros(4), out_fov=True, rcfg=RewardConfig(),
         )
         assert bd.miss == 1.0
         assert bd.roll == pytest.approx(math.sin(tilt) ** 2)
@@ -243,17 +248,21 @@ class TestReward:
         geom = simple_geom()
         bd = compute_reward(
             geom.p_opt, geom.theta_opt, geom, CriteriaConfig(), still_proprio(),
-            [0.1, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0], out_fov=False, rcfg=RewardConfig(),
+            [0.1, 0.0, 0.0, 0.0], out_fov=False, rcfg=RewardConfig(),
         )
         assert bd.smooth == pytest.approx(0.01)
 
     def test_weights_enter_total(self):
         geom = simple_geom()
         rcfg = RewardConfig()
+        # The raw action is 0.5 outside the box, and the previous action is
+        # the clipped one, so only the limit term sees the action.
+        proprio = ProprioState(GRAVITY, np.zeros(3), np.zeros(3), [0.5, 0.0, 0.0, 0.0])
         bd = compute_reward(
             [5.0, 5.0, 5.0], [1.0, 1.0, 1.0], geom, CriteriaConfig(),
-            still_proprio(), np.zeros(4), np.zeros(4), out_fov=True, rcfg=rcfg, limit_sq=0.25,
+            proprio, [1.0, 0.0, 0.0, 0.0], out_fov=True, rcfg=rcfg,
         )
+        assert bd.limit == 0.25 and bd.smooth == 0.0
         want = (
             rcfg.w_hint * bd.hint + rcfg.w_miss * 1.0 + rcfg.w_limit * 0.25
         )
@@ -263,11 +272,11 @@ class TestReward:
         geom = simple_geom()
         on_path = compute_reward(
             [0.2, 0.0, 0.2], [0.0, 0.0, 0.0], geom, CriteriaConfig(), still_proprio(),
-            np.zeros(4), np.zeros(4), out_fov=False, rcfg=RewardConfig(),
+            np.zeros(4), out_fov=False, rcfg=RewardConfig(),
         )
         off_path = compute_reward(
             [0.2, 0.3, 0.2], [0.0, 0.0, 0.0], geom, CriteriaConfig(), still_proprio(),
-            np.zeros(4), np.zeros(4), out_fov=False, rcfg=RewardConfig(),
+            np.zeros(4), out_fov=False, rcfg=RewardConfig(),
         )
         assert on_path.hint > off_path.hint
 

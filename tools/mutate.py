@@ -149,6 +149,20 @@ MUTANTS = (
     Mutant("frame-size-one-point-short", "tasklogic.py",
            "FRAME_SIZE = N_POINTS * 3",
            "FRAME_SIZE = (N_POINTS - 1) * 3"),
+    Mutant("smooth-from-raw-action", "tasklogic.py",
+           "np.sum((clipped - proprio.prev_action) ** 2, axis=-1),",
+           "np.sum((_rows(action, 4) - proprio.prev_action) ** 2, axis=-1),"),
+    Mutant("limit-taken-after-clip", "tasklogic.py",
+           "clipped, clip_sq = clip_action(action, rcfg)",
+           "clipped, clip_sq = clip_action(clip_action(action, rcfg)[0], rcfg)"),
+    Mutant("pitch-clipped-with-planar-limit", "tasklogic.py",
+           "box = np.array([rcfg.clip_planar] * 3 + [rcfg.clip_pitch])",
+           "box = np.array([rcfg.clip_planar] * 4)"),
+    # Self checks.
+    Mutant("selftest-temp-dir-kept", "selftest.py",
+           '        with tempfile.TemporaryDirectory(prefix="egotrack-selftest-") as tmp:\n'
+           "            return check_determinism(tmp)\n",
+           '        return check_determinism(tempfile.mkdtemp(prefix="egotrack-selftest-"))\n'),
     # Config validation.
     Mutant("field-check-accepts-nan", "errors.py",
            "if not np.all(holds(value, 0)):",
