@@ -1,6 +1,6 @@
 """Golden outputs: sha256 digests of ``metrics.csv`` and ``summary.json``.
 
-Eight short episodes run through the CLI and must reproduce stored bytes
+Nine short episodes run through the CLI and must reproduce stored bytes
 exactly, so any drift in a number the CLI writes is caught, not only a rerun
 that differs from itself.  A change that alters outputs on purpose
 regenerates the digests and says why in CHANGES.md:
@@ -93,6 +93,22 @@ CASES = {
             "task": {"p_opt": [0, 0, 0], "p_hint": [0, 0, 0]},
         },
         ["--seed", "3"],
+    ),
+    # The cloud sensor on a tilted, moving cylinder from a turning base: the
+    # caps and the lateral surface both reach the visible set, and the
+    # target leaves the field of view before the end.
+    "cylinder-turning-cloud": (
+        {
+            "scenario": {
+                "duration": 1.0,
+                "seed": 2,
+                "surface_samples": 384,
+                "camera_motion": {"kind": "turning", "yaw_rate": 0.3},
+                "target": {"shape": "cylinder", "radius": 0.08, "height": 0.25, "rpy": [0.4, 0.1, 0.0],
+                           "velocity": [0.0, -0.8, 0.1]},
+            },
+        },
+        [],
     ),
     "truth-late-replay": (_LATE, ["--seed", "1"]),
     "truth-late-in-place": (_LATE, ["--seed", "1", "--oosm-mode", "in_place"]),
