@@ -64,26 +64,32 @@ def init_track(z: np.ndarray, p0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def compensate_ego_motion(
-    dt: float, rotation: np.ndarray, translation: np.ndarray, ego: np.ndarray
+    dt: float | np.ndarray, rotation: np.ndarray, translation: np.ndarray, ego: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One step's propagation ``(g, c)`` for each lane, shaped (L, 6, 6) and (L, 6).
+    """Each step's propagation ``(g, c)`` for each lane.
 
     ``g = F A`` is the constant-velocity transition A(dt) followed by the ego
     remap F = blockdiag(R, R), and ``c = [t; 0]``: positions take the full
     rigid map and velocities rotate only.  A lane whose ``ego`` flag is false
-    skips the increment (R = I, t = 0); the flags are shaped (L, 1, 1) so they
-    broadcast over each lane's 3x3 blocks.  No noise is added for the
-    remap, because the ego increment is treated as known.
+    skips the increment (R = I, t = 0).  No noise is added for the remap,
+    because the ego increment is treated as known.
+
+    The arguments broadcast against the lane flags, shaped (L, 1, 1).  One
+    step passes a scalar ``dt``, a rotation (3, 3) and a translation (3,),
+    and gets ``g`` (L, 6, 6) and ``c`` (L, 6).  T steps pass ``dt``
+    (T, 1, 1, 1), rotations (T, 1, 3, 3) and translations (T, 1, 3), and get
+    (T, L, 6, 6) and (T, L, 6).  Every entry is computed on its own, so each
+    step of a stack equals that step's own call bit for bit.
     """
-    if dt < 0.0:
+    if (dt.min() if isinstance(dt, np.ndarray) else dt) < 0.0:
         raise ValueError("dt must be non-negative")
     # g = [[R, dt R], [0, R]], written out blockwise, equal to the product.
     r = np.where(ego, rotation, _EYE3)
-    g = np.zeros((len(r), 6, 6))
-    g[:, 0:3, 0:3] = g[:, 3:6, 3:6] = r
-    g[:, 0:3, 3:6] = dt * r
-    c = np.zeros((len(r), 6))
-    c[:, 0:3] = np.where(ego[:, 0], translation, 0.0)
+    g = np.zeros(r.shape[:-2] + (6, 6))
+    g[..., 0:3, 0:3] = g[..., 3:6, 3:6] = r
+    g[..., 0:3, 3:6] = dt * r
+    c = np.zeros(r.shape[:-2] + (6,))
+    c[..., 0:3] = np.where(ego[:, 0], translation, 0.0)
     return g, c
 
 
@@ -253,7 +259,8 @@ class FilterBank:
         self.oosm_mode = oosm_mode
         self.reacquire_window = reacquire_window
         self.reacquire_gate = reacquire_gate
-        self._ego = np.array(ego_lanes, dtype=bool)[:, None, None]
+        # The lanes' flags, shaped (L, 1, 1) as compensate_ego_motion takes them.
+        self.ego = np.array(ego_lanes, dtype=bool)[:, None, None]
         self._q = _process_noise(cfg)
         self._p0 = _prior(cfg)
         self.history: deque[_StepRecord] = deque(maxlen=history_depth)
@@ -274,12 +281,11 @@ class FilterBank:
 
     def step(self, dt: float, t_rel: RigidTransform) -> None:
         """Advance one control tick: predict then remap by the ego increment."""
-        self._advance(dt, t_rel.rotation, t_rel.translation)
+        self.push(dt, *compensate_ego_motion(dt, t_rel.rotation, t_rel.translation, self.ego))
 
-    def _advance(self, dt: float, rotation: np.ndarray, translation: np.ndarray) -> None:
-        """``step`` on an increment given as arrays the caller has already
-        checked (see ``geometry.check_rotations``)."""
-        g, c = compensate_ego_motion(dt, rotation, translation, self._ego)
+    def push(self, dt: float, g: np.ndarray, c: np.ndarray) -> None:
+        """Advance one control tick of ``dt`` by the propagation ``(g, c)``
+        that ``compensate_ego_motion`` built for this bank's lanes."""
         self.history.append(_StepRecord(self.stamp + dt, g[:, None], c[:, None]))
         self._replay(len(self.history) - 1)
 
@@ -301,9 +307,9 @@ class FilterBank:
     ) -> BankState:
         """Associate and update all seven points of every lane with one set,
         taken ``gap`` after the newest set applied before it."""
-        shape = (len(self._ego), N_POINTS)
+        shape = (len(self.ego), N_POINTS)
         if state is None:
-            mean, cov = init_track(np.tile(measured, (len(self._ego), 1)), self._p0)
+            mean, cov = init_track(np.tile(measured, (len(self.ego), 1)), self._p0)
             return mean.reshape(shape + (6,)), cov.reshape(shape + (6, 6))
         mean, cov = state
         assoc = associate_measurement(mean[..., 0:3], np.broadcast_to(measured, shape + (3,)))

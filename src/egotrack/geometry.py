@@ -210,9 +210,7 @@ class SurfacePointCloud:
             self.normals = np.asarray(self.normals, dtype=float).reshape(-1, 3)
             if self.normals.shape[0] != self.points.shape[0]:
                 raise ValueError("points and normals must have the same length")
-            lengths = np.linalg.norm(self.normals, axis=1)
-            if np.abs(lengths - 1.0).max() > 1e-6:
-                raise ValueError("normals must have unit norm within 1e-6")
+            check_unit_normals(self.normals)
 
     def __len__(self) -> int:
         return self.points.shape[0]
@@ -228,17 +226,36 @@ def transform_points(cloud: SurfacePointCloud, t: RigidTransform) -> SurfacePoin
     return SurfacePointCloud(cloud.points @ t.rotation.T + t.translation, normals, t.to_frame)
 
 
-def compute_visible_set(cloud: SurfacePointCloud, cam: CameraModel) -> np.ndarray:
-    """Indices of points that face the camera and land inside the image.
+def check_unit_normals(normals: np.ndarray) -> None:
+    """Raise ValueError unless every row of a ``(..., 3)`` stack has unit norm within 1e-6."""
+    lengths = np.sqrt(np.square(normals) @ np.ones(3))
+    if not np.abs(lengths - 1.0).max() <= 1e-6:
+        raise ValueError("normals must have unit norm within 1e-6")
 
-    Back-face test is strict: n . p < 0.  Both tests are evaluated on every
-    point, so the returned indices keep the input ordering.
+
+def visibility(
+    points: np.ndarray, normals: np.ndarray, cam: CameraModel
+) -> tuple[np.ndarray, np.ndarray]:
+    """Which camera-frame points face the camera and land inside the image,
+    and every point's pixel, for stacks ``(..., 3)`` of points and normals.
+
+    Back-face test is strict: n . p < 0.  Returns the mask ``(...)`` and the
+    pixels ``(..., 2)`` of ``project_points``.  Each point's result does not
+    depend on the others, so a stack of frames gives each frame's own.
     """
+    lead = points.shape[:-1]
+    flat = points.reshape(-1, 3)
+    facing = np.einsum("ij,ij->i", normals.reshape(-1, 3), flat) < 0.0
+    pixels, in_fov = project_points(cam, flat)
+    return (facing & in_fov).reshape(lead), pixels.reshape(lead + (2,))
+
+
+def compute_visible_set(cloud: SurfacePointCloud, cam: CameraModel) -> np.ndarray:
+    """Indices of points that face the camera and land inside the image
+    (see ``visibility``), in the input ordering."""
     if cloud.normals is None:
         raise DegenerateGeometryError("visibility culling requires surface normals")
-    facing = np.einsum("ij,ij->i", cloud.normals, cloud.points) < 0.0
-    _, in_fov = project_points(cam, cloud.points)
-    return np.nonzero(facing & in_fov)[0]
+    return np.nonzero(visibility(cloud.points, cloud.normals, cam)[0])[0]
 
 
 def solid_angle_weights(points: np.ndarray, normals: np.ndarray) -> np.ndarray:
@@ -258,20 +275,39 @@ def solid_angle_weights(points: np.ndarray, normals: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class PcaResult:
     """Weighted first and second moments: centroid, eigenvalues (descending),
-    and unit eigenvectors stored as matrix columns."""
+    and unit eigenvectors stored as matrix columns.  A stack of frames holds
+    them along leading axes: ``(..., 3)``, ``(..., 3)`` and ``(..., 3, 3)``."""
 
     centroid: np.ndarray
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
 
-def weighted_pca(points: np.ndarray, weights: np.ndarray) -> PcaResult:
-    """Weighted centroid and principal axes of a 3D point set.
+def principal_axes(centroid: np.ndarray, cov: np.ndarray) -> PcaResult:
+    """Eigen-decompose covariances ``(..., 3, 3)`` about their centroids ``(..., 3)``.
 
     Eigenvalues come out sorted descending.  Eigenvector signs are fixed by
-    making the largest-magnitude component positive (lowest index on ties) so
-    repeated runs and independent implementations agree up to roundoff.
+    making the largest-magnitude component of each column positive (lowest
+    index on ties) so repeated runs and independent implementations agree up
+    to roundoff.  Raises NumericalError when a covariance is not finite or an
+    eigenvalue lies below EIGENVALUE_FLOOR.
     """
+    cov = 0.5 * (cov + np.swapaxes(cov, -1, -2))
+    if not np.all(np.isfinite(cov)):
+        raise NumericalError("point covariance is not finite")
+    # eigh returns the eigenvalues ascending, so reversing sorts them descending.
+    evals, evecs = np.linalg.eigh(cov)
+    evals, evecs = evals[..., ::-1], evecs[..., ::-1]
+    if evals.min() < EIGENVALUE_FLOOR:
+        raise NumericalError(f"covariance eigenvalue {float(evals.min())!r} below roundoff floor")
+    evals = np.maximum(evals, 0.0)
+    lead = np.argmax(np.abs(evecs), axis=-2)
+    flip = np.take_along_axis(evecs, lead[..., None, :], axis=-2) < 0.0
+    return PcaResult(centroid, evals, np.where(flip, -evecs, evecs))
+
+
+def weighted_pca(points: np.ndarray, weights: np.ndarray) -> PcaResult:
+    """Weighted centroid and principal axes (see ``principal_axes``) of a 3D point set."""
     pts = np.asarray(points, dtype=float).reshape(-1, 3)
     w = np.asarray(weights, dtype=float).reshape(-1)
     if w.shape[0] != pts.shape[0]:
@@ -281,20 +317,26 @@ def weighted_pca(points: np.ndarray, weights: np.ndarray) -> PcaResult:
         raise DegenerateGeometryError("total weight must be positive")
     centroid = (w @ pts) / total
     centered = pts - centroid
-    cov = (centered * w[:, None]).T @ centered / total
-    cov = 0.5 * (cov + cov.T)
-    if not np.all(np.isfinite(cov)):
-        raise NumericalError("point covariance is not finite")
-    evals, evecs = np.linalg.eigh(cov)
-    order = np.argsort(evals)[::-1]
-    evals = evals[order]
-    evecs = evecs[:, order]
-    if evals.min() < EIGENVALUE_FLOOR:
-        raise NumericalError(f"covariance eigenvalue {float(evals.min())!r} below roundoff floor")
-    evals = np.maximum(evals, 0.0)
-    lead = np.argmax(np.abs(evecs), axis=0)
-    evecs = np.where(evecs[lead, np.arange(3)] < 0.0, -evecs, evecs)
-    return PcaResult(centroid, evals, evecs)
+    return principal_axes(centroid, (centered * w[:, None]).T @ centered / total)
+
+
+def segment_pca(points: np.ndarray, counts: np.ndarray) -> PcaResult:
+    """Uniform-weight centroid and principal axes of consecutive segments.
+
+    ``points`` ``(M, 3)`` holds the segments one after another and
+    ``counts`` (each positive) their lengths; the result is stacked, one
+    frame per segment.  Each segment is summed on its own, so a frame's
+    moments do not depend on the other segments; they group the additions
+    differently from ``weighted_pca`` with unit weights and agree with it to
+    rounding.
+    """
+    starts = np.concatenate([[0], np.cumsum(counts[:-1])])
+    # Component rows (3, M): every sum runs along one contiguous row.
+    rows = np.ascontiguousarray(points.T)
+    centroid = np.add.reduceat(rows, starts, axis=1) / counts
+    centered = rows - np.repeat(centroid, counts, axis=1)
+    cov = np.add.reduceat(centered[:, None] * centered[None], starts, axis=2) / counts
+    return principal_axes(centroid.T, np.moveaxis(cov, 2, 0))
 
 
 @dataclass
@@ -311,18 +353,25 @@ class SigmaPointSet:
         self.points = np.asarray(self.points, dtype=float).reshape(N_POINTS, 3)
 
 
-def extract_sigma_points(pca: PcaResult, alpha: float) -> SigmaPointSet:
-    """Place the 7-point summary mu, mu +/- alpha*sqrt(lambda_k)*e_k."""
+def place_sigma_points(pca: PcaResult, alpha: float) -> np.ndarray:
+    """The 7-point summary mu, mu +/- alpha*sqrt(lambda_k)*e_k of each frame
+    of ``pca``, shaped ``(..., 7, 3)``."""
     if alpha <= 0.0:
         raise ValueError("alpha must be positive")
-    evals = np.asarray(pca.eigenvalues, dtype=float).reshape(3)
+    evals = np.asarray(pca.eigenvalues, dtype=float)
     if evals.min() < EIGENVALUE_FLOOR:
         raise NumericalError(f"eigenvalue {float(evals.min())!r} below roundoff floor")
     evals = np.maximum(evals, 0.0)
+    centroid = pca.centroid[..., None, :]
     # Row k is the offset along eigenvector column k.
-    offsets = (alpha * np.sqrt(evals))[:, None] * pca.eigenvectors.T
-    pairs = np.stack([pca.centroid + offsets, pca.centroid - offsets], axis=1)
-    return SigmaPointSet(np.concatenate([pca.centroid[None], pairs.reshape(-1, 3)]))
+    offsets = (alpha * np.sqrt(evals))[..., :, None] * np.swapaxes(pca.eigenvectors, -1, -2)
+    pairs = np.stack([centroid + offsets, centroid - offsets], axis=-2)
+    return np.concatenate([centroid, pairs.reshape(pairs.shape[:-3] + (6, 3))], axis=-2)
+
+
+def extract_sigma_points(pca: PcaResult, alpha: float) -> SigmaPointSet:
+    """``place_sigma_points`` of one frame."""
+    return SigmaPointSet(place_sigma_points(pca, alpha))
 
 
 def sigma_points_from_cloud(

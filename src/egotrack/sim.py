@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigError, EgoTrackError, NumericalError, check_fields
-from .estimator import STAMP_EPS, FilterBank, FilterConfig, associate_measurement
+from .estimator import STAMP_EPS, FilterBank, FilterConfig, associate_measurement, compensate_ego_motion
 from .geometry import (
     N_POINTS,
     CameraModel,
@@ -28,16 +28,17 @@ from .geometry import (
     SurfacePointCloud,
     backproject_pixels,
     check_rotations,
-    compute_visible_set,
-    extract_sigma_points,
+    check_unit_normals,
     norms,
+    place_sigma_points,
     project_points,
     rotate,
     rotation_about_axis,
     rotation_rpy,
+    segment_pca,
     sigma_points_from_cloud,
     transform_points,
-    weighted_pca,
+    visibility,
 )
 from .perturbation import (
     RandomizationConfig,
@@ -68,9 +69,12 @@ MOUNT_ROTATION = np.array([
 
 # Resource caps, checked when a ScenarioConfig is built so an oversized run
 # fails with a config error before anything is allocated.  An episode holds
-# about 6 kB per tick (measured on a training run with a task), so MAX_TICKS,
-# 1000 s at 50 Hz, keeps it near 0.3 GB.  MAX_SURFACE_SAMPLES bounds one
-# surface cloud, and so each observation's cost, to tens of MB.
+# about 3.5 kB per tick (the tracemalloc peak of `egotrack run` on a training
+# run with a task, 20 s against 80 s), so MAX_TICKS, 1000 s at 50 Hz, keeps
+# it near 0.2 GB.  The sensor works through the observations in chunks of at
+# most SENSOR_CHUNK_POINTS surface points, but a chunk is at least one whole
+# frame, so MAX_SURFACE_SAMPLES, which bounds one surface cloud, also bounds
+# the largest chunk: one frame at the cap peaks near 120 MB (tracemalloc).
 # MAX_TICK_SAMPLES bounds the surface work of the whole episode: MAX_TICKS
 # ticks at the default 2048 samples.  MAX_REPLAY_WORK bounds the filter
 # records one episode may replay, deliveries x replay depth; without it the
@@ -79,6 +83,7 @@ MAX_TICKS = 50_000
 MAX_SURFACE_SAMPLES = 1_000_000
 MAX_TICK_SAMPLES = MAX_TICKS * 2048
 MAX_REPLAY_WORK = MAX_TICKS * 64
+SENSOR_CHUNK_POINTS = 16_384
 
 MODES = ("deploy", "training")
 
@@ -380,61 +385,88 @@ def generate_scenario(cfg: ScenarioConfig) -> TrajectoryBundle:
     )
 
 
-def _jitter(
-    cam: CameraModel, spec: SensorSpec, pts: np.ndarray, rng: np.random.Generator
-) -> np.ndarray:
-    """Project, shift by one shared pixel/depth draw, and backproject."""
-    du = rng.normal(0.0, spec.pixel_std_u)
-    dv = rng.normal(0.0, spec.pixel_std_v)
-    dz = rng.normal(0.0, spec.depth_std)
-    pix, _ = project_points(cam, pts)
-    depth = np.maximum(pts[:, 2] + dz, cam.near_z)
-    return backproject_pixels(cam, pix + np.array([du, dv]), depth)
+def _observe(bundle: TrajectoryBundle, ticks: np.ndarray, rng: np.random.Generator) -> list[Measurement]:
+    """The observations of ``ticks`` (ascending), one batched pass per chunk
+    of frames, drawing from ``rng`` in frame order.
+
+    The cloud path moves the surface into each frame's camera, culls it,
+    adds one shared pixel/depth jitter draw per frame to the visible points,
+    backprojects them, and re-extracts sigma points with uniform weights.
+    The truth path jitters the transported true set of each frame in which
+    it is visible; a noiseless truth sensor draws nothing.  A frame with
+    nothing visible gets no set and draws nothing.
+    """
+    cfg = bundle.config
+    cam, spec = cfg.camera, cfg.sensor
+    scale = np.array([spec.pixel_std_u, spec.pixel_std_v, spec.depth_std])
+    truth = spec.mode == "truth"
+    if truth:
+        chunk, draw = len(ticks), bool(scale.any())
+    else:
+        chunk, draw = max(1, SENSOR_CHUNK_POINTS // len(bundle.cloud)), True
+        # The check each frame's RigidTransform would run, once for the stack.
+        check_rotations(bundle.obj_to_cam_rotation[ticks])
+    sets: list[np.ndarray | None] = []
+    for first in range(0, len(ticks), chunk):
+        part = ticks[first:first + chunk]
+        if truth:
+            seen = bundle.visible[part]
+            points = bundle.true_sets[part][seen]
+            counts = np.full(len(points), N_POINTS)
+            points = points.reshape(-1, 3)
+            pixels = project_points(cam, points)[0] if draw else None
+        else:
+            # Transposed rotations stored contiguously: each frame's product
+            # then rounds as that frame's ``points @ R.T`` does.
+            rot_t = np.ascontiguousarray(np.swapaxes(bundle.obj_to_cam_rotation[part], 1, 2))
+            normals = bundle.cloud.normals @ rot_t
+            check_unit_normals(normals)
+            points = bundle.cloud.points @ rot_t
+            points += bundle.obj_to_cam_translation[part][:, None]
+            mask, pixels = visibility(points, normals, cam)
+            counts = mask.sum(axis=1)
+            seen = counts > 0
+            counts = counts[seen]
+            points = np.compress(mask.ravel(), points.reshape(-1, 3), axis=0)
+            pixels = np.compress(mask.ravel(), pixels.reshape(-1, 2), axis=0)
+        found = np.empty((0, N_POINTS, 3))
+        if len(counts):
+            if draw:
+                # 0.0 + std * z is what normal(0.0, std) returns for the same draw z.
+                shift = np.repeat(0.0 + scale * rng.standard_normal((len(counts), 3)), counts, axis=0)
+                depth = np.maximum(points[:, 2] + shift[:, 2], cam.near_z)
+                points = backproject_pixels(cam, pixels + shift[:, 0:2], depth)
+            if truth:
+                found = points.reshape(-1, N_POINTS, 3)
+            else:
+                found = place_sigma_points(segment_pca(points, counts), bundle.alpha)
+        found = iter(found)
+        sets += [next(found) if s else None for s in seen]
+    return [
+        Measurement(t, t + bundle.latency, None if z is None else SigmaPointSet(z))
+        for t, z in zip(bundle.times[ticks].tolist(), sets)
+    ]
 
 
 def emulate_sensor(bundle: TrajectoryBundle, k: int, rng: np.random.Generator) -> Measurement:
-    """Produce the delayed observation of tick ``k``, stamped ``times[k]``.
+    """The observation of tick ``k``, stamped ``times[k]``: the one-frame call
+    of ``sensor_schedule``'s pass.
 
-    The cloud path culls the true surface, projects the visible points, adds
-    one shared pixel/depth jitter draw, backprojects, and re-extracts sigma
-    points with uniform weights.  Returns a Measurement whose set is None
-    when nothing is visible.  Raises ValueError for a tick outside
-    ``0..n_ticks``.
+    Returns a Measurement whose set is None when nothing is visible.  Raises
+    ValueError for a tick outside ``0..n_ticks``.
     """
-    cfg = bundle.config
-    if not 0 <= k <= cfg.n_ticks:
-        raise ValueError(f"tick {k} is outside the episode's 0..{cfg.n_ticks}")
-    t_obs = float(bundle.times[k])
-    available_at = t_obs + bundle.latency
-    spec = cfg.sensor
-
-    if spec.mode == "truth":
-        if not bundle.visible[k]:
-            return Measurement(t_obs, available_at, None)
-        pts = bundle.true_sets[k]
-        # A noiseless truth sensor draws nothing, leaving the stream untouched.
-        if spec.pixel_std_u == 0.0 and spec.pixel_std_v == 0.0 and spec.depth_std == 0.0:
-            return Measurement(t_obs, available_at, SigmaPointSet(pts.copy()))
-        return Measurement(t_obs, available_at, SigmaPointSet(_jitter(cfg.camera, spec, pts, rng)))
-
-    to_cam = RigidTransform(
-        bundle.obj_to_cam_rotation[k], bundle.obj_to_cam_translation[k], "object", "camera"
-    )
-    cam_cloud = transform_points(bundle.cloud, to_cam)
-    vis = compute_visible_set(cam_cloud, cfg.camera)
-    if vis.size == 0:
-        return Measurement(t_obs, available_at, None)
-    moved = _jitter(cfg.camera, spec, cam_cloud.points[vis], rng)
-    pca = weighted_pca(moved, np.ones(len(moved)))
-    return Measurement(t_obs, available_at, extract_sigma_points(pca, bundle.alpha))
+    n = bundle.config.n_ticks
+    if not 0 <= k <= n:
+        raise ValueError(f"tick {k} is outside the episode's 0..{n}")
+    return _observe(bundle, np.array([k]), rng)[0]
 
 
 def sensor_schedule(bundle: TrajectoryBundle) -> list[Measurement]:
     """All observations of the episode in stamp order, on one stream drawn
     from ``bundle.sensor_seed``."""
-    rng = np.random.default_rng(bundle.sensor_seed)
     cfg = bundle.config
-    return [emulate_sensor(bundle, k, rng) for k in range(0, cfg.n_ticks + 1, cfg.obs_stride)]
+    ticks = np.arange(0, cfg.n_ticks + 1, cfg.obs_stride)
+    return _observe(bundle, ticks, np.random.default_rng(bundle.sensor_seed))
 
 
 def _deliveries(
@@ -512,11 +544,16 @@ def _run_bank(
     rotations, translations = increments
     # The check each RigidTransform would run, once for the whole stack.
     check_rotations(rotations)
+    # Every step's propagation in one call; tick k's entry is k - 1.
+    dts = np.diff(times)
+    gs, cs = compensate_ego_motion(
+        dts[:, None, None, None], rotations[1:, None], translations[1:, None], bank.ego
+    )
     means = np.full((len(times), len(ego_lanes), N_POINTS, 6), np.nan)
     has = np.zeros(len(times), dtype=bool)
     for k in range(len(times)):
         if k > 0:
-            bank._advance(float(times[k] - times[k - 1]), rotations[k], translations[k])
+            bank.push(float(dts[k - 1]), gs[k - 1], cs[k - 1])
         for m in delivered[done:count[k]]:
             bank.ingest(m.sset, m.stamp)
         done = count[k]

@@ -107,6 +107,23 @@ class TestConfigAndPrimitives:
         np.testing.assert_array_equal(g[1], a)
         np.testing.assert_array_equal(c[1], np.zeros(6))
 
+    def test_stacked_steps_equal_per_step_calls(self):
+        # Over a leading step axis, each step's (g, c) is that step's own
+        # call bit for bit; the episode driver builds all of them at once.
+        rng = np.random.default_rng(12)
+        dts = rng.uniform(0.0, 0.05, 40)
+        rotations = np.stack([rotation_z(a) for a in rng.uniform(-0.2, 0.2, 40)])
+        translations = rng.normal(scale=0.05, size=(40, 3))
+        lanes = np.array([True, False])[:, None, None]
+        g, c = compensate_ego_motion(dts[:, None, None, None], rotations[:, None], translations[:, None], lanes)
+        assert g.shape == (40, 2, 6, 6) and c.shape == (40, 2, 6)
+        for k in range(40):
+            g_k, c_k = compensate_ego_motion(float(dts[k]), rotations[k], translations[k], lanes)
+            assert np.array_equal(g[k], g_k) and np.array_equal(c[k], c_k)
+        dts[17] = -1e-3
+        with pytest.raises(ValueError):
+            compensate_ego_motion(dts[:, None, None, None], rotations[:, None], translations[:, None], lanes)
+
     def test_measurement_covariance_depth_scaling(self):
         r1, r2 = measurement_covariance(CAM, np.array([1.0, 2.0]), CFG)
         np.testing.assert_allclose(np.diag(r1), [0.0016, 0.0016, 0.0025], atol=1e-18)

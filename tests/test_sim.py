@@ -5,7 +5,7 @@ import pytest
 
 from egotrack import sim
 from egotrack.errors import ConfigError, EgoTrackError, NumericalError
-from egotrack.estimator import FilterBank, FilterConfig, IngestStatus
+from egotrack.estimator import FilterBank, FilterConfig, IngestStatus, compensate_ego_motion
 from egotrack.geometry import (
     CameraModel,
     RigidTransform,
@@ -345,18 +345,24 @@ class TestSensor:
     def test_unseen_frame_draws_nothing(self, mode):
         # A fast turn loses the target and finds it again.  Sensing only the
         # seen frames on a fresh stream must give the schedule's sets, so a
-        # frame without a set consumed no draws.
-        cfg = quick_cfg(duration=3.0, camera_motion=CameraMotion(kind="turning", yaw_rate=3.0),
-                        sensor=SensorSpec(mode=mode))
-        bundle = generate_scenario(cfg)
-        ms = sensor_schedule(bundle)
-        seen = [m.sset is not None for m in ms]
-        assert not all(seen) and seen.index(False) < len(seen) - 1 - seen[::-1].index(True)
-        rng = np.random.default_rng(bundle.sensor_seed)
-        ticks = range(0, cfg.n_ticks + 1, cfg.obs_stride)
-        for k, m in zip(ticks, ms):
-            if m.sset is not None:
-                assert np.array_equal(emulate_sensor(bundle, k, rng).sset.points, m.sset.points)
+        # frame without a set consumed no draws.  The cloud sensor's 512
+        # samples put the episode in one chunk; at 6000 a chunk holds two
+        # frames, and some chunks see nothing.
+        for samples in (512, 6000) if mode == "cloud" else (512,):
+            cfg = quick_cfg(duration=3.0, surface_samples=samples, sensor=SensorSpec(mode=mode),
+                            camera_motion=CameraMotion(kind="turning", yaw_rate=3.0))
+            bundle = generate_scenario(cfg)
+            ms = sensor_schedule(bundle)
+            seen = [m.sset is not None for m in ms]
+            assert not all(seen) and seen.index(False) < len(seen) - 1 - seen[::-1].index(True)
+            if samples == 6000:
+                chunk = sim.SENSOR_CHUNK_POINTS // samples
+                assert chunk > 1 and not any(seen[chunk:2 * chunk])
+            rng = np.random.default_rng(bundle.sensor_seed)
+            ticks = range(0, cfg.n_ticks + 1, cfg.obs_stride)
+            for k, m in zip(ticks, ms):
+                if m.sset is not None:
+                    assert np.array_equal(emulate_sensor(bundle, k, rng).sset.points, m.sset.points)
 
     def test_training_latency_is_the_bundles(self, monkeypatch):
         # A perception delay longer than the default 30-record history covers
@@ -399,30 +405,37 @@ class TestSensor:
 class TestRunEpisode:
     @pytest.mark.parametrize("vo_noise", [0.0, 0.004])
     def test_bank_steps_by_vo_pose_increments(self, monkeypatch, vo_noise):
-        # The contract the benchmark's tick driver relies on: rebuilding each
-        # step's increment from bundle.vo_poses gives what run_episode feeds.
+        # The contract the benchmark's tick driver relies on: each step the
+        # episode's bank took is compensate_ego_motion of the increment
+        # rebuilt from bundle.vo_poses, which is what FilterBank.step builds.
+        # Half a second fits the whole episode in the history.
         cfg = quick_cfg(
+            duration=0.5,
             camera_motion=CameraMotion(kind="walking"),
             vo_trans_noise_std=vo_noise,
             vo_rot_noise_std=vo_noise,
         )
         bundle = generate_scenario(cfg)
-        fed = []
-        advance = FilterBank._advance
+        banks = []
 
-        def record(bank, dt, rotation, translation):
-            fed.append((rotation, translation))
-            return advance(bank, dt, rotation, translation)
+        class Recorded(FilterBank):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                banks.append(self)
 
-        # FilterBank.step is the same advance behind a RigidTransform.
-        monkeypatch.setattr(FilterBank, "_advance", record)
+        monkeypatch.setattr(sim, "FilterBank", Recorded)
         run_episode(bundle)
-        vo = bundle.vo_poses
-        assert len(fed) == len(vo) - 1
-        for k, (rotation, translation) in enumerate(fed, start=1):
+        (bank,) = banks
+        vo, times = bundle.vo_poses, bundle.times
+        assert len(bank.history) == len(vo)
+        for k, rec in enumerate(bank.history):
+            if k == 0:
+                assert rec.g is None and rec.c is None
+                continue
             want = vo[k].inverse().compose(vo[k - 1])
-            assert np.array_equal(rotation, want.rotation)
-            assert np.array_equal(translation, want.translation)
+            g, c = compensate_ego_motion(float(times[k] - times[k - 1]), want.rotation,
+                                         want.translation, bank.ego)
+            assert np.array_equal(rec.g[:, 0], g) and np.array_equal(rec.c[:, 0], c)
 
     def test_bank_rejects_a_non_rotation_increment(self, monkeypatch):
         # The bank takes the increments as arrays; the stack is checked once,

@@ -47,12 +47,12 @@ class Mutant:
 MUTANTS = (
     # Filter bank and estimator.
     Mutant("c-on-every-lane", "estimator.py",
-           "c[:, 0:3] = np.where(ego[:, 0], translation, 0.0)",
-           "c[:, 0:3] = translation"),
+           "c[..., 0:3] = np.where(ego[:, 0], translation, 0.0)",
+           "c[..., 0:3] = translation"),
     Mutant("gate-mask-from-lane-0", "estimator.py",
            "reset = _mahalanobis2(mean, cov, assoc, r) > self.reacquire_gate**2",
            "reset = np.tile((_mahalanobis2(mean, cov, assoc, r) > self.reacquire_gate**2)"
-           "[:N_POINTS], len(self._ego))"),
+           "[:N_POINTS], len(self.ego))"),
     Mutant("row-vector-mean-product", "estimator.py",
            "return (g @ mean[..., None])[..., 0] + c,",
            "return (mean[..., None, :, :] @ g.swapaxes(-1, -2))[..., 0, :, :] + c,"),
@@ -80,12 +80,13 @@ MUTANTS = (
     Mutant("rotate-as-row-vectors", "geometry.py",
            "return (rotations @ vectors[..., None])[..., 0]",
            'return np.einsum("...j,...ij->...i", vectors, rotations)'),
+    # The sign fix both the sensor and the scoring truth run.
     Mutant("pca-sign-fix-reads-rows", "geometry.py",
-           "lead = np.argmax(np.abs(evecs), axis=0)",
-           "lead = np.argmax(np.abs(evecs), axis=1)"),
+           "lead = np.argmax(np.abs(evecs), axis=-2)",
+           "lead = np.argmax(np.abs(evecs), axis=-1)"),
     Mutant("sigma-pair-order-swapped", "geometry.py",
-           "np.stack([pca.centroid + offsets, pca.centroid - offsets], axis=1)",
-           "np.stack([pca.centroid - offsets, pca.centroid + offsets], axis=1)"),
+           "np.stack([centroid + offsets, centroid - offsets], axis=-2)",
+           "np.stack([centroid - offsets, centroid + offsets], axis=-2)"),
     # Simulator.
     Mutant("vo-angle-from-wrong-column", "sim.py",
            "angles = 0.0 + rot_std * draws[:, 3]",
@@ -97,14 +98,26 @@ MUTANTS = (
            "times + STAMP_EPS, side=",
            "times, side="),
     Mutant("stack-check-removed-from-run-bank", "sim.py",
-           "    check_rotations(rotations)\n    means =",
-           "    means ="),
+           "    check_rotations(rotations)\n    # Every step",
+           "    # Every step"),
+    Mutant("step-from-neighbouring-increment", "sim.py",
+           "rotations[1:, None], translations[1:, None]",
+           "rotations[:-1, None], translations[:-1, None]"),
     Mutant("sum-of-squares-centroid-distance", "sim.py",
            "dist = norms(centroid)",
            "dist = np.sqrt(np.sum(centroid**2, axis=-1))"),
     Mutant("jitter-drawn-for-unseen-frame", "sim.py",
-           "    if vis.size == 0:\n        return Measurement(",
-           "    if vis.size == 0:\n        rng.normal(size=3)\n        return Measurement("),
+           "rng.standard_normal((len(counts), 3))",
+           "rng.standard_normal((len(seen), 3))[seen]"),
+    Mutant("moments-count-hidden-points", "sim.py",
+           "            points = np.compress(mask.ravel(), points.reshape(-1, 3), axis=0)\n"
+           "            pixels = np.compress(mask.ravel(), pixels.reshape(-1, 2), axis=0)\n",
+           "            counts = np.full(len(counts), mask.shape[1])\n"
+           "            points = np.compress(np.repeat(seen, mask.shape[1]), points.reshape(-1, 3), axis=0)\n"
+           "            pixels = np.compress(np.repeat(seen, mask.shape[1]), pixels.reshape(-1, 2), axis=0)\n"),
+    Mutant("last-partial-chunk-dropped", "sim.py",
+           "for first in range(0, len(ticks), chunk):",
+           "for first in range(0, len(ticks) - len(ticks) % chunk, chunk):"),
     Mutant("latency-without-perception-delay", "sim.py",
            "latency=cfg.obs_latency + (draw.perception_delay if draw is not None else 0.0),",
            "latency=cfg.obs_latency,"),
