@@ -109,7 +109,7 @@ class TestConfigAndPrimitives:
 
     def test_stacked_steps_equal_per_step_calls(self):
         # Over a leading step axis, each step's (g, c) is that step's own
-        # call bit for bit; the episode driver builds all of them at once.
+        # call bit for bit; sim._run_bank builds all of them at once.
         rng = np.random.default_rng(12)
         dts = rng.uniform(0.0, 0.05, 40)
         rotations = np.stack([rotation_z(a) for a in rng.uniform(-0.2, 0.2, 40)])
