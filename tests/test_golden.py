@@ -1,6 +1,6 @@
 """Golden outputs: sha256 digests of ``metrics.csv`` and ``summary.json``.
 
-Nine short episodes run through the CLI and must reproduce stored bytes
+Ten short episodes run through the CLI and must reproduce stored bytes
 exactly, so any drift in a number the CLI writes is caught, not only a rerun
 that differs from itself.  A change that alters outputs on purpose
 regenerates the digests and says why in CHANGES.md:
@@ -106,6 +106,20 @@ CASES = {
                 "camera_motion": {"kind": "turning", "yaw_rate": 0.3},
                 "target": {"shape": "cylinder", "radius": 0.08, "height": 0.25, "rpy": [0.4, 0.1, 0.0],
                            "velocity": [0.0, -0.8, 0.1]},
+            },
+        },
+        [],
+    ),
+    # The cloud sensor from a turning base loses the target for longer than
+    # the 5 s reacquire window, so the next set reaches the reacquire gate.
+    "turning-cloud-reacquire": (
+        {
+            "scenario": {
+                "duration": 10.0,
+                "seed": 1,
+                "surface_samples": 512,
+                "camera_motion": {"kind": "turning", "yaw_rate": 0.8},
+                "target": {"velocity": [0.0, 0.3, 0.0]},
             },
         },
         [],
