@@ -231,7 +231,11 @@ class ScenarioConfig:
 
     @property
     def obs_stride(self) -> int:
-        return round(self.control_rate / self.obs_rate)
+        """Control ticks per observation, clamped to the ``n_ticks + 1`` past
+        which every stride observes tick 0 alone, as ``history_depth`` is
+        clamped; a tiny ``obs_rate`` would otherwise make a stride too large
+        for an integer index."""
+        return min(round(self.control_rate / self.obs_rate), self.n_ticks + 1)
 
     def history_depth(self, latency: float) -> int:
         """Filter-bank history, in ticks, that covers a measurement ``latency``

@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from egotrack import cli
@@ -40,6 +40,15 @@ def write_cfg(tmp_path, payload, name="cfg.json"):
 def base_cfg():
     # small cloud keeps the episodes fast
     return {"scenario": {"duration": 1.0, "surface_samples": 256}}
+
+
+# An observation rate so low that the control-tick stride is above 2**63.
+TINY_OBS_RATE = {
+    "scenario": {"duration": 0.6, "surface_samples": 64, "target": {"dims": [0.1, 0.075, 0.05]},
+                 "obs_rate": 1e-300},
+    "mode": "training",
+    "task": {},
+}
 
 
 class TestConfigModule:
@@ -433,6 +442,15 @@ class TestRunCommand:
         assert err.startswith("config error: ") and "nests too deeply" in err
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", [["run"], ["sweep", "--seeds", "0..1"]], ids=["run", "sweep"])
+    def test_tiny_obs_rate_observes_tick_0_alone(self, tmp_path, capsys, command):
+        out = tmp_path / "o"
+        rc = main(command + ["--config", write_cfg(tmp_path, TINY_OBS_RATE), "--out", str(out), "--quiet"])
+        assert rc == 0
+        assert capsys.readouterr().err == ""
+        summary = out / "summary.json" if command == ["run"] else out / "seed-1" / "summary.json"
+        assert _finite_metrics(json.loads(summary.read_text())["metrics"])
+
 
 class TestSweepCommand:
     def test_range_and_aggregate(self, tmp_path):
@@ -662,6 +680,7 @@ def _finite_metrics(metrics: dict) -> bool:
 
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(user=fuzz_configs())
+@example(user=TINY_OBS_RATE)
 def test_fuzzed_config_runs_or_exits_with_one_line(user):
     with tempfile.TemporaryDirectory() as tmp:
         cfg = os.path.join(tmp, "cfg.json")

@@ -142,6 +142,14 @@ class TestScenarioConfig:
         assert cfg.n_ticks == 250
         assert cfg.obs_stride == 10
 
+    def test_obs_stride_is_clamped_to_the_episode(self):
+        # A stride past the episode observes tick 0 alone; unclamped, this one
+        # is above 2**63 and no longer an integer index.
+        cfg = quick_cfg(duration=0.6, obs_rate=1e-300)
+        assert cfg.obs_stride == cfg.n_ticks + 1
+        assert list(np.arange(0, cfg.n_ticks + 1, cfg.obs_stride)) == [0]
+        assert quick_cfg(duration=2.0, obs_rate=1.0).obs_stride == 50
+
     def test_resource_caps(self):
         # Only the configs are built here; nothing is generated or allocated.
         # The longest episode at the default surface_samples is accepted.
