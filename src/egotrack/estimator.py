@@ -5,6 +5,15 @@ velocity).  Every control step does a constant-velocity predict fused with a
 deterministic ego-motion remap into the new camera frame; delayed
 measurements are handled by rolling back to a history snapshot and replaying.
 
+Only an update reads a covariance, so the bank propagates covariances only
+through the newest history record that holds a measurement.  A step, and a
+replay past that record, moves the means alone; a later record's covariance
+is computed once, when a rollback reaches it, a reader asks for it, or the
+history is about to evict the last record whose covariance is known.  The
+mean and covariance halves of ``predict`` are independent expressions, so
+every state equals the one a full replay of every record would write, bit
+for bit.
+
 The filter math is a set of batched functions over ``n`` independent states:
 means shaped ``(n, 6)`` (position then velocity) and covariances
 ``(n, 6, 6)``.  ``init_track``, ``compensate_ego_motion``, ``predict``,
@@ -17,7 +26,6 @@ write into their inputs.
 from __future__ import annotations
 
 import enum
-import itertools
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -93,6 +101,15 @@ def compensate_ego_motion(
     return g, c
 
 
+def predict_mean(mean: np.ndarray, g: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """The mean half of ``predict``: mean' = g mean + c.
+
+    The mean is rotated as column vectors, which rounds the same for any
+    number of leading rows; ``mean @ g^T`` would not.
+    """
+    return (g @ mean[..., None])[..., 0] + c
+
+
 def predict(
     mean: np.ndarray, cov: np.ndarray, g: np.ndarray, c: np.ndarray, q: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -102,10 +119,9 @@ def predict(
     constant-velocity time update followed by the ego remap, up to rounding,
     since F Q F^T = Q for the isotropic per-block Q; Q is added once per step
     regardless of dt.  ``g`` broadcasts against the leading axes of ``cov``.
-    The mean is rotated as column vectors, which rounds the same for any
-    number of leading rows; ``mean @ g^T`` would not.
+    The two halves are independent: the mean is ``predict_mean``'s.
     """
-    return (g @ mean[..., None])[..., 0] + c, g @ cov @ g.swapaxes(-1, -2) + q
+    return predict_mean(mean, g, c), g @ cov @ g.swapaxes(-1, -2) + q
 
 
 def measurement_covariance(cam: CameraModel, depth: np.ndarray, cfg: FilterConfig) -> np.ndarray:
@@ -200,17 +216,22 @@ class _StepRecord:
 
     ``g`` (L, 1, 6, 6) and ``c`` (L, 1, 6) are the step's propagation
     ``mean' = g mean + c``, built once by ``step`` and reused by every replay
-    through this entry.  ``state`` is never written in place, so records and
-    callers can share arrays.  ``measurements`` keeps every raw set accepted
-    at this stamp as ``(set stamp, z)`` pairs in arrival order, so a later
-    rollback can re-apply them during replay.  ``seen`` is the newest set
-    stamp applied at or before this entry (-inf before any set).
+    through this entry.  ``mean`` (L, 7, 6) is always current.  ``cov``
+    (L, 7, 6, 6) is current only up to the bank's "covariance known through"
+    record, which is never older than the newest record holding a set; a
+    newer record's ``cov`` is None until the bank needs it (see
+    ``FilterBank``).  Both are None before the first set, and neither is
+    written in place, so records and callers can share arrays.  ``measurements`` keeps every raw
+    set accepted at this stamp as ``(set stamp, z)`` pairs in arrival order,
+    so a later rollback can re-apply them during replay.  ``seen`` is the
+    newest set stamp applied at or before this entry (-inf before any set).
     """
 
     stamp: float
     g: np.ndarray | None = None
     c: np.ndarray | None = None
-    state: BankState | None = None
+    mean: np.ndarray | None = None
+    cov: np.ndarray | None = None
     measurements: list[tuple[float, np.ndarray]] = field(default_factory=list)
     seen: float = -np.inf
 
@@ -235,6 +256,11 @@ class FilterBank:
     The bank starts uninitialized; the first accepted measurement creates the
     filters at its own stamp and replays forward, so initialization is
     latency-correct like every later update.
+
+    Covariances are propagated lazily (see the module docstring): ``_cov_known``
+    indexes the newest record whose covariance is current, and ``_last_set``
+    the newest record holding a set (-1 when none does), with
+    ``_cov_known >= _last_set``.
     """
 
     def __init__(
@@ -265,19 +291,34 @@ class FilterBank:
         self._p0 = _prior(cfg)
         self.history: deque[_StepRecord] = deque(maxlen=history_depth)
         self.history.append(_StepRecord(start_stamp))
+        self._cov_known = 0
+        self._last_set = -1
 
     @property
     def stamp(self) -> float:
         return self.history[-1].stamp
 
     @property
+    def mean(self) -> np.ndarray | None:
+        """The newest lane means (L, 7, 6), or None before the first set."""
+        return self.history[-1].mean
+
+    @property
     def state(self) -> BankState | None:
-        return self.history[-1].state
+        return self.record_state(-1)
+
+    def record_state(self, i: int) -> BankState | None:
+        """History record ``i``'s ``(mean, cov)``, its covariance computed now
+        if no update has needed it yet; None before the first set."""
+        i = range(len(self.history))[i]
+        self._cov_through(i)
+        rec = self.history[i]
+        return None if rec.mean is None else (rec.mean, rec.cov)
 
     def estimate(self) -> SigmaPointSet | None:
-        if self.state is None:
+        if self.mean is None:
             return None
-        return SigmaPointSet(self.state[0][0, :, 0:3].copy())
+        return SigmaPointSet(self.mean[0, :, 0:3].copy())
 
     def step(self, dt: float, t_rel: RigidTransform) -> None:
         """Advance one control tick: predict then remap by the ego increment."""
@@ -285,33 +326,65 @@ class FilterBank:
 
     def push(self, dt: float, g: np.ndarray, c: np.ndarray) -> None:
         """Advance one control tick of ``dt`` by the propagation ``(g, c)``
-        that ``compensate_ego_motion`` built for this bank's lanes."""
-        self.history.append(_StepRecord(self.stamp + dt, g[:, None], c[:, None]))
-        self._replay(len(self.history) - 1)
+        that ``compensate_ego_motion`` built for this bank's lanes.  The new
+        record holds no set, so only its means are propagated."""
+        history = self.history
+        if len(history) == history.maxlen:
+            # The append evicts record 0; keep a known covariance to start from.
+            if self._cov_known == 0:
+                self._cov_through(1)
+            self._cov_known -= 1
+            self._last_set = max(self._last_set - 1, -1)
+        prev = history[-1]
+        g, c = g[:, None], c[:, None]
+        mean = None if prev.mean is None else predict_mean(prev.mean, g, c)
+        history.append(_StepRecord(prev.stamp + dt, g, c, mean, seen=prev.seen))
+
+    def _cov_through(self, i: int) -> None:
+        """Make record ``i``'s covariance current: predict each record after
+        the newest known one in full.  None of them holds a set, so the mean
+        ``predict`` returns is the stored one and only its covariance is kept."""
+        history = self.history
+        for j in range(self._cov_known + 1, i + 1):
+            prev = history[j - 1]
+            if prev.mean is not None:
+                rec = history[j]
+                rec.cov = predict(prev.mean, prev.cov, rec.g, rec.c, self._q)[1]
+        self._cov_known = max(self._cov_known, i)
 
     def _replay(self, start: int) -> None:
-        """Rewrite records ``start`` to newest in one forward pass: predict from
-        the record before, then re-apply the stored sets, carrying ``seen``."""
-        prev = self.history[start - 1]
-        state, seen = prev.state, prev.seen
-        for rec in itertools.islice(self.history, start, None):
-            if state is not None:
-                state = predict(*state, rec.g, rec.c, self._q)
-            for meas_stamp, z in rec.measurements:
-                state = self._apply_measurement(state, z, rec.stamp - seen)
-                seen = max(seen, meas_stamp)
-            rec.state, rec.seen = state, seen
+        """Rewrite records ``start`` to newest in one forward pass from the
+        record before, carrying ``seen``.  Through the newest record that
+        holds a set, each record is predicted in full and re-applies its
+        stored sets; past it, only the means are propagated, and the
+        covariances wait for ``_cov_through``."""
+        history = self.history
+        prev = history[start - 1]
+        mean, cov, seen = prev.mean, prev.cov, prev.seen
+        for j in range(start, len(history)):
+            rec = history[j]
+            if j <= self._last_set:
+                if mean is not None:
+                    mean, cov = predict(mean, cov, rec.g, rec.c, self._q)
+                for meas_stamp, z in rec.measurements:
+                    mean, cov = self._apply_measurement(mean, cov, z, rec.stamp - seen)
+                    seen = max(seen, meas_stamp)
+                rec.mean, rec.cov, rec.seen = mean, cov, seen
+            else:
+                if mean is not None:
+                    mean = predict_mean(mean, rec.g, rec.c)
+                rec.mean, rec.cov, rec.seen = mean, None, seen
+        self._cov_known = max(start - 1, self._last_set)
 
     def _apply_measurement(
-        self, state: BankState | None, measured: np.ndarray, gap: float
+        self, mean: np.ndarray | None, cov: np.ndarray | None, measured: np.ndarray, gap: float
     ) -> BankState:
         """Associate and update all seven points of every lane with one set,
         taken ``gap`` after the newest set applied before it."""
         shape = (len(self.ego), N_POINTS)
-        if state is None:
+        if mean is None:
             mean, cov = init_track(np.tile(measured, (len(self.ego), 1)), self._p0)
             return mean.reshape(shape + (6,)), cov.reshape(shape + (6, 6))
-        mean, cov = state
         assoc = associate_measurement(mean[..., 0:3], np.broadcast_to(measured, shape + (3,)))
         # The kernels run on the (L * 7) rows of all lanes together.
         mean, cov, assoc = mean.reshape(-1, 6), cov.reshape(-1, 6, 6), assoc.reshape(-1, 3)
@@ -352,9 +425,11 @@ class FilterBank:
                 return IngestStatus.STALE
 
         # The new set follows the record's own sets, so its gap starts at rec.seen.
+        self._cov_through(idx)
         rec = self.history[idx]
-        rec.state = self._apply_measurement(rec.state, z, rec.stamp - rec.seen)
+        rec.mean, rec.cov = self._apply_measurement(rec.mean, rec.cov, z, rec.stamp - rec.seen)
         rec.seen = max(rec.seen, meas_stamp)
         rec.measurements.append((meas_stamp, z))
+        self._last_set = max(self._last_set, idx)
         self._replay(idx + 1)
         return IngestStatus.APPLIED

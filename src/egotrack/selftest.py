@@ -287,8 +287,8 @@ def check_latency_equivalence() -> CriterionResult:
         while idx < len(measurements) and measurements[idx].available_at <= t + STAMP_EPS:
             m = measurements[idx]
             bank.ingest(m.sset, m.stamp)
-            rec = next(r for r in bank.history if abs(r.stamp - m.stamp) <= STAMP_EPS)
-            got = snapshot(rec.state)
+            i = next(i for i, r in enumerate(bank.history) if abs(r.stamp - m.stamp) <= STAMP_EPS)
+            got = snapshot(bank.record_state(i))
             want = by_stamp[round(m.stamp * cfg.control_rate)]
             worst = max(worst, *(np.abs(g - w).max() for g, w in zip(got, want)))
             compared += 1

@@ -561,8 +561,8 @@ def _run_bank(
         for m in delivered[done:count[k]]:
             bank.ingest(m.sset, m.stamp)
         done = count[k]
-        if bank.state is not None:
-            means[k] = bank.state[0]
+        if bank.mean is not None:
+            means[k] = bank.mean
             has[k] = True
     return means, has
 

@@ -4,12 +4,24 @@ Random ego-motion steps, measurements, latencies and delivery orders; each
 property must hold for every draw, not only for hand-picked cases.
 """
 
+from collections import deque
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from egotrack.estimator import FilterBank, FilterConfig, associate_measurement
+from egotrack.estimator import (
+    OOSM_MODES,
+    STAMP_EPS,
+    FilterBank,
+    FilterConfig,
+    IngestStatus,
+    _StepRecord,
+    associate_measurement,
+    compensate_ego_motion,
+    predict,
+)
 from egotrack.geometry import CameraModel, RigidTransform, SigmaPointSet, rotation_rpy
 
 CFG = FilterConfig()
@@ -105,8 +117,8 @@ def test_delayed_delivery_replays_to_zero_latency_posterior(data, window):
             bank.ingest(SigmaPointSet(BASE + noise[m]), stamps[ticks[m]])
 
     assert len(bank.history) == len(oracle.history) == n + 1
-    for got, want in zip(bank.history, oracle.history):
-        assert _states_equal(got.state, want.state)
+    for i, (got, want) in enumerate(zip(bank.history, oracle.history)):
+        assert _states_equal(bank.record_state(i), oracle.record_state(i))
         assert got.seen == want.seen
     assert _states_equal(bank.state, oracle.state)
 
@@ -118,11 +130,11 @@ def test_rollback_leaves_older_records_unchanged(steps, noise, data):
     bank.ingest(SigmaPointSet(BASE), 0.0)
     for step in steps:
         _step(bank, step)
-    before = [(rec.state[0].copy(), rec.state[1].copy()) for rec in bank.history]
+    before = [tuple(a.copy() for a in bank.record_state(j)) for j in range(len(bank.history))]
     i = data.draw(st.integers(1, len(bank.history) - 1), label="rollback index")
     bank.ingest(SigmaPointSet(BASE + noise), bank.history[i].stamp)
-    for j, rec in enumerate(bank.history):
-        assert _states_equal(rec.state, before[j]) == (j < i)
+    for j in range(len(bank.history)):
+        assert _states_equal(bank.record_state(j), before[j]) == (j < i)
 
 
 def _ref_step(x, p, dt, rel):
@@ -183,6 +195,107 @@ def test_bank_equals_seven_per_point_filters(ops):
 DELAYED = st.tuples(NOISE, st.integers(0, 12))
 
 
+class _EagerBank:
+    """The reference for the lazy bank: every step and every rollback predicts
+    each later record in full and re-applies its sets, one record at a time.
+
+    Its updates run through the ``_apply_measurement`` of a fresh bank built
+    with the same arguments, which reads the bank's configuration and none of
+    its history.
+    """
+
+    def __init__(self, **kwargs):
+        self.kernels = FilterBank(CFG, CAM, **kwargs)
+        self.history = deque([_StepRecord(0.0)], maxlen=self.kernels.history.maxlen)
+
+    def step(self, step):
+        dt, rpy, t = step
+        g, c = compensate_ego_motion(dt, rotation_rpy(*rpy), np.array(t), self.kernels.ego)
+        self.history.append(_StepRecord(self.history[-1].stamp + dt, g[:, None], c[:, None]))
+        self._replay(len(self.history) - 1)
+
+    def ingest(self, z, stamp):
+        if self.kernels.oosm_mode == "in_place":
+            idx = len(self.history) - 1
+        else:
+            idx = max((i for i, r in enumerate(self.history) if r.stamp <= stamp + STAMP_EPS), default=None)
+            if idx is None:
+                return IngestStatus.STALE
+        rec = self.history[idx]
+        rec.mean, rec.cov = self.kernels._apply_measurement(rec.mean, rec.cov, z, rec.stamp - rec.seen)
+        rec.seen = max(rec.seen, stamp)
+        rec.measurements.append((stamp, z))
+        self._replay(idx + 1)
+        return IngestStatus.APPLIED
+
+    def _replay(self, start):
+        prev = self.history[start - 1]
+        mean, cov, seen = prev.mean, prev.cov, prev.seen
+        for rec in list(self.history)[start:]:
+            if mean is not None:
+                mean, cov = predict(mean, cov, rec.g, rec.c, self.kernels._q)
+            for stamp, z in rec.measurements:
+                mean, cov = self.kernels._apply_measurement(mean, cov, z, rec.stamp - seen)
+                seen = max(seen, stamp)
+            rec.mean, rec.cov, rec.seen = mean, cov, seen
+
+    def state(self, i):
+        rec = self.history[i]
+        return None if rec.mean is None else (rec.mean, rec.cov)
+
+
+# Ops of the laziness property: a step; an ingest stamped this many records
+# back (past the oldest record, a stale one); a read of the newest state (-1)
+# or of a record's state.  Steps and ingests are drawn twice as often as reads,
+# so covariances often stay unknown over several records.
+_STEP_OP = st.tuples(st.just("step"), STEP)
+_INGEST_OP = st.tuples(st.just("ingest"), NOISE, st.integers(0, 8))
+LAZY_OPS = st.one_of(_STEP_OP, _STEP_OP, _INGEST_OP, _INGEST_OP, st.tuples(st.just("read"), st.integers(-1, 8)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    ops=st.lists(LAZY_OPS, min_size=10, max_size=60),
+    depth=st.integers(2, 10),
+    window=st.sampled_from([0.02, 0.1, 5.0]),
+    mode=st.sampled_from(OOSM_MODES),
+    lanes=st.sampled_from([(True,), (True, False)]),
+)
+def test_lazy_covariance_equals_eager_replay(ops, depth, window, mode, lanes):
+    """Every record of the lazy bank is bit for bit the eager reference's.
+
+    A short history evicts the last record whose covariance is known, several
+    ingests between two steps arrive out of stamp order, a short reacquire
+    window makes blind spells longer than it, and a read at any moment must
+    return the reference's state and change no later one.
+    """
+    kwargs = dict(history_depth=depth, oosm_mode=mode, reacquire_window=window,
+                  reacquire_gate=2.0, ego_lanes=lanes)
+    bank, eager = FilterBank(CFG, CAM, **kwargs), _EagerBank(**kwargs)
+    for op in ops:
+        if op[0] == "step":
+            _step(bank, op[1])
+            eager.step(op[1])
+        elif op[0] == "ingest":
+            _, noise, back = op
+            n = len(bank.history)
+            stamp = bank.history[n - 1 - back].stamp if back < n else bank.history[0].stamp - 1.0
+            z = (BASE if bank.mean is None else bank.mean[0, :, 0:3]) + noise
+            assert bank.ingest(SigmaPointSet(z), stamp) is eager.ingest(z, stamp)
+        else:
+            i = op[1] if op[1] < len(bank.history) else 0
+            got = bank.state if i == -1 else bank.record_state(i)
+            assert _states_equal(got, eager.state(i))
+        # Means are always current; comparing them computes no covariance.
+        assert len(bank.history) == len(eager.history)
+        for got, want in zip(bank.history, eager.history):
+            assert got.stamp == want.stamp and got.seen == want.seen
+            assert (got.mean is None) == (want.mean is None)
+            assert want.mean is None or np.array_equal(got.mean, want.mean)
+    for i in range(len(bank.history)):
+        assert _states_equal(bank.record_state(i), eager.state(i))
+
+
 @SETTINGS
 @given(ops=st.lists(st.one_of(STEP, DELAYED), min_size=1, max_size=40))
 def test_each_lane_equals_a_one_lane_bank(ops):
@@ -205,10 +318,11 @@ def test_each_lane_equals_a_one_lane_bank(ops):
                 b.ingest(SigmaPointSet(BASE + noise), rec.stamp)
         for lane, one in enumerate(alone):
             assert len(both.history) == len(one.history)
-            for got, want in zip(both.history, one.history):
+            for i, (got, want) in enumerate(zip(both.history, one.history)):
+                got_state, want_state = both.record_state(i), one.record_state(i)
                 assert got.stamp == want.stamp
-                assert np.array_equal(got.state[0][lane], want.state[0][0])
-                assert np.array_equal(got.state[1][lane], want.state[1][0])
+                assert np.array_equal(got_state[0][lane], want_state[0][0])
+                assert np.array_equal(got_state[1][lane], want_state[1][0])
                 if want.g is not None:
                     assert np.array_equal(got.g[lane], want.g[0])
                     assert np.array_equal(got.c[lane], want.c[0])

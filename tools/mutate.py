@@ -54,22 +54,36 @@ MUTANTS = (
            "reset = np.tile((_mahalanobis2(mean, cov, assoc, r) > self.reacquire_gate**2)"
            "[:N_POINTS], len(self.ego))"),
     Mutant("row-vector-mean-product", "estimator.py",
-           "return (g @ mean[..., None])[..., 0] + c,",
-           "return (mean[..., None, :, :] @ g.swapaxes(-1, -2))[..., 0, :, :] + c,"),
+           "return (g @ mean[..., None])[..., 0] + c\n",
+           "return (mean[..., None, :, :] @ g.swapaxes(-1, -2))[..., 0, :, :] + c\n"),
     Mutant("state-reads-oldest-record", "estimator.py",
-           "return self.history[-1].state",
-           "return self.history[0].state"),
+           "return self.record_state(-1)",
+           "return self.record_state(0)"),
     Mutant("replay-stops-carrying-seen", "estimator.py",
-           "                seen = max(seen, meas_stamp)\n",
+           "                    seen = max(seen, meas_stamp)\n",
            ""),
     Mutant("replay-seen-starts-unseen", "estimator.py",
-           "state, seen = prev.state, prev.seen",
-           "state, seen = prev.state, -np.inf"),
+           "mean, cov, seen = prev.mean, prev.cov, prev.seen",
+           "mean, cov, seen = prev.mean, prev.cov, -np.inf"),
     Mutant("rollback-gap-read-after-seen", "estimator.py",
-           "        rec.state = self._apply_measurement(rec.state, z, rec.stamp - rec.seen)\n"
+           "        rec.mean, rec.cov = self._apply_measurement(rec.mean, rec.cov, z, rec.stamp - rec.seen)\n"
            "        rec.seen = max(rec.seen, meas_stamp)\n",
            "        rec.seen = max(rec.seen, meas_stamp)\n"
-           "        rec.state = self._apply_measurement(rec.state, z, rec.stamp - rec.seen)\n"),
+           "        rec.mean, rec.cov = self._apply_measurement(rec.mean, rec.cov, z, rec.stamp - rec.seen)\n"),
+    # Lazy covariances: each must still equal a full replay of every record.
+    Mutant("mean-only-replay-through-a-set", "estimator.py",
+           "if j <= self._last_set:",
+           "if j < self._last_set:"),
+    Mutant("step-evicts-last-known-covariance", "estimator.py",
+           "            if self._cov_known == 0:\n"
+           "                self._cov_through(1)\n",
+           ""),
+    Mutant("rollback-keeps-covariance-known-index", "estimator.py",
+           "self._cov_known = max(start - 1, self._last_set)",
+           "self._cov_known = max(self._cov_known, start - 1, self._last_set)"),
+    Mutant("state-without-covariance", "estimator.py",
+           "return self.record_state(-1)",
+           "return None if self.mean is None else (self.mean, self.history[-1].cov)"),
     Mutant("seen-from-record-stamp", "estimator.py",
            "rec.seen = max(rec.seen, meas_stamp)",
            "rec.seen = max(rec.seen, rec.stamp)"),
