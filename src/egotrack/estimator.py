@@ -17,10 +17,10 @@ for bit.
 The filter math is a set of batched functions over ``n`` independent states:
 means shaped ``(n, 6)`` (position then velocity) and covariances
 ``(n, 6, 6)``.  ``init_track``, ``compensate_ego_motion``, ``predict``,
-``measurement_covariance``, ``update`` and ``associate_measurement`` are the
-functions the bank itself calls, for all seven points of one or more lanes at
-once (a lane per ego-compensation setting).  They return new arrays and never
-write into their inputs.
+``predict_mean``, ``measurement_covariance``, ``update`` and
+``associate_measurement`` are the functions the bank itself calls, for all
+seven points of one or more lanes at once (a lane per ego-compensation
+setting).  They return new arrays and never write into their inputs.
 """
 
 from __future__ import annotations
@@ -305,6 +305,7 @@ class FilterBank:
 
     @property
     def state(self) -> BankState | None:
+        """The newest record's ``(mean, cov)``; see ``record_state``."""
         return self.record_state(-1)
 
     def record_state(self, i: int) -> BankState | None:
