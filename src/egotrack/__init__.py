@@ -1,13 +1,14 @@
 """Ego-compensated sigma-point target tracking with latency-aware filtering.
 
 The package covers the full loop used by a camera-on-a-moving-base tracker:
-surface-visibility weighting and 7-point shape summaries (``geometry``), a
-bank of per-point constant-velocity filters with ego-motion compensation and
-delayed-measurement replay (``estimator``), blind-spot drift and domain
-randomization (``perturbation``), task rewards, termination criteria, the
-adaptive start curriculum, and observation assembly (``tasklogic``), a
-deterministic scenario simulator with baselines (``sim``), and a CLI
-(``cli``).
+back-face and field-of-view visibility and 7-point shape summaries
+(``geometry``), a bank of per-point constant-velocity filters with ego-motion
+compensation and delayed-measurement replay (``estimator``), blind-spot drift
+and domain randomization (``perturbation``), task rewards, termination
+criteria, the adaptive start curriculum, and observation assembly
+(``tasklogic``), a deterministic scenario simulator whose sensor and scoring
+truth share one frame pass and one moment function, with baselines
+(``sim``), and a CLI (``cli``).
 """
 
 __version__ = "0.1.0"
@@ -41,13 +42,10 @@ from .geometry import (
     backproject_pixels,
     check_rotations,
     compute_visible_set,
-    extract_sigma_points,
     project_points,
     rotate,
     rotation_about_axis,
     rotation_rpy,
-    sigma_points_from_cloud,
-    solid_angle_weights,
     transform_points,
     weighted_pca,
 )

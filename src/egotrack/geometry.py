@@ -198,19 +198,18 @@ def backproject_pixels(cam: CameraModel, pixels: np.ndarray, depths: np.ndarray)
 
 @dataclass
 class SurfacePointCloud:
-    """Sampled object surface; ``normals`` is None for sources that lack them."""
+    """Sampled object surface: points and their unit outward normals."""
 
     points: np.ndarray
-    normals: np.ndarray | None = None
+    normals: np.ndarray
     frame: str = "camera"
 
     def __post_init__(self):
         self.points = np.asarray(self.points, dtype=float).reshape(-1, 3)
-        if self.normals is not None:
-            self.normals = np.asarray(self.normals, dtype=float).reshape(-1, 3)
-            if self.normals.shape[0] != self.points.shape[0]:
-                raise ValueError("points and normals must have the same length")
-            check_unit_normals(self.normals)
+        self.normals = np.asarray(self.normals, dtype=float).reshape(-1, 3)
+        if self.normals.shape[0] != self.points.shape[0]:
+            raise ValueError("points and normals must have the same length")
+        check_unit_normals(self.normals)
 
     def __len__(self) -> int:
         return self.points.shape[0]
@@ -222,8 +221,9 @@ def transform_points(cloud: SurfacePointCloud, t: RigidTransform) -> SurfacePoin
         raise FrameMismatchError(
             f"cloud is in frame {cloud.frame!r} but transform expects {t.from_frame!r}"
         )
-    normals = None if cloud.normals is None else cloud.normals @ t.rotation.T
-    return SurfacePointCloud(cloud.points @ t.rotation.T + t.translation, normals, t.to_frame)
+    return SurfacePointCloud(
+        cloud.points @ t.rotation.T + t.translation, cloud.normals @ t.rotation.T, t.to_frame
+    )
 
 
 def check_unit_normals(normals: np.ndarray) -> None:
@@ -253,23 +253,7 @@ def visibility(
 def compute_visible_set(cloud: SurfacePointCloud, cam: CameraModel) -> np.ndarray:
     """Indices of points that face the camera and land inside the image
     (see ``visibility``), in the input ordering."""
-    if cloud.normals is None:
-        raise DegenerateGeometryError("visibility culling requires surface normals")
     return np.nonzero(visibility(cloud.points, cloud.normals, cam)[0])[0]
-
-
-def solid_angle_weights(points: np.ndarray, normals: np.ndarray) -> np.ndarray:
-    """Per-point weight max(0, -n.p / |p|^3).
-
-    This is the solid-angle density a surface patch subtends at the camera
-    origin; points facing away get exactly zero.
-    """
-    pts = np.asarray(points, dtype=float).reshape(-1, 3)
-    nrm = np.asarray(normals, dtype=float).reshape(-1, 3)
-    dist = np.linalg.norm(pts, axis=1)
-    if np.any(dist == 0.0):
-        raise DegenerateGeometryError("point at the camera origin has no solid angle")
-    return np.maximum(0.0, -np.einsum("ij,ij->i", nrm, pts) / dist**3)
 
 
 @dataclass(frozen=True)
@@ -367,39 +351,3 @@ def place_sigma_points(pca: PcaResult, alpha: float) -> np.ndarray:
     offsets = (alpha * np.sqrt(evals))[..., :, None] * np.swapaxes(pca.eigenvectors, -1, -2)
     pairs = np.stack([centroid + offsets, centroid - offsets], axis=-2)
     return np.concatenate([centroid, pairs.reshape(pairs.shape[:-3] + (6, 3))], axis=-2)
-
-
-def extract_sigma_points(pca: PcaResult, alpha: float) -> SigmaPointSet:
-    """``place_sigma_points`` of one frame."""
-    return SigmaPointSet(place_sigma_points(pca, alpha))
-
-
-def sigma_points_from_cloud(
-    cloud: SurfacePointCloud,
-    cam: CameraModel,
-    alpha: float = 1.0,
-    weighting: str = "solid_angle",
-) -> SigmaPointSet | None:
-    """Full pipeline: visibility, weighting, PCA, sigma-point placement.
-
-    Returns None when no point is visible (target-not-visible, not an error).
-    Clouds without normals skip back-face culling (the image-space test still
-    applies) and always use uniform weights; ``weighting="uniform"`` forces
-    uniform weights for a cloud that does have normals.
-    """
-    if weighting not in ("solid_angle", "uniform"):
-        raise ValueError(f"unknown weighting {weighting!r}")
-    if cloud.normals is None:
-        _, in_fov = project_points(cam, cloud.points)
-        visible = np.nonzero(in_fov)[0]
-        weighting = "uniform"
-    else:
-        visible = compute_visible_set(cloud, cam)
-    if visible.size == 0:
-        return None
-    pts = cloud.points[visible]
-    if weighting == "solid_angle":
-        weights = solid_angle_weights(pts, cloud.normals[visible])
-    else:
-        weights = np.ones(visible.size)
-    return extract_sigma_points(weighted_pca(pts, weights), alpha)

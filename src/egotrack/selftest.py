@@ -24,6 +24,7 @@ from .geometry import (
     SigmaPointSet,
     SurfacePointCloud,
     compute_visible_set,
+    segment_pca,
     weighted_pca,
 )
 from .perturbation import DriftState, drift_step
@@ -85,31 +86,41 @@ def _pca_moment_oracle(points: np.ndarray, weights: np.ndarray):
 
 
 def check_pca_oracle() -> CriterionResult:
+    """``weighted_pca`` at random weights, and ``segment_pca`` (the moments
+    the sensor and the scoring truth run) at unit weights over the same
+    clouds in one call, one segment per cloud, against the oracle."""
     rng = np.random.default_rng(101)
     worst = 0.0
-    ok = True
+    clouds, cases = [], []
     for _ in range(100):
         n = int(rng.integers(50, 501))
         scales = rng.uniform(0.05, 2.0, size=3)
         center = rng.uniform(-3.0, 3.0, size=3)
         pts = center + rng.normal(size=(n, 3)) * scales
         weights = rng.uniform(0.1, 5.0, size=n)
-        mu, cov = _pca_moment_oracle(pts, weights)
-        oracle_evals = np.linalg.eigvalsh(cov)[::-1]
         res = weighted_pca(pts, weights)
-        recon = res.eigenvectors @ np.diag(res.eigenvalues) @ res.eigenvectors.T
+        cases.append((_pca_moment_oracle(pts, weights), res.centroid, res.eigenvalues, res.eigenvectors))
+        clouds.append(pts)
+    seg = segment_pca(np.concatenate(clouds), np.array([len(pts) for pts in clouds]))
+    for j, pts in enumerate(clouds):
+        cases.append((_pca_moment_oracle(pts, np.ones(len(pts))),
+                      seg.centroid[j], seg.eigenvalues[j], seg.eigenvectors[j]))
+    ok = True
+    for (mu, cov), centroid, evals, evecs in cases:
+        recon = evecs @ np.diag(evals) @ evecs.T
         dev = max(
-            np.abs(res.centroid - mu).max(),
-            np.abs(res.eigenvalues - oracle_evals).max(),
+            np.abs(centroid - mu).max(),
+            np.abs(evals - np.linalg.eigvalsh(cov)[::-1]).max(),
             np.abs(recon - cov).max(),
         )
         scale = max(1.0, np.abs(cov).max())
         worst = max(worst, dev / scale)
-        if dev > 1e-9 * scale:
+        if not dev <= 1e-9 * scale:
             ok = False
     return CriterionResult(
-        1, "weighted-PCA moment oracle", ok,
-        f"max relative deviation {worst:.3e} over 100 random clouds, tol 1e-9",
+        1, "PCA moment oracle", ok,
+        f"max relative deviation {worst:.3e} over 100 random clouds, weighted and "
+        f"segmented, tol 1e-9",
     )
 
 

@@ -4,8 +4,9 @@ World frame is z-up with x forward and y left.  The camera is rigidly mounted
 on a moving base, optical axis along base +x, so a level base at the origin
 sees a world point (d, 0, 0) at camera coordinates (0, 0, d).
 
-Ground truth for scoring is the sigma-point set extracted once at the first
-visible tick (uniform weights, matching the sensor path) and transported
+Ground truth for scoring is the noise-free cloud sensor's set at the first
+tick with any visible point: the same frame pass (``_camera_frames``) and the
+same moments (``geometry.segment_pca``) as the sensor.  It is transported
 rigidly with the object afterwards; this is what an exactly ego-compensated,
 noise-free estimator would reproduce.
 """
@@ -36,8 +37,6 @@ from .geometry import (
     rotation_about_axis,
     rotation_rpy,
     segment_pca,
-    sigma_points_from_cloud,
-    transform_points,
     visibility,
 )
 from .perturbation import (
@@ -292,6 +291,26 @@ class TrajectoryBundle:
         ]
 
 
+def _camera_frames(
+    cloud: SurfacePointCloud, rotations: np.ndarray, translations: np.ndarray, cam: CameraModel
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The object-frame ``cloud`` moved into one camera frame per rotation
+    ``(F, 3, 3)`` and translation ``(F, 3)``, and culled there.
+
+    Returns the points ``(F, N, 3)``, the ``visibility`` mask ``(F, N)`` and
+    the pixels ``(F, N, 2)``.
+    """
+    # Transposed rotations stored contiguously: each frame's product then
+    # rounds as that frame's ``points @ R.T`` does.
+    rot_t = np.ascontiguousarray(np.swapaxes(rotations, 1, 2))
+    normals = cloud.normals @ rot_t
+    check_unit_normals(normals)
+    points = cloud.points @ rot_t
+    points += translations[:, None]
+    mask, pixels = visibility(points, normals, cam)
+    return points, mask, pixels
+
+
 def generate_scenario(cfg: ScenarioConfig) -> TrajectoryBundle:
     """Sample the episode: surface cloud, pose streams, VO, and scoring truth."""
     root = np.random.SeedSequence(cfg.seed)
@@ -348,18 +367,25 @@ def generate_scenario(cfg: ScenarioConfig) -> TrajectoryBundle:
     for stream in (base_rotation, cam_rotation, vo_rotation, obj_to_cam_rotation):
         check_rotations(stream)
 
-    # Scoring truth: extract once at the first visible tick with weights that
-    # match the sensor path, then transport rigidly with the object.
-    for k in range(n + 1):
-        to_cam = RigidTransform(obj_to_cam_rotation[k], obj_to_cam_translation[k], "object", "camera")
-        ref = sigma_points_from_cloud(
-            transform_points(cloud, to_cam), cfg.camera, alpha, weighting="uniform"
+    # Scoring truth: the sensor's noiseless set at the first tick with any
+    # visible point, found a chunk of frames at a time as the sensor works,
+    # then transported rigidly with the object.
+    chunk = max(1, SENSOR_CHUNK_POINTS // len(cloud))
+    for first in range(0, n + 1, chunk):
+        part = slice(first, first + chunk)
+        points, mask, _ = _camera_frames(
+            cloud, obj_to_cam_rotation[part], obj_to_cam_translation[part], cfg.camera
         )
-        if ref is not None:
+        counts = mask.sum(axis=1)
+        if counts.any():
+            i = int(np.argmax(counts > 0))
             break
     else:
         raise ConfigError("target is never visible; no scoring reference exists")
-    ref_set_obj = to_cam.inverse().apply_points(ref.points)
+    ref = place_sigma_points(segment_pca(points[i][mask[i]], counts[i:i + 1]), alpha)[0]
+    k = first + i
+    to_cam = RigidTransform(obj_to_cam_rotation[k], obj_to_cam_translation[k], "object", "camera")
+    ref_set_obj = to_cam.inverse().apply_points(ref)
 
     true_sets = ref_set_obj @ np.swapaxes(obj_to_cam_rotation, 1, 2) + obj_to_cam_translation[:, None]
     # All target points share the object's constant world velocity.
@@ -420,14 +446,9 @@ def _observe(bundle: TrajectoryBundle, ticks: np.ndarray, rng: np.random.Generat
             points = points.reshape(-1, 3)
             pixels = project_points(cam, points)[0] if draw else None
         else:
-            # Transposed rotations stored contiguously: each frame's product
-            # then rounds as that frame's ``points @ R.T`` does.
-            rot_t = np.ascontiguousarray(np.swapaxes(bundle.obj_to_cam_rotation[part], 1, 2))
-            normals = bundle.cloud.normals @ rot_t
-            check_unit_normals(normals)
-            points = bundle.cloud.points @ rot_t
-            points += bundle.obj_to_cam_translation[part][:, None]
-            mask, pixels = visibility(points, normals, cam)
+            points, mask, pixels = _camera_frames(
+                bundle.cloud, bundle.obj_to_cam_rotation[part], bundle.obj_to_cam_translation[part], cam
+            )
             counts = mask.sum(axis=1)
             seen = counts > 0
             counts = counts[seen]

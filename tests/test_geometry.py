@@ -15,15 +15,13 @@ from egotrack.geometry import (
     backproject_pixels,
     check_rotations,
     compute_visible_set,
-    extract_sigma_points,
+    place_sigma_points,
     project_points,
     rotation_about_axis,
     rotation_rpy,
     rotation_x,
     rotation_y,
     rotation_z,
-    sigma_points_from_cloud,
-    solid_angle_weights,
     transform_points,
     weighted_pca,
 )
@@ -213,11 +211,6 @@ class TestProjection:
 
 
 class TestVisibility:
-    def test_requires_normals(self):
-        cloud = SurfacePointCloud(np.zeros((3, 3)) + [0, 0, 2])
-        with pytest.raises(DegenerateGeometryError):
-            compute_visible_set(cloud, CameraModel())
-
     def test_backface_is_strict(self):
         cam = CameraModel()
         pts = np.array([[0.0, 0.0, 2.0], [0.0, 0.0, 2.0], [0.0, 0.0, 2.0]])
@@ -241,22 +234,12 @@ class TestVisibility:
         vis = compute_visible_set(SurfacePointCloud(pts, normals), cam)
         np.testing.assert_array_equal(vis, [0, 2])
 
-    def test_solid_angle_weights_values(self):
-        w = solid_angle_weights(np.array([[0.0, 0.0, 2.0]]), np.array([[0.0, 0.0, -1.0]]))
-        assert w[0] == pytest.approx(2.0 / 8.0)
-        w = solid_angle_weights(np.array([[0.0, 0.0, 2.0]]), np.array([[0.0, 0.0, 1.0]]))
-        assert w[0] == 0.0
-
-    def test_solid_angle_origin_guard(self):
-        with pytest.raises(DegenerateGeometryError):
-            solid_angle_weights(np.zeros((1, 3)), np.array([[0.0, 0.0, 1.0]]))
-
     def test_normals_unit_check(self):
         with pytest.raises(ValueError):
             SurfacePointCloud(np.zeros((1, 3)), np.array([[0.0, 0.0, 2.0]]))
 
     def test_transform_points_frame_check(self):
-        cloud = SurfacePointCloud(np.zeros((1, 3)), None, "object")
+        cloud = SurfacePointCloud(np.zeros((1, 3)), np.array([[0.0, 0.0, 1.0]]), "object")
         t = RigidTransform.identity("camera")
         with pytest.raises(FrameMismatchError):
             transform_points(cloud, t)
@@ -322,10 +305,10 @@ class TestSigmaPoints:
 
         centroid = np.array([1.0, 2.0, 3.0])
         pca = PcaResult(centroid, np.array([0.04, 0.01, 0.0025]), np.eye(3))
-        sset = extract_sigma_points(pca, alpha=1.0)
-        np.testing.assert_allclose(sset.points[0], centroid, atol=1e-15)
+        points = place_sigma_points(pca, alpha=1.0)
+        np.testing.assert_allclose(points[0], centroid, atol=1e-15)
         for k, off in enumerate((0.2, 0.1, 0.05)):
-            plus, minus = sset.points[1 + 2 * k], sset.points[2 + 2 * k]
+            plus, minus = points[1 + 2 * k], points[2 + 2 * k]
             np.testing.assert_allclose(plus - centroid, off * np.eye(3)[k], atol=1e-15)
             np.testing.assert_allclose(plus + minus, 2.0 * centroid, atol=1e-15)
 
@@ -333,16 +316,16 @@ class TestSigmaPoints:
         from egotrack.geometry import PcaResult
 
         pca = PcaResult(np.zeros(3), np.array([1.0, 0.25, 0.04]), np.eye(3))
-        s1 = extract_sigma_points(pca, alpha=1.0)
-        s2 = extract_sigma_points(pca, alpha=1.5)
-        np.testing.assert_allclose(s2.points[1:], 1.5 * s1.points[1:], atol=1e-15)
+        s1 = place_sigma_points(pca, alpha=1.0)
+        s2 = place_sigma_points(pca, alpha=1.5)
+        np.testing.assert_allclose(s2[1:], 1.5 * s1[1:], atol=1e-15)
 
     def test_alpha_must_be_positive(self):
         from egotrack.geometry import PcaResult
 
         pca = PcaResult(np.zeros(3), np.ones(3), np.eye(3))
         with pytest.raises(ValueError):
-            extract_sigma_points(pca, alpha=0.0)
+            place_sigma_points(pca, alpha=0.0)
 
     def test_set_shape_enforced(self):
         with pytest.raises(ValueError):
@@ -352,29 +335,4 @@ class TestSigmaPoints:
         cam = CameraModel()
         pts = np.tile([0.0, 0.0, -3.0], (10, 1))
         cloud = SurfacePointCloud(pts, np.tile([0.0, 0.0, -1.0], (10, 1)))
-        assert sigma_points_from_cloud(cloud, cam) is None
-
-    def test_from_cloud_without_normals_uses_fov_only(self):
-        cam = CameraModel()
-        rng = np.random.default_rng(12)
-        pts = rng.normal(0.0, 0.05, size=(100, 3)) + [0.0, 0.0, 2.0]
-        sset = sigma_points_from_cloud(SurfacePointCloud(pts), cam)
-        assert sset is not None
-        np.testing.assert_allclose(sset.points[0], pts.mean(axis=0), atol=1e-12)
-
-    def test_from_cloud_unknown_weighting(self):
-        cloud = SurfacePointCloud(np.zeros((1, 3)) + [0, 0, 2])
-        with pytest.raises(ValueError):
-            sigma_points_from_cloud(cloud, CameraModel(), weighting="bogus")
-
-    def test_solid_angle_vs_uniform_differ_on_slanted_surface(self):
-        cam = CameraModel()
-        rng = np.random.default_rng(13)
-        # plane slanted in depth: nearer points subtend more solid angle
-        x = rng.uniform(-0.5, 0.5, 400)
-        pts = np.stack([x, rng.uniform(-0.1, 0.1, 400), 2.0 + x], axis=1)
-        normals = np.tile(np.array([-1.0, 0.0, -1.0]) / np.sqrt(2.0), (400, 1))
-        cloud = SurfacePointCloud(pts, normals)
-        s_solid = sigma_points_from_cloud(cloud, cam, weighting="solid_angle")
-        s_uni = sigma_points_from_cloud(cloud, cam, weighting="uniform")
-        assert s_solid.points[0][2] < s_uni.points[0][2]
+        assert compute_visible_set(cloud, cam).size == 0

@@ -18,7 +18,7 @@ from egotrack.geometry import (
     RigidTransform,
     backproject_pixels,
     compute_visible_set,
-    extract_sigma_points,
+    place_sigma_points,
     project_points,
     transform_points,
     weighted_pca,
@@ -66,7 +66,7 @@ def ref_observation(bundle, k, rng):
     moved = backproject_pixels(cam, pix + np.array([du, dv]), np.maximum(pts[:, 2] + dz, cam.near_z))
     if spec.mode == "truth":
         return moved
-    return extract_sigma_points(weighted_pca(moved, np.ones(len(moved))), bundle.alpha).points
+    return place_sigma_points(weighted_pca(moved, np.ones(len(moved))), bundle.alpha)
 
 
 def _ticks(cfg):

@@ -9,11 +9,13 @@ from egotrack.estimator import FilterBank, FilterConfig, IngestStatus, compensat
 from egotrack.geometry import (
     CameraModel,
     RigidTransform,
+    compute_visible_set,
+    place_sigma_points,
     project_points,
     rotation_about_axis,
     rotation_rpy,
-    sigma_points_from_cloud,
     transform_points,
+    weighted_pca,
 )
 from egotrack.perturbation import RandomizationConfig
 from egotrack.shapes import sample_box, sample_cylinder, sample_shape, sample_sphere
@@ -23,6 +25,7 @@ from egotrack.sim import (
     MAX_TICK_SAMPLES,
     MAX_TICKS,
     MOUNT_ROTATION,
+    SENSOR_CHUNK_POINTS,
     CameraMotion,
     ObjectSpec,
     ScenarioConfig,
@@ -36,6 +39,21 @@ from egotrack.sim import (
     Measurement,
 )
 from egotrack.tasklogic import TaskGeometry
+from test_sensor_batch import TOLERANCE_M
+
+
+def ref_truth(cloud, to_cams, cam, alpha):
+    """Per-frame scoring-truth reference: the first of the object -> camera
+    transforms ``to_cams`` that sees any point of ``cloud``, and that frame's
+    set by ``weighted_pca`` at unit weights, mapped back to the object frame."""
+    for k, to_cam in enumerate(to_cams):
+        cam_cloud = transform_points(cloud, to_cam)
+        vis = compute_visible_set(cam_cloud, cam)
+        if vis.size:
+            pts = cam_cloud.points[vis]
+            ref = place_sigma_points(weighted_pca(pts, np.ones(len(pts))), alpha)
+            return k, to_cam.inverse().apply_points(ref)
+    raise AssertionError("the reference never sees the target")
 
 
 def quick_cfg(**kw):
@@ -280,23 +298,34 @@ class TestScenario:
             cams.append(cam)
             vos.append(cam.compose(RigidTransform(rotation_about_axis(axis, angle), shift)))
             to_cams.append(cam.inverse().compose(RigidTransform(obj_rot, obj_pos, "object", "world")))
-        for to_cam in to_cams:
-            cam_cloud = transform_points(bundle.cloud, to_cam)
-            ref = sigma_points_from_cloud(cam_cloud, cfg.camera, bundle.alpha, weighting="uniform")
-            if ref is not None:
-                ref_obj = to_cam.inverse().apply_points(ref.points)
-                break
+        _, ref_obj = ref_truth(bundle.cloud, to_cams, cfg.camera, bundle.alpha)
         for k, (cam, vo, to_cam) in enumerate(zip(cams, vos, to_cams)):
+            # The truth's moments sum in another order than the reference's.
+            assert np.abs(bundle.true_sets[k] - to_cam.apply_points(ref_obj)).max() <= TOLERANCE_M
             for got, want in [
                 (bundle.vo_rotation[k], vo.rotation),
                 (bundle.vo_position[k], vo.translation),
                 (bundle.obj_to_cam_rotation[k], to_cam.rotation),
                 (bundle.obj_to_cam_translation[k], to_cam.translation),
-                (bundle.true_sets[k], to_cam.apply_points(ref_obj)),
                 (bundle.true_velocities[k], cam.rotation.T @ obj_v),
                 (bundle.visible[k], project_points(cfg.camera, to_cam.apply_points(ref_obj)[0])[1][0]),
             ]:
                 assert np.array_equal(got, want)
+
+    def test_truth_from_first_visible_tick_after_the_first_chunk(self):
+        # The target enters the image after the first chunk of frames, and
+        # not on a chunk's first frame.
+        cfg = quick_cfg(target=ObjectSpec(position=(2.5, 2.5, 0.0), velocity=(0.0, -1.0, 0.0)))
+        bundle = generate_scenario(cfg)
+        chunk = SENSOR_CHUNK_POINTS // cfg.surface_samples
+        to_cams = [
+            RigidTransform(r, t, "object", "camera")
+            for r, t in zip(bundle.obj_to_cam_rotation, bundle.obj_to_cam_translation)
+        ]
+        first, ref_obj = ref_truth(bundle.cloud, to_cams, cfg.camera, bundle.alpha)
+        assert first > chunk and first % chunk
+        for k, to_cam in enumerate(to_cams):
+            assert np.abs(bundle.true_sets[k] - to_cam.apply_points(ref_obj)).max() <= TOLERANCE_M
 
 
 class TestSensor:

@@ -129,6 +129,13 @@ MUTANTS = (
            "            counts = np.full(len(counts), mask.shape[1])\n"
            "            points = np.compress(np.repeat(seen, mask.shape[1]), points.reshape(-1, 3), axis=0)\n"
            "            pixels = np.compress(np.repeat(seen, mask.shape[1]), pixels.reshape(-1, 2), axis=0)\n"),
+    # The scoring truth: the first frame with a visible point, over its visible points.
+    Mutant("truth-from-chunk-first-frame", "sim.py",
+           "i = int(np.argmax(counts > 0))",
+           "i = 0"),
+    Mutant("truth-moments-count-hidden-points", "sim.py",
+           "segment_pca(points[i][mask[i]], counts[i:i + 1])",
+           "segment_pca(points[i], np.array([len(cloud)]))"),
     Mutant("last-partial-chunk-dropped", "sim.py",
            "for first in range(0, len(ticks), chunk):",
            "for first in range(0, len(ticks) - len(ticks) % chunk, chunk):"),
