@@ -5,14 +5,14 @@ velocity).  Every control step does a constant-velocity predict fused with a
 deterministic ego-motion remap into the new camera frame; delayed
 measurements are handled by rolling back to a history snapshot and replaying.
 
-Only an update reads a covariance, so the bank propagates covariances only
-through the newest history record that holds a measurement.  A step, and a
-replay past that record, moves the means alone; a later record's covariance
-is computed once, when a rollback reaches it, a reader asks for it, or the
-history is about to evict the last record whose covariance is known.  The
-mean and covariance halves of ``predict`` are independent expressions, so
-every state equals the one a full replay of every record would write, bit
-for bit.
+Only an update reads a covariance, so the bank keeps covariances current
+only through one history record, never older than the newest record that
+holds a measurement.  A step, and a replay past that record, moves the means
+alone; a later record's covariance is computed once, when a rollback reaches
+it, a reader asks for it, or the history is about to evict the last record
+whose covariance is known.  The mean and covariance halves of ``predict``
+are independent expressions, so every state equals the one a full replay
+of every record would write, bit for bit.
 
 The filter math is a set of batched functions over ``n`` independent states:
 means shaped ``(n, 6)`` (position then velocity) and covariances
@@ -217,14 +217,14 @@ class _StepRecord:
     ``g`` (L, 1, 6, 6) and ``c`` (L, 1, 6) are the step's propagation
     ``mean' = g mean + c``, built once by ``step`` and reused by every replay
     through this entry.  ``mean`` (L, 7, 6) is always current.  ``cov``
-    (L, 7, 6, 6) is current only up to the bank's "covariance known through"
-    record, which is never older than the newest record holding a set; a
-    newer record's ``cov`` is None until the bank needs it (see
+    (L, 7, 6, 6) is current only through the bank's ``_cov_known`` record;
+    a newer record's ``cov`` is None until the bank needs it (see
     ``FilterBank``).  Both are None before the first set, and neither is
-    written in place, so records and callers can share arrays.  ``measurements`` keeps every raw
-    set accepted at this stamp as ``(set stamp, z)`` pairs in arrival order,
-    so a later rollback can re-apply them during replay.  ``seen`` is the
-    newest set stamp applied at or before this entry (-inf before any set).
+    written in place, so records and callers can share arrays.
+    ``measurements`` keeps every raw set accepted at this stamp as
+    ``(set stamp, z)`` pairs in arrival order, so a later rollback can
+    re-apply them during replay.  ``seen`` is the newest set stamp applied
+    at or before this entry (-inf before any set).
     """
 
     stamp: float
@@ -257,10 +257,10 @@ class FilterBank:
     filters at its own stamp and replays forward, so initialization is
     latency-correct like every later update.
 
-    Covariances are propagated lazily (see the module docstring): ``_cov_known``
-    indexes the newest record whose covariance is current, and ``_last_set``
-    the newest record holding a set (-1 when none does), with
-    ``_cov_known >= _last_set``.
+    Covariances are propagated lazily (see the module docstring): they are
+    current through record ``_cov_known``, and no later record holds a set.
+    Without covariance reads, as in a run, the index is the newest record
+    holding a set (0 when none does).
     """
 
     def __init__(
@@ -292,7 +292,6 @@ class FilterBank:
         self.history: deque[_StepRecord] = deque(maxlen=history_depth)
         self.history.append(_StepRecord(start_stamp))
         self._cov_known = 0
-        self._last_set = -1
 
     @property
     def stamp(self) -> float:
@@ -310,7 +309,7 @@ class FilterBank:
 
     def record_state(self, i: int) -> BankState | None:
         """History record ``i``'s ``(mean, cov)``, its covariance computed now
-        if no update has needed it yet; None before the first set."""
+        if it lies past ``_cov_known``; None before the first set."""
         i = range(len(self.history))[i]
         self._cov_through(i)
         rec = self.history[i]
@@ -332,10 +331,8 @@ class FilterBank:
         history = self.history
         if len(history) == history.maxlen:
             # The append evicts record 0; keep a known covariance to start from.
-            if self._cov_known == 0:
-                self._cov_through(1)
+            self._cov_through(1)
             self._cov_known -= 1
-            self._last_set = max(self._last_set - 1, -1)
         prev = history[-1]
         g, c = g[:, None], c[:, None]
         mean = None if prev.mean is None else predict_mean(prev.mean, g, c)
@@ -355,16 +352,16 @@ class FilterBank:
 
     def _replay(self, start: int) -> None:
         """Rewrite records ``start`` to newest in one forward pass from the
-        record before, carrying ``seen``.  Through the newest record that
-        holds a set, each record is predicted in full and re-applies its
-        stored sets; past it, only the means are propagated, and the
+        record before, carrying ``seen``.  Through ``_cov_known``, each
+        record is predicted in full and re-applies its stored sets; past it,
+        where no record holds a set, only the means are propagated, and the
         covariances wait for ``_cov_through``."""
         history = self.history
         prev = history[start - 1]
         mean, cov, seen = prev.mean, prev.cov, prev.seen
         for j in range(start, len(history)):
             rec = history[j]
-            if j <= self._last_set:
+            if j <= self._cov_known:
                 if mean is not None:
                     mean, cov = predict(mean, cov, rec.g, rec.c, self._q)
                 for meas_stamp, z in rec.measurements:
@@ -375,7 +372,6 @@ class FilterBank:
                 if mean is not None:
                     mean = predict_mean(mean, rec.g, rec.c)
                 rec.mean, rec.cov, rec.seen = mean, None, seen
-        self._cov_known = max(start - 1, self._last_set)
 
     def _apply_measurement(
         self, mean: np.ndarray | None, cov: np.ndarray | None, measured: np.ndarray, gap: float
@@ -426,11 +422,11 @@ class FilterBank:
                 return IngestStatus.STALE
 
         # The new set follows the record's own sets, so its gap starts at rec.seen.
+        # _cov_through moves the index to at least idx, past the new set.
         self._cov_through(idx)
         rec = self.history[idx]
         rec.mean, rec.cov = self._apply_measurement(rec.mean, rec.cov, z, rec.stamp - rec.seen)
         rec.seen = max(rec.seen, meas_stamp)
         rec.measurements.append((meas_stamp, z))
-        self._last_set = max(self._last_set, idx)
         self._replay(idx + 1)
         return IngestStatus.APPLIED

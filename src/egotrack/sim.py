@@ -29,7 +29,6 @@ from .geometry import (
     SurfacePointCloud,
     backproject_pixels,
     check_rotations,
-    check_unit_normals,
     norms,
     place_sigma_points,
     project_points,
@@ -303,8 +302,10 @@ def _camera_frames(
     # Transposed rotations stored contiguously: each frame's product then
     # rounds as that frame's ``points @ R.T`` does.
     rot_t = np.ascontiguousarray(np.swapaxes(rotations, 1, 2))
+    # No unit check on the rotated normals: the cloud checks its own, every
+    # rotation stack is checked where it is built, and ``visibility`` reads
+    # only the sign of n . p.
     normals = cloud.normals @ rot_t
-    check_unit_normals(normals)
     points = cloud.points @ rot_t
     points += translations[:, None]
     mask, pixels = visibility(points, normals, cam)
@@ -369,10 +370,11 @@ def generate_scenario(cfg: ScenarioConfig) -> TrajectoryBundle:
 
     # Scoring truth: the sensor's noiseless set at the first tick with any
     # visible point, found a chunk of frames at a time as the sensor works,
-    # then transported rigidly with the object.
+    # then transported rigidly with the object.  Tick 0 is probed alone,
+    # since most targets are in view from the start.
     chunk = max(1, SENSOR_CHUNK_POINTS // len(cloud))
-    for first in range(0, n + 1, chunk):
-        part = slice(first, first + chunk)
+    for first in [0, *range(1, n + 1, chunk)]:
+        part = slice(first, first + chunk if first else 1)
         points, mask, _ = _camera_frames(
             cloud, obj_to_cam_rotation[part], obj_to_cam_translation[part], cfg.camera
         )

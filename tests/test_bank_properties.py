@@ -11,6 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from egotrack import estimator
+from egotrack.config import build_configs, canonical_config
 from egotrack.estimator import (
     OOSM_MODES,
     STAMP_EPS,
@@ -23,6 +25,8 @@ from egotrack.estimator import (
     predict,
 )
 from egotrack.geometry import CameraModel, RigidTransform, SigmaPointSet, rotation_rpy
+from egotrack.sim import generate_scenario, run_episode
+from test_golden import _LATE
 
 CFG = FilterConfig()
 CAM = CameraModel()
@@ -294,6 +298,28 @@ def test_lazy_covariance_equals_eager_replay(ops, depth, window, mode, lanes):
             assert want.mean is None or np.array_equal(got.mean, want.mean)
     for i in range(len(bank.history)):
         assert _states_equal(bank.record_state(i), eager.state(i))
+
+
+def test_late_replay_predicts_covariances_lazily(monkeypatch):
+    """A run reads no covariance, so each ingest predicts in full only the
+    records from its rollback through the newest set: 50 ``predict`` calls
+    over the 26 ingests of the late-delivery golden, where predicting every
+    replayed record in full makes 830."""
+    calls = {"predict": 0, "ingest": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(estimator, "predict", counted("predict", estimator.predict))
+    monkeypatch.setattr(FilterBank, "ingest", counted("ingest", FilterBank.ingest))
+    user = {"scenario": {**_LATE["scenario"], "seed": 1}}
+    scenario, filter_cfg, criteria, reward_cfg, geom = build_configs(canonical_config(user))
+    run_episode(generate_scenario(scenario), filter_cfg, geom=geom, criteria=criteria, reward_cfg=reward_cfg)
+    assert calls["ingest"] == 26
+    assert calls["predict"] <= 2 * calls["ingest"]
 
 
 @SETTINGS

@@ -313,19 +313,23 @@ class TestScenario:
                 assert np.array_equal(got, want)
 
     def test_truth_from_first_visible_tick_after_the_first_chunk(self):
-        # The target enters the image after the first chunk of frames, and
-        # not on a chunk's first frame.
-        cfg = quick_cfg(target=ObjectSpec(position=(2.5, 2.5, 0.0), velocity=(0.0, -1.0, 0.0)))
-        bundle = generate_scenario(cfg)
+        # The search probes tick 0 alone, then chunks of frames from tick 1.
+        # The first target enters the image after the first two chunks, and
+        # not on a chunk's first frame; the second enters on tick 1.
+        firsts = []
+        for y, speed in [(2.5, 1.0), (1.75, 5.0)]:
+            cfg = quick_cfg(target=ObjectSpec(position=(2.5, y, 0.0), velocity=(0.0, -speed, 0.0)))
+            bundle = generate_scenario(cfg)
+            to_cams = [
+                RigidTransform(r, t, "object", "camera")
+                for r, t in zip(bundle.obj_to_cam_rotation, bundle.obj_to_cam_translation)
+            ]
+            first, ref_obj = ref_truth(bundle.cloud, to_cams, cfg.camera, bundle.alpha)
+            firsts.append(first)
+            for k, to_cam in enumerate(to_cams):
+                assert np.abs(bundle.true_sets[k] - to_cam.apply_points(ref_obj)).max() <= TOLERANCE_M
         chunk = SENSOR_CHUNK_POINTS // cfg.surface_samples
-        to_cams = [
-            RigidTransform(r, t, "object", "camera")
-            for r, t in zip(bundle.obj_to_cam_rotation, bundle.obj_to_cam_translation)
-        ]
-        first, ref_obj = ref_truth(bundle.cloud, to_cams, cfg.camera, bundle.alpha)
-        assert first > chunk and first % chunk
-        for k, to_cam in enumerate(to_cams):
-            assert np.abs(bundle.true_sets[k] - to_cam.apply_points(ref_obj)).max() <= TOLERANCE_M
+        assert firsts[0] > 1 + chunk and (firsts[0] - 1) % chunk and firsts[1] == 1
 
 
 class TestSensor:

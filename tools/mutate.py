@@ -72,18 +72,22 @@ MUTANTS = (
            "        rec.mean, rec.cov = self._apply_measurement(rec.mean, rec.cov, z, rec.stamp - rec.seen)\n"),
     # Lazy covariances: each must still equal a full replay of every record.
     Mutant("mean-only-replay-through-a-set", "estimator.py",
-           "if j <= self._last_set:",
-           "if j < self._last_set:"),
+           "if j <= self._cov_known:",
+           "if j < self._cov_known:"),
     Mutant("step-evicts-last-known-covariance", "estimator.py",
-           "            if self._cov_known == 0:\n"
-           "                self._cov_through(1)\n",
+           "            self._cov_through(1)\n",
            ""),
-    Mutant("rollback-keeps-covariance-known-index", "estimator.py",
-           "self._cov_known = max(start - 1, self._last_set)",
-           "self._cov_known = max(self._cov_known, start - 1, self._last_set)"),
+    Mutant("cov-through-keeps-index", "estimator.py",
+           "        self._cov_known = max(self._cov_known, i)\n",
+           ""),
     Mutant("state-without-covariance", "estimator.py",
            "return self.record_state(-1)",
            "return None if self.mean is None else (self.mean, self.history[-1].cov)"),
+    # ... and a run must stay lazy: the same states from eager replays cost
+    # a predict per replayed record.
+    Mutant("replay-predicts-every-record-in-full", "estimator.py",
+           "if j <= self._cov_known:",
+           "if True:"),
     Mutant("seen-from-record-stamp", "estimator.py",
            "rec.seen = max(rec.seen, meas_stamp)",
            "rec.seen = max(rec.seen, rec.stamp)"),
@@ -94,6 +98,10 @@ MUTANTS = (
     Mutant("rotate-as-row-vectors", "geometry.py",
            "return (rotations @ vectors[..., None])[..., 0]",
            'return np.einsum("...j,...ij->...i", vectors, rotations)'),
+    # The moments both the sensor and the scoring truth take (criterion 1).
+    Mutant("segment-covariance-over-count-plus-one", "geometry.py",
+           "cov = np.add.reduceat(centered[:, None] * centered[None], starts, axis=2) / counts",
+           "cov = np.add.reduceat(centered[:, None] * centered[None], starts, axis=2) / (counts + 1)"),
     # The sign fix both the sensor and the scoring truth run.
     Mutant("pca-sign-fix-reads-rows", "geometry.py",
            "lead = np.argmax(np.abs(evecs), axis=-2)",
