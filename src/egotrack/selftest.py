@@ -661,17 +661,24 @@ def run_all(
     only: int | None = None,
     echo: bool = True,
 ) -> list[CriterionResult]:
-    """Run the acceptance criteria (optionally a single one by 1-based index)."""
+    """Run the acceptance criteria (optionally a single one by 1-based index).
+
+    A criterion that raises fails with the exception named in its detail,
+    and the criteria after it still run.
+    """
     results = []
     for i, fn in enumerate(ALL_CRITERIA, start=1):
         if only is not None and i != only:
             continue
-        if fn is check_baseline_dominance:
-            res = fn(disable_ego_compensation)
-        elif fn is check_determinism:
-            res = fn(out_dir)
-        else:
-            res = fn()
+        try:
+            if fn is check_baseline_dominance:
+                res = fn(disable_ego_compensation)
+            elif fn is check_determinism:
+                res = fn(out_dir)
+            else:
+                res = fn()
+        except Exception as exc:
+            res = CriterionResult(i, fn.__name__, False, f"raised {type(exc).__name__}: {exc}")
         results.append(res)
         if echo:
             print(res.line())

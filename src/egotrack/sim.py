@@ -436,8 +436,6 @@ def _observe(bundle: TrajectoryBundle, ticks: np.ndarray, rng: np.random.Generat
         chunk, draw = len(ticks), bool(scale.any())
     else:
         chunk, draw = max(1, SENSOR_CHUNK_POINTS // len(bundle.cloud)), True
-        # The check each frame's RigidTransform would run, once for the stack.
-        check_rotations(bundle.obj_to_cam_rotation[ticks])
     sets: list[np.ndarray | None] = []
     for first in range(0, len(ticks), chunk):
         part = ticks[first:first + chunk]
@@ -541,34 +539,33 @@ def ego_increments(bundle: TrajectoryBundle) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _run_bank(
-    times: np.ndarray,
-    increments: tuple[np.ndarray, np.ndarray],
+    bundle: TrajectoryBundle,
     measurements: list[Measurement],
     cfg: FilterConfig,
-    cam: CameraModel,
-    history_depth: int,
     oosm_mode: str = "replay",
     ego_lanes: tuple[bool, ...] = (True,),
 ) -> tuple[np.ndarray, np.ndarray]:
     """Drive one filter bank over the episode.
 
-    ``increments`` are ``ego_increments``' arrays; a lane whose
-    ``ego_lanes`` flag is false never applies them.  Returns the bank mean of
-    every lane at every tick, shaped ``(ticks, lanes, 7, 6)`` (position then
-    velocity) and NaN before initialization, and the ``(ticks,)`` mask of
-    ticks that have an estimate.
+    The bank steps on the bundle's tick grid with its ``ego_increments``, and
+    keeps the history a measurement ``bundle.latency`` late needs; a lane
+    whose ``ego_lanes`` flag is false never applies the increments.  Returns
+    the bank mean of every lane at every tick, shaped ``(ticks, lanes, 7, 6)``
+    (position then velocity) and NaN before initialization, and the
+    ``(ticks,)`` mask of ticks that have an estimate.
     """
+    times = bundle.times
     bank = FilterBank(
         cfg,
-        cam,
+        bundle.config.camera,
         start_stamp=float(times[0]),
-        history_depth=history_depth,
+        history_depth=bundle.config.history_depth(bundle.latency),
         oosm_mode=oosm_mode,
         ego_lanes=ego_lanes,
     )
     delivered, count = _deliveries(measurements, times)
     done = 0
-    rotations, translations = increments
+    rotations, translations = ego_increments(bundle)
     # The check each RigidTransform would run, once for the whole stack.
     check_rotations(rotations)
     # Every step's propagation in one call; tick k's entry is k - 1.
@@ -591,21 +588,16 @@ def _run_bank(
 
 
 def baseline_no_compensation(
-    times: np.ndarray,
-    increments: tuple[np.ndarray, np.ndarray],
-    measurements: list[Measurement],
-    cfg: FilterConfig,
-    cam: CameraModel,
-    history_depth: int,
+    bundle: TrajectoryBundle, measurements: list[Measurement], cfg: FilterConfig
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Identical replay filter bank that never applies the ego ``increments``.
+    """Identical replay filter bank that never applies the ego increments.
 
     Returns per-tick positions ``(ticks, 7, 3)``, NaN before initialization,
     and the has-estimate mask.  ``run_episode`` runs this as the second lane
     of the filter's own bank; it calls it alone only when the filter does
     not replay (``oosm_mode="in_place"``).
     """
-    means, has = _run_bank(times, increments, measurements, cfg, cam, history_depth, ego_lanes=(False,))
+    means, has = _run_bank(bundle, measurements, cfg, ego_lanes=(False,))
     return means[:, 0, :, 0:3], has
 
 
@@ -696,7 +688,6 @@ def run_episode(
     """
     cfg = bundle.config
     filter_cfg = filter_cfg or FilterConfig()
-    cam = cfg.camera
     times = bundle.times
     n = len(times)
     dt = cfg.dt
@@ -706,25 +697,17 @@ def run_episode(
     if measurement_cutoff is not None:
         measurements = [m for m in measurements if m.available_at <= measurement_cutoff + STAMP_EPS]
 
-    history_depth = cfg.history_depth(bundle.latency)
-    increments = ego_increments(bundle)
     ego = not disable_ego_compensation  # the filter lane's flag
 
     # The no-compensation baseline is the filter's second lane: same
     # measurements at the same ticks, so one rollback replays both.  Only the
     # replay bank can carry it; an in_place filter runs alone.
     if oosm_mode == "replay":
-        means, has_filter = _run_bank(
-            times, increments, measurements, filter_cfg, cam, history_depth, ego_lanes=(ego, False)
-        )
+        means, has_filter = _run_bank(bundle, measurements, filter_cfg, ego_lanes=(ego, False))
         nocomp_est, has_nocomp = means[:, 1, :, 0:3], has_filter
     else:
-        means, has_filter = _run_bank(
-            times, increments, measurements, filter_cfg, cam, history_depth, oosm_mode, ego_lanes=(ego,)
-        )
-        nocomp_est, has_nocomp = baseline_no_compensation(
-            times, increments, measurements, filter_cfg, cam, history_depth
-        )
+        means, has_filter = _run_bank(bundle, measurements, filter_cfg, oosm_mode, ego_lanes=(ego,))
+        nocomp_est, has_nocomp = baseline_no_compensation(bundle, measurements, filter_cfg)
     filter_mean = means[:, 0]
     zoh_est, has_zoh = baseline_zoh(measurements, times)
     scored = has_filter & has_zoh & has_nocomp

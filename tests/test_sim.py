@@ -479,8 +479,8 @@ class TestRunEpisode:
             assert np.array_equal(rec.g[:, 0], g) and np.array_equal(rec.c[:, 0], c)
 
     def test_bank_rejects_a_non_rotation_increment(self, monkeypatch):
-        # The bank takes the increments as arrays; the stack is checked once,
-        # as each per-tick RigidTransform used to be.
+        # The bank derives the increments from the bundle as arrays; the stack
+        # is checked once, as each per-tick RigidTransform used to be.
         bundle = generate_scenario(quick_cfg(camera_motion=CameraMotion(kind="walking")))
         rotations, translations = ego_increments(bundle)
         rotations = rotations.copy()

@@ -1,20 +1,30 @@
-"""Mutation check: every recorded mutant of src/egotrack must fail tier-1.
+"""Mutation check: every recorded mutant of src/egotrack must be killed.
 
-    python3 tools/mutate.py              # run every mutant in MUTANTS
+    python3 tools/mutate.py              # run every mutant of both lists
     python3 tools/mutate.py NAME [NAME]  # run only the named mutants
 
-Each mutant is one exact source substitution.  For each, ``src/``,
-``tests/`` and ``pyproject.toml`` are copied into a temporary directory, the
-substitution is applied to the copy, and the tier-1 suite runs there with
-``-x`` against the copied package.  The mutant is killed when the suite
-fails.  The suite runs under the ``mutate`` hypothesis profile of
+Each mutant is one exact source substitution.  ``src/``, ``tests/`` and
+``pyproject.toml`` are copied into a temporary directory, and each
+substitution is applied to the copy, run, and undone.
+
+A mutant in ``MUTANTS`` names the tier-1 node id that kills it today.  That
+node runs alone first, under the ``mutate`` hypothesis profile of
 ``tests/conftest.py``, which draws a fixed example stream and, like the
-suite's default profile, skips shrinking.  So every run of this script
-kills the same mutants.  Before any mutant runs, every substitution must
-match its file exactly once, and the unmutated copy must pass; otherwise
-the script stops with exit 2, since a stale substitution or a failing
-suite would count as a kill.  Exit 0 when every mutant is killed, 1 when
-any survives.
+suite's default profile, skips shrinking, so every run kills the same
+mutants.  If the node passes, the script warns "stale killer" and runs the
+whole suite with ``-x``.  The mutant is killed when a tier-1 test fails.
+
+A mutant in ``CRITERION_MUTANTS`` names a selftest criterion instead.  It is
+killed only when ``egotrack selftest --only-criterion i`` exits 1 and prints
+criterion i's FAIL line, so each criterion shows that it catches a fault on
+its own.
+
+Before any mutant runs, every substitution must match its file exactly once,
+every killer node must be a test of the suite, and the unmutated copy must
+pass the suite, which runs every criterion too; otherwise the script stops
+with exit 2, since a stale substitution, a missing test or a failing check
+would count as a kill.  Exit 0 when every mutant is killed, 1 when any
+survives.
 
 A survivor is a gap in the tests: add a test that kills it, never drop the
 mutant.
@@ -29,10 +39,11 @@ import subprocess
 import sys
 import tempfile
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-# A mutant that makes the suite hang counts as killed after this long.
+# A mutant that makes the suite hang counts as killed after this long; one
+# that makes its criterion hang survives, since no FAIL line is printed.
 TIMEOUT_S = 600
 
 
@@ -42,183 +53,281 @@ class Mutant:
     path: str  # relative to src/egotrack
     old: str
     new: str
+    # The tier-1 node id that kills it today or, in CRITERION_MUTANTS, the
+    # selftest criterion that must kill it on its own.
+    killer: str | int
 
 
 MUTANTS = (
     # Filter bank and estimator.
     Mutant("c-on-every-lane", "estimator.py",
            "c[..., 0:3] = np.where(ego[:, 0], translation, 0.0)",
-           "c[..., 0:3] = translation"),
+           "c[..., 0:3] = translation",
+           "tests/test_estimator.py::TestConfigAndPrimitives::test_lane_without_ego_skips_the_increment"),
     Mutant("gate-mask-from-lane-0", "estimator.py",
            "reset = _mahalanobis2(mean, cov, assoc, r) > self.reacquire_gate**2",
            "reset = np.tile((_mahalanobis2(mean, cov, assoc, r) > self.reacquire_gate**2)"
-           "[:N_POINTS], len(self.ego))"),
+           "[:N_POINTS], len(self.ego))",
+           "tests/test_bank_properties.py::test_each_lane_equals_a_one_lane_bank"),
     Mutant("row-vector-mean-product", "estimator.py",
            "return (g @ mean[..., None])[..., 0] + c\n",
-           "return (mean[..., None, :, :] @ g.swapaxes(-1, -2))[..., 0, :, :] + c\n"),
+           "return (mean[..., None, :, :] @ g.swapaxes(-1, -2))[..., 0, :, :] + c\n",
+           "tests/test_bank_properties.py::test_bank_equals_seven_per_point_filters"),
     Mutant("state-reads-oldest-record", "estimator.py",
            "return self.record_state(-1)",
-           "return self.record_state(0)"),
+           "return self.record_state(0)",
+           "tests/test_acceptance.py::test_criterion[criterion-03]"),
     Mutant("replay-stops-carrying-seen", "estimator.py",
            "                    seen = max(seen, meas_stamp)\n",
-           ""),
+           "",
+           "tests/test_bank_properties.py::test_delayed_delivery_replays_to_zero_latency_posterior"),
     Mutant("replay-seen-starts-unseen", "estimator.py",
            "mean, cov, seen = prev.mean, prev.cov, prev.seen",
-           "mean, cov, seen = prev.mean, prev.cov, -np.inf"),
+           "mean, cov, seen = prev.mean, prev.cov, -np.inf",
+           "tests/test_bank_properties.py::test_delayed_delivery_replays_to_zero_latency_posterior"),
     Mutant("rollback-gap-read-after-seen", "estimator.py",
            "        rec.mean, rec.cov = self._apply_measurement(rec.mean, rec.cov, z, rec.stamp - rec.seen)\n"
            "        rec.seen = max(rec.seen, meas_stamp)\n",
            "        rec.seen = max(rec.seen, meas_stamp)\n"
-           "        rec.mean, rec.cov = self._apply_measurement(rec.mean, rec.cov, z, rec.stamp - rec.seen)\n"),
+           "        rec.mean, rec.cov = self._apply_measurement(rec.mean, rec.cov, z, rec.stamp - rec.seen)\n",
+           "tests/test_bank_properties.py::test_delayed_delivery_replays_to_zero_latency_posterior"),
     # Lazy covariances: each must still equal a full replay of every record.
     Mutant("mean-only-replay-through-a-set", "estimator.py",
            "if j <= self._cov_known:",
-           "if j < self._cov_known:"),
+           "if j < self._cov_known:",
+           "tests/test_bank_properties.py::test_delayed_delivery_replays_to_zero_latency_posterior"),
     Mutant("step-evicts-last-known-covariance", "estimator.py",
            "            self._cov_through(1)\n",
-           ""),
+           "",
+           "tests/test_bank_properties.py::test_lazy_covariance_equals_eager_replay"),
     Mutant("cov-through-keeps-index", "estimator.py",
            "        self._cov_known = max(self._cov_known, i)\n",
-           ""),
+           "",
+           "tests/test_acceptance.py::test_criterion[criterion-03]"),
     Mutant("state-without-covariance", "estimator.py",
            "return self.record_state(-1)",
-           "return None if self.mean is None else (self.mean, self.history[-1].cov)"),
+           "return None if self.mean is None else (self.mean, self.history[-1].cov)",
+           "tests/test_acceptance.py::test_criterion[criterion-03]"),
     # ... and a run must stay lazy: the same states from eager replays cost
     # a predict per replayed record.
     Mutant("replay-predicts-every-record-in-full", "estimator.py",
            "if j <= self._cov_known:",
-           "if True:"),
+           "if True:",
+           "tests/test_bank_properties.py::test_late_replay_predicts_covariances_lazily"),
     Mutant("seen-from-record-stamp", "estimator.py",
            "rec.seen = max(rec.seen, meas_stamp)",
-           "rec.seen = max(rec.seen, rec.stamp)"),
+           "rec.seen = max(rec.seen, rec.stamp)",
+           "tests/test_bank_properties.py::test_lazy_covariance_equals_eager_replay"),
     Mutant("future-check-without-stamp-eps", "estimator.py",
            "if meas_stamp > self.stamp + STAMP_EPS:",
-           "if meas_stamp > self.stamp:"),
+           "if meas_stamp > self.stamp:",
+           "tests/test_estimator.py::TestFilterBank::test_stamp_within_the_delivery_tolerance_is_not_future"),
     # Geometry.
     Mutant("rotate-as-row-vectors", "geometry.py",
            "return (rotations @ vectors[..., None])[..., 0]",
-           'return np.einsum("...j,...ij->...i", vectors, rotations)'),
+           'return np.einsum("...j,...ij->...i", vectors, rotations)',
+           "tests/test_golden.py::test_outputs_match_golden_digests[cylinder-turning-cloud]"),
     # The moments both the sensor and the scoring truth take (criterion 1).
     Mutant("segment-covariance-over-count-plus-one", "geometry.py",
            "cov = np.add.reduceat(centered[:, None] * centered[None], starts, axis=2) / counts",
-           "cov = np.add.reduceat(centered[:, None] * centered[None], starts, axis=2) / (counts + 1)"),
+           "cov = np.add.reduceat(centered[:, None] * centered[None], starts, axis=2) / (counts + 1)",
+           "tests/test_acceptance.py::test_criterion[criterion-01]"),
     # The sign fix both the sensor and the scoring truth run.
     Mutant("pca-sign-fix-reads-rows", "geometry.py",
            "lead = np.argmax(np.abs(evecs), axis=-2)",
-           "lead = np.argmax(np.abs(evecs), axis=-1)"),
+           "lead = np.argmax(np.abs(evecs), axis=-1)",
+           "tests/test_golden.py::test_outputs_match_golden_digests[turning-vo-box-training]"),
     Mutant("sigma-pair-order-swapped", "geometry.py",
            "np.stack([centroid + offsets, centroid - offsets], axis=-2)",
-           "np.stack([centroid - offsets, centroid + offsets], axis=-2)"),
+           "np.stack([centroid - offsets, centroid + offsets], axis=-2)",
+           "tests/test_geometry.py::TestSigmaPoints::test_offsets_are_sqrt_eigenvalue"),
     # Simulator.
     Mutant("vo-angle-from-wrong-column", "sim.py",
            "angles = 0.0 + rot_std * draws[:, 3]",
-           "angles = 0.0 + rot_std * draws[:, 2]"),
+           "angles = 0.0 + rot_std * draws[:, 2]",
+           "tests/test_golden.py::test_outputs_match_golden_digests[turning-vo-box-training]"),
     Mutant("cap-ignores-training-delay", "sim.py",
            'max_delay = self.randomization.perception_delay_ms[1] * 1e-3 if self.mode == "training" else 0.0',
-           "max_delay = 0.0"),
+           "max_delay = 0.0",
+           "tests/test_sim.py::TestScenarioConfig::test_replay_work_cap"),
     Mutant("delivery-without-stamp-eps", "sim.py",
            "times + STAMP_EPS, side=",
-           "times, side="),
+           "times, side=",
+           "tests/test_golden.py::test_outputs_match_golden_digests[cylinder-turning-cloud]"),
     Mutant("stack-check-removed-from-run-bank", "sim.py",
            "    check_rotations(rotations)\n    # Every step",
-           "    # Every step"),
+           "    # Every step",
+           "tests/test_sim.py::TestRunEpisode::test_bank_rejects_a_non_rotation_increment"),
     Mutant("step-from-neighbouring-increment", "sim.py",
            "rotations[1:, None], translations[1:, None]",
-           "rotations[:-1, None], translations[:-1, None]"),
+           "rotations[:-1, None], translations[:-1, None]",
+           "tests/test_acceptance.py::test_criterion[criterion-04]"),
     Mutant("sum-of-squares-centroid-distance", "sim.py",
            "dist = norms(centroid)",
-           "dist = np.sqrt(np.sum(centroid**2, axis=-1))"),
+           "dist = np.sqrt(np.sum(centroid**2, axis=-1))",
+           "tests/test_golden.py::test_outputs_match_golden_digests[truth-late-in-place]"),
     Mutant("jitter-drawn-for-unseen-frame", "sim.py",
            "rng.standard_normal((len(counts), 3))",
-           "rng.standard_normal((len(seen), 3))[seen]"),
+           "rng.standard_normal((len(seen), 3))[seen]",
+           "tests/test_golden.py::test_outputs_match_golden_digests[turning-cloud-reacquire]"),
     Mutant("moments-count-hidden-points", "sim.py",
            "            points = np.compress(mask.ravel(), points.reshape(-1, 3), axis=0)\n"
            "            pixels = np.compress(mask.ravel(), pixels.reshape(-1, 2), axis=0)\n",
            "            counts = np.full(len(counts), mask.shape[1])\n"
            "            points = np.compress(np.repeat(seen, mask.shape[1]), points.reshape(-1, 3), axis=0)\n"
-           "            pixels = np.compress(np.repeat(seen, mask.shape[1]), pixels.reshape(-1, 2), axis=0)\n"),
+           "            pixels = np.compress(np.repeat(seen, mask.shape[1]), pixels.reshape(-1, 2), axis=0)\n",
+           "tests/test_golden.py::test_outputs_match_golden_digests[cylinder-turning-cloud]"),
     # The scoring truth: the first frame with a visible point, over its visible points.
     Mutant("truth-from-chunk-first-frame", "sim.py",
            "i = int(np.argmax(counts > 0))",
-           "i = 0"),
+           "i = 0",
+           "tests/test_sim.py::TestScenario::test_truth_from_first_visible_tick_after_the_first_chunk"),
     Mutant("truth-moments-count-hidden-points", "sim.py",
            "segment_pca(points[i][mask[i]], counts[i:i + 1])",
-           "segment_pca(points[i], np.array([len(cloud)]))"),
+           "segment_pca(points[i], np.array([len(cloud)]))",
+           "tests/test_golden.py::test_outputs_match_golden_digests[cylinder-turning-cloud]"),
     Mutant("last-partial-chunk-dropped", "sim.py",
            "for first in range(0, len(ticks), chunk):",
-           "for first in range(0, len(ticks) - len(ticks) % chunk, chunk):"),
+           "for first in range(0, len(ticks) - len(ticks) % chunk, chunk):",
+           "tests/test_acceptance.py::test_criterion[criterion-07]"),
     Mutant("latency-without-perception-delay", "sim.py",
            "latency=cfg.obs_latency + (draw.perception_delay if draw is not None else 0.0),",
-           "latency=cfg.obs_latency,"),
+           "latency=cfg.obs_latency,",
+           "tests/test_cli.py::TestRunCommand::test_numeric_overflow_exits_1[huge-perception-delay]"),
     Mutant("history-depth-from-obs-latency", "sim.py",
-           "cfg.history_depth(bundle.latency)",
-           "cfg.history_depth(cfg.obs_latency)"),
+           "bundle.config.history_depth(bundle.latency)",
+           "bundle.config.history_depth(bundle.config.obs_latency)",
+           "tests/test_sim.py::TestSensor::test_training_latency_is_the_bundles"),
+    Mutant("in-place-baseline-compensates", "sim.py",
+           "_run_bank(bundle, measurements, cfg, ego_lanes=(False,))",
+           "_run_bank(bundle, measurements, cfg, ego_lanes=(True,))",
+           "tests/test_golden.py::test_outputs_match_golden_digests[truth-late-in-place]"),
     Mutant("default-randomization-overrides-given", "sim.py",
            'if self.mode == "training" and self.randomization is None:',
-           'if self.mode == "training":'),
+           'if self.mode == "training":',
+           "tests/test_cli.py::TestRunCommand::test_numeric_overflow_exits_1[huge-perception-delay]"),
     Mutant("rotation-noise-reads-scale-level", "sim.py",
            "            cfg.randomization.sigma_rot_noise_std,",
-           "            cfg.randomization.sigma_scale_noise_std,"),
+           "            cfg.randomization.sigma_scale_noise_std,",
+           "tests/test_golden.py::test_outputs_match_golden_digests[walk-training-success-band]"),
     # Perturbation.
     Mutant("drift-never-reset", "perturbation.py",
            "d = zero if vis else",
-           "d = d if vis else"),
+           "d = d if vis else",
+           "tests/test_batched_terms.py::test_drift_walk_equals_drift_step_loop"),
     Mutant("drift-unclipped", "perturbation.py",
            "tuple(min(d_max, max(-d_max, x + s)) for",
-           "tuple(x + s for"),
+           "tuple(x + s for",
+           "tests/test_batched_terms.py::test_drift_walk_equals_drift_step_loop"),
     Mutant("shape-angle-from-scale-column", "perturbation.py",
            "0.0 + rot_std * z[:, -1]",
-           "0.0 + rot_std * z[:, 0]"),
+           "0.0 + rot_std * z[:, 0]",
+           "tests/test_batched_terms.py::test_stacked_perturbation_equals_sequential_per_set_draws"),
     Mutant("shape-rotation-untransposed", "perturbation.py",
            "offsets = offsets @ np.swapaxes(r, 1, 2)",
-           "offsets = offsets @ r"),
+           "offsets = offsets @ r",
+           "tests/test_batched_terms.py::test_stacked_perturbation_equals_sequential_per_set_draws"),
     # Task logic.
     Mutant("numpy-square-for-roll", "tasklogic.py",
            "return hint, opt, g_y**2, w_x**2 + w_y**2",
-           "return hint, opt, g_y * g_y, w_x**2 + w_y**2"),
+           "return hint, opt, g_y * g_y, w_x**2 + w_y**2",
+           "tests/test_batched_terms.py::test_long_reward_stack_equals_per_pose_reference"),
     Mutant("numpy-exp-kernel", "tasklogic.py",
            "return math.exp(-sq / sigma)",
-           "return float(np.exp(-sq / sigma))"),
+           "return float(np.exp(-sq / sigma))",
+           "tests/test_batched_terms.py::test_stacked_reward_equals_per_pose_reference"),
     Mutant("success-band-widened-on-pitch", "tasklogic.py",
            "eps = (crit.eps_x, crit.eps_y, crit.eps_yaw, crit.eps_pitch)",
-           "eps = (crit.eps_x, crit.eps_y, crit.eps_yaw, crit.eps_pitch + 0.05)"),
+           "eps = (crit.eps_x, crit.eps_y, crit.eps_yaw, crit.eps_pitch + 0.05)",
+           "tests/test_batched_terms.py::test_stacked_reward_equals_per_pose_reference"),
     Mutant("segment-clamp-dropped", "tasklogic.py",
            "s = np.clip(dots(p - a, seg) / seg_sq, 0.0, 1.0)",
-           "s = dots(p - a, seg) / seg_sq"),
+           "s = dots(p - a, seg) / seg_sq",
+           "tests/test_acceptance.py::test_criterion[criterion-10]"),
     Mutant("long-stride-off-by-one", "tasklogic.py",
            "if tick % LONG_STRIDE == 0:",
-           "if tick % (LONG_STRIDE + 1) == 0:"),
+           "if tick % (LONG_STRIDE + 1) == 0:",
+           "tests/test_tasklogic.py::TestObservation::test_long_ring_strides"),
     Mutant("frame-size-one-point-short", "tasklogic.py",
            "FRAME_SIZE = N_POINTS * 3",
-           "FRAME_SIZE = (N_POINTS - 1) * 3"),
+           "FRAME_SIZE = (N_POINTS - 1) * 3",
+           "tests/test_tasklogic.py::TestObservation::test_layout_constants"),
     Mutant("smooth-from-raw-action", "tasklogic.py",
            "np.sum((clipped - proprio.prev_action) ** 2, axis=-1),",
-           "np.sum((_rows(action, 4) - proprio.prev_action) ** 2, axis=-1),"),
+           "np.sum((_rows(action, 4) - proprio.prev_action) ** 2, axis=-1),",
+           "tests/test_acceptance.py::test_criterion[criterion-10]"),
     Mutant("limit-taken-after-clip", "tasklogic.py",
            "clipped, clip_sq = clip_action(action, rcfg)",
-           "clipped, clip_sq = clip_action(clip_action(action, rcfg)[0], rcfg)"),
+           "clipped, clip_sq = clip_action(clip_action(action, rcfg)[0], rcfg)",
+           "tests/test_acceptance.py::test_criterion[criterion-10]"),
     Mutant("pitch-clipped-with-planar-limit", "tasklogic.py",
            "box = np.array([rcfg.clip_planar] * 3 + [rcfg.clip_pitch])",
-           "box = np.array([rcfg.clip_planar] * 4)"),
+           "box = np.array([rcfg.clip_planar] * 4)",
+           "tests/test_acceptance.py::test_criterion[criterion-10]"),
     # Self checks.
     Mutant("selftest-temp-dir-kept", "selftest.py",
            '        with tempfile.TemporaryDirectory(prefix="egotrack-selftest-") as tmp:\n'
            "            return check_determinism(tmp)\n",
-           '        return check_determinism(tempfile.mkdtemp(prefix="egotrack-selftest-"))\n'),
+           '        return check_determinism(tempfile.mkdtemp(prefix="egotrack-selftest-"))\n',
+           "tests/test_acceptance.py::test_determinism_without_out_dir_leaves_no_files"),
     # Config validation.
     Mutant("field-check-accepts-nan", "errors.py",
            "if not np.all(holds(value, 0)):",
-           "if np.any(np.less_equal(value, 0) if bound == \"positive\" else np.less(value, 0)):"),
+           "if np.any(np.less_equal(value, 0) if bound == \"positive\" else np.less(value, 0)):",
+           "tests/test_cli.py::test_config_types_reject_nan_naming_the_field[CameraModel-fx]"),
     Mutant("positive-allows-zero", "errors.py",
            '(positive, np.greater, "positive")',
-           '(positive, np.greater_equal, "positive")'),
+           '(positive, np.greater_equal, "positive")',
+           "tests/test_cli.py::TestRunCommand::test_bad_leaf_exits_2_naming_the_key[zero-box-dim]"),
     Mutant("build-drops-section-path", "config.py",
            'raise ConfigError(f"{path}.{exc}") from exc',
-           'raise ConfigError(f"{exc}") from exc'),
+           'raise ConfigError(f"{exc}") from exc',
+           "tests/test_cli.py::TestRunCommand::test_bad_leaf_exits_2_naming_the_key[unknown-shape]"),
     # CLI.
     Mutant("out-dir-not-checked", "cli.py",
            "        if args.out is not None:\n            _check_out_dir(args.out)\n",
-           ""),
+           "",
+           "tests/test_cli.py::test_unusable_out_exits_2_with_one_line[run-file]"),
+)
+
+
+def _also_for(criterion: int, name: str) -> Mutant:
+    """The mutant ``name`` of MUTANTS, which ``criterion`` must also kill."""
+    (m,) = (m for m in MUTANTS if m.name == name)
+    return replace(m, killer=criterion)
+
+
+# One mutant per selftest criterion, each killed by that criterion alone.
+CRITERION_MUTANTS = (
+    _also_for(1, "segment-covariance-over-count-plus-one"),
+    Mutant("back-face-test-inverted", "geometry.py",
+           'normals.reshape(-1, 3), flat) < 0.0',
+           'normals.reshape(-1, 3), flat) > 0.0', 2),
+    Mutant("velocity-noise-from-q-pos", "estimator.py",
+           "return np.diag([cfg.q_pos] * 3 + [cfg.q_vel] * 3)",
+           "return np.diag([cfg.q_pos] * 3 + [cfg.q_pos] * 3)", 3),
+    Mutant("c-takes-negated-translation", "estimator.py",
+           "c[..., 0:3] = np.where(ego[:, 0], translation, 0.0)",
+           "c[..., 0:3] = np.where(ego[:, 0], -translation, 0.0)", 4),
+    Mutant("mean-only-replay-drops-c", "estimator.py",
+           "mean = predict_mean(mean, rec.g, rec.c)",
+           "mean = predict_mean(mean, rec.g, 0.0 * rec.c)", 5),
+    Mutant("replay-lanes-without-compensation", "sim.py",
+           "ego_lanes=(ego, False))",
+           "ego_lanes=(False, False))", 6),
+    Mutant("depth-jitter-from-pixel-std", "sim.py",
+           "scale = np.array([spec.pixel_std_u, spec.pixel_std_v, spec.depth_std])",
+           "scale = np.array([spec.pixel_std_u, spec.pixel_std_v, spec.pixel_std_u])", 7),
+    Mutant("asc-decay-sign-flipped", "tasklogic.py",
+           "decay = math.exp(-cfg.lambda_asc * rho)",
+           "decay = math.exp(cfg.lambda_asc * rho)", 8),
+    Mutant("drift-step-unclipped", "perturbation.py",
+           "d = np.clip(state.d + step, -state.d_max, state.d_max)",
+           "d = state.d + step", 9),
+    _also_for(10, "pitch-clipped-with-planar-limit"),
+    Mutant("json-output-stamped-with-clock", "cli.py",
+           "json.dump(payload, fh,",
+           'json.dump({**payload, "written_at": __import__("time").perf_counter()}, fh,', 11),
 )
 
 
@@ -240,15 +349,25 @@ def _env(copy: str) -> dict:
     return {**os.environ, "PYTHONPATH": os.path.join(copy, "src"), "PYTHONDONTWRITEBYTECODE": "1"}
 
 
-def _run_suite(copy: str) -> tuple[bool, str]:
-    """Run tier-1 in ``copy``; returns (passed, the first failing test or
-    else pytest's summary line)."""
-    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-           "--hypothesis-profile=mutate"]
+def _run(copy: str, cmd: list[str]) -> subprocess.CompletedProcess | None:
+    """Run ``cmd`` in ``copy``, or None when it takes longer than TIMEOUT_S."""
     try:
-        proc = subprocess.run(cmd, cwd=copy, env=_env(copy), capture_output=True, text=True,
+        return subprocess.run(cmd, cwd=copy, env=_env(copy), capture_output=True, text=True,
                               timeout=TIMEOUT_S)
     except subprocess.TimeoutExpired:
+        return None
+
+
+def _pytest(*args: str) -> list[str]:
+    return [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+            "--hypothesis-profile=mutate", *args]
+
+
+def _run_suite(copy: str, *nodes: str) -> tuple[bool, str]:
+    """Run tier-1, or only ``nodes`` of it, in ``copy`` with ``-x``; returns
+    (passed, the first failing test or else pytest's summary line)."""
+    proc = _run(copy, _pytest("-x", *nodes))
+    if proc is None:
         return False, f"timed out after {TIMEOUT_S} s"
     lines = proc.stdout.strip().splitlines()
     failed = [line for line in lines if line.startswith(("FAILED ", "ERROR "))]
@@ -256,16 +375,40 @@ def _run_suite(copy: str) -> tuple[bool, str]:
     return proc.returncode == 0, detail
 
 
+def _run_criterion(copy: str, index: int) -> tuple[bool, str]:
+    """Run selftest criterion ``index`` in ``copy``; returns (killed: exit 1
+    with its FAIL line, that line or else the first line of the output)."""
+    proc = _run(copy, [sys.executable, "-m", "egotrack.cli", "selftest", "--only-criterion", str(index)])
+    if proc is None:
+        return False, f"timed out after {TIMEOUT_S} s"
+    lines = proc.stdout.strip().splitlines()
+    failed = [line for line in lines if line.startswith(f"FAIL criterion {index:2d}:")]
+    detail = failed[0] if failed else lines[0] if lines else proc.stderr.strip()[-200:]
+    return proc.returncode == 1 and bool(failed), detail
+
+
+def _kill(copy: str, m: Mutant) -> tuple[bool, str]:
+    """Run mutant ``m``, already applied to ``copy``; returns (killed, detail)."""
+    if isinstance(m.killer, int):
+        return _run_criterion(copy, m.killer)
+    passed, tail = _run_suite(copy, m.killer)
+    if passed:
+        print(f"stale killer: {m.killer} passes under {m.name}; running the whole suite", flush=True)
+        passed, tail = _run_suite(copy)
+    return not passed, tail
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("names", nargs="*", help="run only these mutants")
     args = parser.parse_args(argv)
-    known = {m.name for m in MUTANTS}
+    mutants = MUTANTS + CRITERION_MUTANTS
+    known = {m.name for m in mutants}
     unknown = [n for n in args.names if n not in known]
     if unknown:
         print(f"mutate: unknown mutant(s): {', '.join(unknown)}", file=sys.stderr)
         return 2
-    chosen = [m for m in MUTANTS if not args.names or m.name in args.names]
+    chosen = [m for m in mutants if not args.names or m.name in args.names]
 
     # Every substitution must still match the source, exactly once.
     stale = []
@@ -290,6 +433,14 @@ def main(argv: list[str] | None = None) -> int:
             print(f"mutate: the copy imports egotrack from {probe.stdout.strip() or probe.stderr}",
                   file=sys.stderr)
             return 2
+        # Every killer node must be a test of the suite, or pytest's own
+        # error would count as a kill.
+        collected = _run(copy, _pytest("--collect-only"))
+        tests = set(collected.stdout.splitlines()) if collected else set()
+        missing = sorted({m.killer for m in chosen if isinstance(m.killer, str)} - tests)
+        if missing:
+            print(f"mutate: killer node(s) not in the suite: {', '.join(missing)}", file=sys.stderr)
+            return 2
         passed, tail = _run_suite(copy)
         if not passed:
             print(f"mutate: the unmutated suite fails ({tail})", file=sys.stderr)
@@ -304,13 +455,14 @@ def main(argv: list[str] | None = None) -> int:
                 fh.write(original.replace(m.old, m.new))
             t0 = time.perf_counter()
             try:
-                passed, tail = _run_suite(copy)
+                killed, tail = _kill(copy, m)
             finally:
                 with open(target, "w", encoding="utf-8") as fh:
                     fh.write(original)
-            verdict = "SURVIVED" if passed else "killed"
-            print(f"{verdict:8s} {m.name} ({time.perf_counter() - t0:.1f} s): {tail}", flush=True)
-            if passed:
+            verdict = "killed" if killed else "SURVIVED"
+            by = f"criterion {m.killer}" if isinstance(m.killer, int) else "tier-1"
+            print(f"{verdict:8s} {m.name} by {by} ({time.perf_counter() - t0:.1f} s): {tail}", flush=True)
+            if not killed:
                 survived.append(m.name)
     print(f"{len(chosen) - len(survived)}/{len(chosen)} mutants killed")
     if survived:
