@@ -30,9 +30,6 @@ _SWEEP_KEYS = (
     "scored_ticks",
 )
 
-# metrics.csv rows formatted per batch; bounds the writer's temporary floats.
-_CSV_CHUNK_ROWS = 64
-
 
 def _read_user_config(path: str) -> dict:
     try:
@@ -61,18 +58,10 @@ def _check_out_dir(path: str) -> None:
 
 
 def _write_rows_csv(path: str, table: EpisodeTable) -> None:
-    """One header line, then one ``%.17g`` row per tick, CRLF-terminated.
-
-    Rows are converted to Python floats ``_CSV_CHUNK_ROWS`` at a time, so
-    the writer never holds a float object for every cell of the episode.
-    """
-    row = ",".join(["%.17g"] * len(table.columns)) + "\r\n"
-    values = table.values
+    """One header line, then one ``%.17g`` row per tick, CRLF-terminated."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(table.columns) + "\r\n")
-        for start in range(0, len(values), _CSV_CHUNK_ROWS):
-            chunk = values[start:start + _CSV_CHUNK_ROWS].tolist()
-            fh.writelines(row % tuple(cells) for cells in chunk)
+        np.savetxt(fh, table.values, fmt="%.17g", delimiter=",", newline="\r\n",
+                   header=",".join(table.columns), comments="")
 
 
 def _write_json(path: str, payload: dict) -> None:

@@ -549,11 +549,14 @@ def check_reward_oracle() -> CriterionResult:
     statuses = set()
     mismatch = 0
     for trial in range(1000):
-        mode = trial % 4
-        if mode == 0:
-            # near-success draws
+        mode = trial % 5
+        if mode in (0, 4):
+            # near-success draws; mode 4 puts the pitch just past its band
             pos = geom.p_opt + rng.uniform(-0.04, 0.04, 3) * np.array([1.0, 0.6, 1.0])
             ang = geom.theta_opt + rng.uniform(-0.08, 0.08, 3)
+            if mode == 4:
+                side = rng.choice([-1.0, 1.0])
+                ang[1] = geom.theta_opt[1] + side * (crit.eps_pitch + rng.uniform(0.0, 0.05))
         elif mode == 1:
             # dead band: inside every delta, outside some eps
             pos = geom.p_opt + np.array([rng.uniform(0.06, 0.09), rng.uniform(-0.02, 0.02), 0.0])

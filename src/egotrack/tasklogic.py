@@ -20,8 +20,6 @@ from .errors import check_fields
 from .geometry import N_POINTS, dots, norms
 
 TWO_PI = 2.0 * math.pi
-# Steps per block of compute_reward's per-step terms.
-_BLOCK = 128
 
 
 def wrap_angles(a) -> np.ndarray:
@@ -212,11 +210,6 @@ class RewardBreakdown:
         return asdict(self)
 
 
-def _kernel(sq: float, sigma: float) -> float:
-    """exp(-x^2 / sigma) evaluated on a squared magnitude."""
-    return math.exp(-sq / sigma)
-
-
 def clip_action(raw, rcfg: RewardConfig) -> tuple[np.ndarray, float | np.ndarray]:
     """Clamp an action, or each action of a stack, to the actuator box; also
     return ||a_clip - a||^2, the input of the limit penalty: a float for one
@@ -246,40 +239,24 @@ def compute_reward(
     ``proprio.prev_action``.  The convergence bonus gates on the success
     criterion evaluated without timeout.
     """
-    sigma = rcfg.sigma_track
     e_pos, e_rot = alignment_errors(position, angles, geom)
     d_path = cross_track_error(position, geom.p_hint, geom.p_opt)
-    lin, ang_vel = proprio.lin_vel, proprio.ang_vel
-    if rcfg.opt_velocity == "planar":
-        v = np.stack([lin[..., 0], lin[..., 1], ang_vel[..., 2]], axis=-1)
-    else:
-        v = np.concatenate([lin, ang_vel[..., 2:]], axis=-1)
+    n_lin = 2 if rcfg.opt_velocity == "planar" else 3
+    v = np.concatenate([proprio.lin_vel[..., :n_lin], proprio.ang_vel[..., 2:]], axis=-1)
     success = _in_success_band(position, angles, geom, crit)
     clipped, clip_sq = clip_action(action, rcfg)
-    *per_step, miss, smooth, limit = np.broadcast_arrays(
-        d_path, e_rot, e_pos, dots(v, v), success,
-        proprio.gravity_proj[..., 1], ang_vel[..., 0], ang_vel[..., 1],
-        np.where(out_fov, 1.0, 0.0),
+    sq = np.broadcast_arrays(np.square(d_path), np.square(e_rot), np.square(e_pos), dots(v, v))
+    # A square over a tiny sigma overflows to inf, and its kernel is 0.
+    with np.errstate(over="ignore"):
+        k_path, k_rot, k_pos, k_v = np.exp(-np.stack(sq) / rcfg.sigma_track)
+    hint, opt, miss, roll, ang, smooth, limit = np.broadcast_arrays(
+        k_path * k_rot * (1.0 + rcfg.k_pos * k_pos),
+        np.where(success, k_pos * k_rot * k_v, 0.0), np.where(out_fov, 1.0, 0.0),
+        np.square(proprio.gravity_proj[..., 1]),
+        np.square(proprio.ang_vel[..., 0]) + np.square(proprio.ang_vel[..., 1]),
         np.sum((clipped - proprio.prev_action) ** 2, axis=-1),
         clip_sq,
     )
-
-    # Python's x**2 and math.exp round differently from numpy's square and
-    # exp on a small share of inputs, so these terms are taken per step, in
-    # blocks: holding every step's Python floats at once raised the peak
-    # memory of a long run.
-    def terms(d, er, ep, vv, ok, g_y, w_x, w_y):
-        k_pos, k_rot = _kernel(ep**2, sigma), _kernel(er**2, sigma)
-        hint = _kernel(d**2, sigma) * k_rot * (1.0 + rcfg.k_pos * k_pos)
-        opt = k_pos * k_rot * _kernel(vv, sigma) if ok else 0.0
-        return hint, opt, g_y**2, w_x**2 + w_y**2
-
-    cols = [c.ravel() for c in per_step]
-    rows = np.empty((miss.size, 4))
-    for lo in range(0, miss.size, _BLOCK):
-        block = zip(*(c[lo:lo + _BLOCK].tolist() for c in cols))
-        rows[lo:lo + _BLOCK] = [terms(*step) for step in block]
-    hint, opt, roll, ang = np.moveaxis(rows.reshape(miss.shape + (4,)), -1, 0)
 
     total = (
         rcfg.w_hint * hint

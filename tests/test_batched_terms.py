@@ -33,7 +33,8 @@ KEYS = ("hint", "opt", "miss", "roll", "ang", "smooth", "limit", "total")
 
 # ---------------------------------------------------------------------------
 # Per-pose reference: one pose at a time, in Python floats where the scalar
-# code used them.
+# code used them; the reward's squares and kernels take numpy's square and
+# exp, as compute_reward does.
 
 
 def ref_wrap(a):
@@ -74,7 +75,7 @@ def ref_success(position, angles, geom, crit):
 
 
 def ref_kernel(sq, sigma):
-    return math.exp(-sq / sigma)
+    return np.exp(-sq / sigma)
 
 
 def ref_clip(raw, rcfg):
@@ -87,8 +88,8 @@ def ref_reward(position, angles, geom, crit, gravity, lin_vel, ang_vel, raw, pre
     sigma = rcfg.sigma_track
     e_pos, e_rot = ref_alignment(position, angles, geom)
     d_path = ref_cross_track(position, geom.p_hint, geom.p_opt)
-    hint = ref_kernel(d_path**2, sigma) * ref_kernel(e_rot**2, sigma) * (
-        1.0 + rcfg.k_pos * ref_kernel(e_pos**2, sigma)
+    hint = ref_kernel(np.square(d_path), sigma) * ref_kernel(np.square(e_rot), sigma) * (
+        1.0 + rcfg.k_pos * ref_kernel(np.square(e_pos), sigma)
     )
     if rcfg.opt_velocity == "planar":
         v = np.array([lin_vel[0], lin_vel[1], ang_vel[2]])
@@ -97,13 +98,13 @@ def ref_reward(position, angles, geom, crit, gravity, lin_vel, ang_vel, raw, pre
     opt = 0.0
     if ref_success(position, angles, geom, crit):
         opt = (
-            ref_kernel(e_pos**2, sigma)
-            * ref_kernel(e_rot**2, sigma)
+            ref_kernel(np.square(e_pos), sigma)
+            * ref_kernel(np.square(e_rot), sigma)
             * ref_kernel(float(v @ v), sigma)
         )
     miss = 1.0 if out_fov else 0.0
-    roll = float(gravity[1]) ** 2
-    ang = float(ang_vel[0]) ** 2 + float(ang_vel[1]) ** 2
+    roll = np.square(gravity[1])
+    ang = np.square(ang_vel[0]) + np.square(ang_vel[1])
     action = ref_clip(raw, rcfg)
     smooth = float(np.sum((action - prev_action) ** 2))
     limit = float(np.sum((action - raw) ** 2))
@@ -221,8 +222,9 @@ def test_stacked_reward_equals_per_pose_reference(seed, n, opt_velocity, degener
 
 
 def test_long_reward_stack_equals_per_pose_reference():
-    # Python's x**2 and numpy's square disagree on about one input in a
-    # thousand, so a stack this long catches a term squared the numpy way.
+    # Python's x**2 and math.exp round differently from numpy's square and
+    # exp on about one input in a thousand, so a stack this long catches a
+    # term taken the Python way.
     _check_reward_stack(12, 10_000, "linear3d", False, True)
 
 

@@ -171,8 +171,9 @@ class TestRunCommand:
 
     def test_chunked_csv_equals_one_pass(self, tmp_path):
         rng = np.random.default_rng(4)
-        values = rng.normal(size=(2 * cli._CSV_CHUNK_ROWS + 5, 4))
+        values = rng.normal(size=(133, 4))
         values[3, 1], values[7, 2], values[9, 0] = np.nan, -0.0, np.inf
+        values[11, 3], values[64, 1], values[132, 2] = -np.inf, 5e-324, np.finfo(float).max
         table = cli.EpisodeTable(("stamp", "a", "b", "c"), values)
         path = tmp_path / "m.csv"
         cli._write_rows_csv(str(path), table)
@@ -406,6 +407,20 @@ class TestRunCommand:
         assert rc == 1
         assert err.startswith("error: ")
         assert err.count("\n") == 1
+
+    def test_tiny_sigma_track_gives_zero_kernels(self, tmp_path):
+        # Each squared error over the smallest sigma overflows to inf, and its
+        # kernel is 0 (1 on the first tick, where every error is 0).
+        user = {
+            "scenario": {"duration": 1.0, "surface_samples": 256, "camera_motion": {"kind": "walking"}},
+            "task": {"p_opt": [0.0, 0.0, 0.0], "p_hint": [0.5, 0.3, 0.0]},
+            "reward": {"sigma_track": 5e-324},
+        }
+        out = tmp_path / "o"
+        assert main(["run", "--config", write_cfg(tmp_path, user), "--out", str(out), "--quiet"]) == 0
+        sums = json.loads((out / "summary.json").read_text())["metrics"]["reward_sums"]
+        assert sums == {"hint": 2.0, "opt": 1.0, "miss": 0.0, "roll": 0.0, "ang": 2.697805990177878,
+                        "smooth": 0.0, "limit": 0.0, "total": 20.530219400982208}
 
     @pytest.mark.parametrize(
         "scenario",

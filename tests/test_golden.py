@@ -7,7 +7,8 @@ regenerates the digests and says why in CHANGES.md:
 
     PYTHONPATH=src python3 tests/test_golden.py
 
-rewrites ``tests/golden.json`` from the current code.
+prints ``changed: <case> <file>`` for each digest that differs from the
+stored one, then rewrites ``tests/golden.json`` from the current code.
 """
 
 import hashlib
@@ -169,6 +170,11 @@ def test_outputs_match_golden_digests(name, tmp_path):
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         table = {name: digests(name, tmp) for name in sorted(CASES)}
+    stored = _stored()
+    for name, outputs in table.items():
+        for fname, digest in outputs.items():
+            if stored.get(name, {}).get(fname) != digest:
+                print(f"changed: {name} {fname}")
     with open(GOLDEN, "w", encoding="utf-8") as fh:
         json.dump(table, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -228,14 +228,18 @@ MUTANTS = (
            "offsets = offsets @ r",
            "tests/test_batched_terms.py::test_stacked_perturbation_equals_sequential_per_set_draws"),
     # Task logic.
-    Mutant("numpy-square-for-roll", "tasklogic.py",
-           "return hint, opt, g_y**2, w_x**2 + w_y**2",
-           "return hint, opt, g_y * g_y, w_x**2 + w_y**2",
+    Mutant("hint-kernel-unsquared", "tasklogic.py",
+           "sq = np.broadcast_arrays(np.square(d_path),",
+           "sq = np.broadcast_arrays(d_path,",
            "tests/test_batched_terms.py::test_long_reward_stack_equals_per_pose_reference"),
-    Mutant("numpy-exp-kernel", "tasklogic.py",
-           "return math.exp(-sq / sigma)",
-           "return float(np.exp(-sq / sigma))",
-           "tests/test_batched_terms.py::test_stacked_reward_equals_per_pose_reference"),
+    Mutant("convergence-bonus-ungated", "tasklogic.py",
+           "np.where(success, k_pos * k_rot * k_v, 0.0)",
+           "k_pos * k_rot * k_v",
+           "tests/test_batched_terms.py::test_long_reward_stack_equals_per_pose_reference"),
+    Mutant("kernel-overflow-unguarded", "tasklogic.py",
+           'with np.errstate(over="ignore"):',
+           "with np.errstate():",
+           "tests/test_cli.py::TestRunCommand::test_tiny_sigma_track_gives_zero_kernels"),
     Mutant("success-band-widened-on-pitch", "tasklogic.py",
            "eps = (crit.eps_x, crit.eps_y, crit.eps_yaw, crit.eps_pitch)",
            "eps = (crit.eps_x, crit.eps_y, crit.eps_yaw, crit.eps_pitch + 0.05)",
@@ -288,6 +292,10 @@ MUTANTS = (
            "        if args.out is not None:\n            _check_out_dir(args.out)\n",
            "",
            "tests/test_cli.py::test_unusable_out_exits_2_with_one_line[run-file]"),
+    Mutant("csv-rows-end-in-lf", "cli.py",
+           'newline="\\r\\n"',
+           'newline="\\n"',
+           "tests/test_cli.py::TestRunCommand::test_chunked_csv_equals_one_pass"),
 )
 
 
@@ -297,7 +305,8 @@ def _also_for(criterion: int, name: str) -> Mutant:
     return replace(m, killer=criterion)
 
 
-# One mutant per selftest criterion, each killed by that criterion alone.
+# At least one mutant per selftest criterion, each killed by that criterion
+# alone.
 CRITERION_MUTANTS = (
     _also_for(1, "segment-covariance-over-count-plus-one"),
     Mutant("back-face-test-inverted", "geometry.py",
@@ -325,6 +334,7 @@ CRITERION_MUTANTS = (
            "d = np.clip(state.d + step, -state.d_max, state.d_max)",
            "d = state.d + step", 9),
     _also_for(10, "pitch-clipped-with-planar-limit"),
+    _also_for(10, "success-band-widened-on-pitch"),
     Mutant("json-output-stamped-with-clock", "cli.py",
            "json.dump(payload, fh,",
            'json.dump({**payload, "written_at": __import__("time").perf_counter()}, fh,', 11),
