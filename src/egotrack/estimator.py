@@ -7,12 +7,16 @@ measurements are handled by rolling back to a history snapshot and replaying.
 
 Only an update reads a covariance, so the bank keeps covariances current
 only through one history record, never older than the newest record that
-holds a measurement.  A step, and a replay past that record, moves the means
-alone; a later record's covariance is computed once, when a rollback reaches
-it, a reader asks for it, or the history is about to evict the last record
-whose covariance is known.  The mean and covariance halves of ``predict``
-are independent expressions, so every state equals the one a full replay
-of every record would write, bit for bit.
+holds a measurement.  A step moves the newest mean alone.  A replay past
+that record carries every later mean from it in closed form: the steps
+between two records compose to one rigid map and a time offset, so one
+batched product moves all of them (``FilterBank._transport``).  A later
+record's covariance is computed once, when a rollback reaches it, a reader
+asks for it, or the history is about to evict the last record whose
+covariance is known.  The mean and covariance halves of ``predict`` are
+independent expressions, so every state equals the one a full replay of
+every record would write up to rounding: the closed form groups the same
+products differently.
 
 The filter math is a set of batched functions over ``n`` independent states:
 means shaped ``(n, 6)`` (position then velocity) and covariances
@@ -28,6 +32,7 @@ from __future__ import annotations
 import enum
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import islice, repeat
 
 import numpy as np
 
@@ -35,6 +40,7 @@ from .errors import InvalidDepthError, NumericalError, check_fields
 from .geometry import N_POINTS, CameraModel, RigidTransform, SigmaPointSet
 
 _EYE3 = np.eye(3)
+_EYE4 = np.eye(4)
 
 
 @dataclass(frozen=True)
@@ -119,9 +125,10 @@ def predict(
     constant-velocity time update followed by the ego remap, up to rounding,
     since F Q F^T = Q for the isotropic per-block Q; Q is added once per step
     regardless of dt.  ``g`` broadcasts against the leading axes of ``cov``.
-    The two halves are independent: the mean is ``predict_mean``'s.
+    The two halves are independent: the mean is ``predict_mean``'s, and None
+    for a None ``mean``, when only the covariance is wanted.
     """
-    return predict_mean(mean, g, c), g @ cov @ g.swapaxes(-1, -2) + q
+    return None if mean is None else predict_mean(mean, g, c), g @ cov @ g.swapaxes(-1, -2) + q
 
 
 def measurement_covariance(cam: CameraModel, depth: np.ndarray, cfg: FilterConfig) -> np.ndarray:
@@ -215,8 +222,10 @@ class _StepRecord:
     """One history entry: the fused step into this stamp and the state after it.
 
     ``g`` (L, 1, 6, 6) and ``c`` (L, 1, 6) are the step's propagation
-    ``mean' = g mean + c``, built once by ``step`` and reused by every replay
-    through this entry.  ``mean`` (L, 7, 6) is always current.  ``cov``
+    ``mean' = g mean + c``, built once by ``step``.  A full replay predicts
+    through them; the closed-form replay reads this step's rotation and
+    translation from them once, for the record's pose.  ``mean`` (L, 7, 6)
+    is always current.  ``cov``
     (L, 7, 6, 6) is current only through the bank's ``_cov_known`` record;
     a newer record's ``cov`` is None until the bank needs it (see
     ``FilterBank``).  Both are None before the first set, and neither is
@@ -260,7 +269,8 @@ class FilterBank:
     Covariances are propagated lazily (see the module docstring): they are
     current through record ``_cov_known``, and no later record holds a set.
     Without covariance reads, as in a run, the index is the newest record
-    holding a set (0 when none does).
+    holding a set (0 when none does).  A rollback carries the means of the
+    records past it in closed form from it (``_transport``).
     """
 
     def __init__(
@@ -292,6 +302,18 @@ class FilterBank:
         self.history: deque[_StepRecord] = deque(maxlen=history_depth)
         self.history.append(_StepRecord(start_stamp))
         self._cov_known = 0
+        # The record poses of the closed-form replay (see _transport), by
+        # record number counted from the bank's first record: history[0] is
+        # record _first, pose slot 0 is record _base, and records through
+        # _posed have poses.
+        self._first = self._base = 0
+        self._posed = -1
+        slots, lanes = 2 * history_depth, len(ego_lanes)
+        self._pose = np.tile(_EYE4, (slots, lanes, 1, 1))
+        self._pose_stamp = np.empty(slots)
+        self._step_g = np.empty((slots, lanes, 1, 6, 6))
+        self._step_c = np.empty((slots, lanes, 1, 6))
+        self._homogeneous = np.tile([[1.0], [0.0]], (lanes, N_POINTS, 1))
 
     @property
     def stamp(self) -> float:
@@ -333,45 +355,102 @@ class FilterBank:
             # The append evicts record 0; keep a known covariance to start from.
             self._cov_through(1)
             self._cov_known -= 1
+            self._first += 1
         prev = history[-1]
         g, c = g[:, None], c[:, None]
         mean = None if prev.mean is None else predict_mean(prev.mean, g, c)
         history.append(_StepRecord(prev.stamp + dt, g, c, mean, seen=prev.seen))
 
     def _cov_through(self, i: int) -> None:
-        """Make record ``i``'s covariance current: predict each record after
-        the newest known one in full.  None of them holds a set, so the mean
-        ``predict`` returns is the stored one and only its covariance is kept."""
+        """Make record ``i``'s covariance current: predict the covariance of
+        each record after the newest known one.  None of them holds a set, so
+        the stored means stand and ``predict`` runs its covariance half only."""
         history = self.history
         for j in range(self._cov_known + 1, i + 1):
             prev = history[j - 1]
             if prev.mean is not None:
                 rec = history[j]
-                rec.cov = predict(prev.mean, prev.cov, rec.g, rec.c, self._q)[1]
+                rec.cov = predict(None, prev.cov, rec.g, rec.c, self._q)[1]
         self._cov_known = max(self._cov_known, i)
 
     def _replay(self, start: int) -> None:
-        """Rewrite records ``start`` to newest in one forward pass from the
-        record before, carrying ``seen``.  Through ``_cov_known``, each
-        record is predicted in full and re-applies its stored sets; past it,
-        where no record holds a set, only the means are propagated, and the
-        covariances wait for ``_cov_through``."""
+        """Rewrite records ``start`` to newest from the record before,
+        carrying ``seen``.  Through ``_cov_known``, each record is predicted
+        in full and re-applies its stored sets; past it, where no record
+        holds a set, ``_transport`` carries the means from that anchor
+        record in closed form, and the covariances wait for ``_cov_through``."""
         history = self.history
+        anchor = self._cov_known
         prev = history[start - 1]
         mean, cov, seen = prev.mean, prev.cov, prev.seen
-        for j in range(start, len(history)):
+        for j in range(start, anchor + 1):
             rec = history[j]
-            if j <= self._cov_known:
-                if mean is not None:
-                    mean, cov = predict(mean, cov, rec.g, rec.c, self._q)
-                for meas_stamp, z in rec.measurements:
-                    mean, cov = self._apply_measurement(mean, cov, z, rec.stamp - seen)
-                    seen = max(seen, meas_stamp)
-                rec.mean, rec.cov, rec.seen = mean, cov, seen
-            else:
-                if mean is not None:
-                    mean = predict_mean(mean, rec.g, rec.c)
-                rec.mean, rec.cov, rec.seen = mean, None, seen
+            if mean is not None:
+                mean, cov = predict(mean, cov, rec.g, rec.c, self._q)
+            for meas_stamp, z in rec.measurements:
+                mean, cov = self._apply_measurement(mean, cov, z, rec.stamp - seen)
+                seen = max(seen, meas_stamp)
+            rec.mean, rec.cov, rec.seen = mean, cov, seen
+        if anchor + 1 == len(history):
+            return
+        means = repeat(None) if mean is None else self._transport(anchor, mean)
+        for rec, mean in zip(islice(history, anchor + 1, None), means):
+            rec.mean, rec.cov, rec.seen = mean, None, seen
+
+    def _transport(self, anchor: int, mean: np.ndarray) -> np.ndarray:
+        """The means of records ``anchor + 1`` to newest, carried in closed
+        form from ``mean``, record ``anchor``'s, shaped (records, L, 7, 6).
+
+        The steps from record a to record j compose to the rigid map
+        ``(R_ja, t_ja)`` from camera frame a to frame j, and A(dt) commutes
+        with blockdiag(R, R), so with ``tau = t_j - t_a``
+        ``p_j = R_ja (p_a + tau v_a) + t_ja`` and ``v_j = R_ja v_a``.
+
+        Each lane's record pose ``P_j = [[Q_j, s_j], [0, 1]]``, the map
+        ``x_j = Q_j x_base + s_j`` from a base record's frame, is composed
+        once; then ``R_ja = Q_j Q_a^T`` and ``t_ja = s_j - R_ja s_a``.  A lane
+        with the ego flag false steps by R = I and t = 0, so its poses are
+        exactly the identity.  The chain restarts at the anchor when no
+        record after it has a pose, or when the newest record would lie
+        ``2 * history_depth`` steps past the base, so no pose is a product of
+        more steps.  The restarts depend only on record numbers and the
+        history depth.
+        """
+        history, pose, stamps = self.history, self._pose, self._pose_stamp
+        first = self._first
+        a, newest = first + anchor, first + len(history) - 1
+        if self._posed <= a or newest - self._base >= len(pose):
+            self._base = self._posed = a
+            pose[0] = _EYE4
+            stamps[0] = history[anchor].stamp
+        base, posed = self._base, self._posed
+        if newest > posed:
+            # Copy each new record's step into its slot, then turn the slots
+            # from the last posed one on into poses with a doubling scan.
+            step_g, step_c = self._step_g, self._step_c
+            for s, rec in enumerate(islice(history, posed + 1 - first, None), posed + 1 - base):
+                step_g[s], step_c[s], stamps[s] = rec.g, rec.c, rec.stamp
+            new = slice(posed + 1 - base, newest + 1 - base)
+            pose[new, :, 0:3, 0:3] = step_g[new, :, 0, 0:3, 0:3]
+            pose[new, :, 0:3, 3] = step_c[new, :, 0, 0:3]
+            chain = pose[posed - base:newest + 1 - base]
+            d = 1
+            while d < len(chain):
+                chain[d:] = chain[d:] @ chain[:-d]
+                d *= 2
+            self._posed = newest
+        lo, hi = a - base, newest - base
+        lanes, m = len(mean), hi - lo
+        # As rows, [p, 1] and [v, 0] times rel, whose columns 3j..3j+2 hold
+        # each lane's [R_ja^T; t_ja^T].
+        rel = pose[lo + 1:hi + 1, :, 0:3].transpose(1, 3, 0, 2).reshape(lanes, 4, 3 * m)
+        if lo:
+            turn = pose[lo, :, 0:3, 0:3] @ rel[:, 0:3]
+            rel = np.concatenate([turn, rel[:, 3:4] - pose[lo, :, None, 0:3, 3] @ turn], axis=1)
+        rows = np.concatenate([mean.reshape(lanes, 2 * N_POINTS, 3), self._homogeneous], axis=2)
+        moved = (rows @ rel).reshape(lanes, N_POINTS, 2, m, 3)
+        moved[:, :, 0] += (stamps[lo + 1:hi + 1] - stamps[lo])[:, None] * moved[:, :, 1]
+        return moved.transpose(3, 0, 1, 2, 4).reshape(m, lanes, N_POINTS, 6)
 
     def _apply_measurement(
         self, mean: np.ndarray | None, cov: np.ndarray | None, measured: np.ndarray, gap: float

@@ -78,7 +78,7 @@ MUTANTS = (
            "return self.record_state(0)",
            "tests/test_acceptance.py::test_criterion[criterion-03]"),
     Mutant("replay-stops-carrying-seen", "estimator.py",
-           "                    seen = max(seen, meas_stamp)\n",
+           "                seen = max(seen, meas_stamp)\n",
            "",
            "tests/test_bank_properties.py::test_delayed_delivery_replays_to_zero_latency_posterior"),
     Mutant("replay-seen-starts-unseen", "estimator.py",
@@ -93,8 +93,8 @@ MUTANTS = (
            "tests/test_bank_properties.py::test_delayed_delivery_replays_to_zero_latency_posterior"),
     # Lazy covariances: each must still equal a full replay of every record.
     Mutant("mean-only-replay-through-a-set", "estimator.py",
-           "if j <= self._cov_known:",
-           "if j < self._cov_known:",
+           "for j in range(start, anchor + 1):",
+           "for j in range(start, anchor):",
            "tests/test_bank_properties.py::test_delayed_delivery_replays_to_zero_latency_posterior"),
     Mutant("step-evicts-last-known-covariance", "estimator.py",
            "            self._cov_through(1)\n",
@@ -111,9 +111,23 @@ MUTANTS = (
     # ... and a run must stay lazy: the same states from eager replays cost
     # a predict per replayed record.
     Mutant("replay-predicts-every-record-in-full", "estimator.py",
-           "if j <= self._cov_known:",
-           "if True:",
+           "anchor = self._cov_known",
+           "anchor = len(history) - 1",
            "tests/test_bank_properties.py::test_late_replay_predicts_covariances_lazily"),
+    # The closed-form replay: it starts at the anchor, composes R_ja = Q_j Q_a^T,
+    # and keeps record numbers through evictions.
+    Mutant("transport-from-record-before-anchor", "estimator.py",
+           "self._transport(anchor, mean)",
+           "self._transport(anchor - 1, mean)",
+           "tests/test_bank_properties.py::test_transported_bank_equals_sequential_reference"),
+    Mutant("relative-rotation-not-transposed", "estimator.py",
+           "turn = pose[lo, :, 0:3, 0:3] @ rel[:, 0:3]",
+           "turn = pose[lo, :, 0:3, 0:3].swapaxes(1, 2) @ rel[:, 0:3]",
+           "tests/test_bank_properties.py::test_transported_bank_equals_sequential_reference"),
+    Mutant("pose-ring-not-advanced-on-eviction", "estimator.py",
+           "            self._first += 1\n",
+           "",
+           "tests/test_bank_properties.py::test_transported_bank_equals_sequential_reference"),
     Mutant("seen-from-record-stamp", "estimator.py",
            "rec.seen = max(rec.seen, meas_stamp)",
            "rec.seen = max(rec.seen, rec.stamp)",
@@ -293,8 +307,8 @@ MUTANTS = (
            "",
            "tests/test_cli.py::test_unusable_out_exits_2_with_one_line[run-file]"),
     Mutant("csv-rows-end-in-lf", "cli.py",
-           'newline="\\r\\n"',
-           'newline="\\n"',
+           'len(table.columns)) + "\\r\\n"',
+           'len(table.columns)) + "\\n"',
            "tests/test_cli.py::TestRunCommand::test_chunked_csv_equals_one_pass"),
 )
 
@@ -315,12 +329,17 @@ CRITERION_MUTANTS = (
     Mutant("velocity-noise-from-q-pos", "estimator.py",
            "return np.diag([cfg.q_pos] * 3 + [cfg.q_vel] * 3)",
            "return np.diag([cfg.q_pos] * 3 + [cfg.q_pos] * 3)", 3),
+    # A moving target's open-loop means rotate the velocity into the position.
+    Mutant("position-from-unrotated-velocity", "estimator.py",
+           "g[..., 0:3, 3:6] = dt * r",
+           "g[..., 0:3, 3:6] = dt * _EYE3", 4),
     Mutant("c-takes-negated-translation", "estimator.py",
            "c[..., 0:3] = np.where(ego[:, 0], translation, 0.0)",
            "c[..., 0:3] = np.where(ego[:, 0], -translation, 0.0)", 4),
+    # The closed-form replay with t_ja dropped: every pose keeps a zero translation.
     Mutant("mean-only-replay-drops-c", "estimator.py",
-           "mean = predict_mean(mean, rec.g, rec.c)",
-           "mean = predict_mean(mean, rec.g, 0.0 * rec.c)", 5),
+           "pose[new, :, 0:3, 3] = step_c[new, :, 0, 0:3]",
+           "pose[new, :, 0:3, 3] = 0.0", 5),
     Mutant("replay-lanes-without-compensation", "sim.py",
            "ego_lanes=(ego, False))",
            "ego_lanes=(False, False))", 6),
