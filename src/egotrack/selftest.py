@@ -13,7 +13,7 @@ import json
 import math
 import os
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -34,6 +34,7 @@ from .sim import (
     ObjectSpec,
     ScenarioConfig,
     SensorSpec,
+    TrajectoryBundle,
     _deliveries,
     _run_bank,
     ego_increments,
@@ -230,7 +231,7 @@ def check_kf_reduction() -> CriterionResult:
 # 4. ego-compensation open-loop exactness
 
 
-def _open_loop_error(target: ObjectSpec) -> float:
+def _open_loop_error(bundle: TrajectoryBundle) -> float:
     """Worst deviation of the filter's open-loop means after its last set
     from that tick's mean carried in closed form by the VO poses.
 
@@ -239,14 +240,6 @@ def _open_loop_error(target: ObjectSpec) -> float:
     tick k's mean must be ``p_k = R_kd (p_d + tau v_d) + t_kd`` and
     ``v_k = R_kd v_d``; the oracle reads only the VO poses and tick d's mean.
     """
-    cfg = ScenarioConfig(
-        seed=42,
-        duration=5.0,
-        camera_motion=CameraMotion(kind="walking"),
-        target=target,
-        sensor=SensorSpec(pixel_std_u=0.0, pixel_std_v=0.0, depth_std=0.0, mode="truth"),
-    )
-    bundle = generate_scenario(cfg)
     measurements = [m for m in sensor_schedule(bundle) if m.available_at <= 1.0 + STAMP_EPS]
     means, _ = _run_bank(bundle, measurements, FilterConfig())
     delivered, count = _deliveries(measurements, bundle.times)
@@ -279,11 +272,11 @@ def check_ego_exactness() -> CriterionResult:
     static = float(np.max(np.linalg.norm(err.reshape(-1, 7, 3), axis=-1)))
     # A moving target: the position block of each step must rotate the
     # velocity too, which a static target's zero velocity cannot show.
-    moving = _open_loop_error(ObjectSpec(shape="sphere", radius=0.1, position=(2.5, 0.3, 0.0),
-                                         velocity=(0.0, -0.3, 0.05)))
+    target = ObjectSpec(shape="sphere", radius=0.1, position=(2.5, 0.3, 0.0), velocity=(0.0, -0.3, 0.05))
+    moving = _open_loop_error(generate_scenario(replace(cfg, target=target)))
     return CriterionResult(
         4, "ego-compensation open-loop exactness", max(static, moving) <= 1e-9,
-        f"max open-loop error {static:.3e} m (static target, against truth) and {moving:.3e} "
+        f"max open-loop error {static:.3e} m (static target, against truth) and {moving:.3e} m "
         f"(moving target, against the VO closed form) over 4 s without measurements, tol 1e-9",
     )
 
