@@ -337,6 +337,16 @@ class FilterBank:
         rec = self.history[i]
         return None if rec.mean is None else (rec.mean, rec.cov)
 
+    def posterior_at(self, stamp: float) -> BankState | None:
+        """The ``(mean, cov)`` at the newest tick at or before ``stamp``,
+        after every set applied up to that tick; None before the first set.
+        Raises ValueError when every kept tick is later than ``stamp``."""
+        i = next((i for i in range(len(self.history) - 1, -1, -1)
+                  if self.history[i].stamp <= stamp + STAMP_EPS), None)
+        if i is None:
+            raise ValueError("stamp precedes the bank's history")
+        return self.record_state(i)
+
     def estimate(self) -> SigmaPointSet | None:
         if self.mean is None:
             return None

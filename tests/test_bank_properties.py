@@ -4,8 +4,6 @@ Random ego-motion steps, measurements, latencies and delivery orders; each
 property must hold for every draw, not only for hand-picked cases.
 """
 
-from collections import deque
-
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,14 +17,11 @@ from egotrack.estimator import (
     FilterBank,
     FilterConfig,
     IngestStatus,
-    _StepRecord,
     associate_measurement,
-    compensate_ego_motion,
-    predict,
 )
 from egotrack.geometry import CameraModel, RigidTransform, SigmaPointSet, rotation_rpy
 from egotrack.sim import generate_scenario, run_episode
-from sequential_bank import SequentialBank
+from sequential_bank import ReferenceBank
 from test_golden import _LATE
 
 CFG = FilterConfig()
@@ -44,7 +39,7 @@ def _floats(lo, hi):
 
 
 # (dt, roll/pitch/yaw, translation).  dt stays well above the stamp tolerance
-# so every history record has its own stamp.
+# so every tick has its own stamp.
 STEP = st.tuples(
     _floats(1e-3, 0.05),
     st.tuples(*[_floats(-0.05, 0.05)] * 3),
@@ -59,15 +54,24 @@ def _step(bank, step):
     bank.step(dt, RigidTransform(rotation_rpy(*rpy), np.array(t)))
 
 
+def _stamps(steps):
+    """The stamp of every tick of a bank started at 0 and stepped by ``steps``,
+    accumulated as the bank accumulates them."""
+    stamps = [0.0]
+    for dt, _, _ in steps:
+        stamps.append(stamps[-1] + dt)
+    return stamps
+
+
 def _states_equal(a, b):
     if a is None or b is None:
         return a is None and b is None
     return np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
 
-# The closed-form replay rounds differently from stepping one record at a
-# time, so banks that replay differently agree to this, relative to the
-# state's size.
+# The bank's closed-form steps between sets round differently from stepping
+# one tick at a time, so banks that carry states differently agree to this,
+# relative to the state's size.
 TOL = 1e-12
 
 
@@ -119,11 +123,10 @@ def test_delayed_delivery_replays_to_zero_latency_posterior(data, window):
 
     # Zero latency: each measurement is ingested at the tick it was taken.
     oracle = make()
-    stamps = []
+    stamps = _stamps(steps)
     for k in range(n + 1):
         if k > 0:
             _step(oracle, steps[k - 1])
-        stamps.append(oracle.stamp)
         for m, tick in enumerate(ticks):
             if tick == k:
                 oracle.ingest(SigmaPointSet(BASE + noise[m]), oracle.stamp)
@@ -137,25 +140,28 @@ def test_delayed_delivery_replays_to_zero_latency_posterior(data, window):
         for m in data.draw(st.permutations(due)):
             bank.ingest(SigmaPointSet(BASE + noise[m]), stamps[ticks[m]])
 
-    assert len(bank.history) == len(oracle.history) == n + 1
-    for i, (got, want) in enumerate(zip(bank.history, oracle.history)):
-        assert _states_close(bank.record_state(i), oracle.record_state(i))
-        assert got.seen == want.seen
+    for stamp in stamps:
+        assert _states_close(bank.posterior_at(stamp), oracle.posterior_at(stamp))
     assert _states_close(bank.state, oracle.state)
 
 
 @SETTINGS
 @given(steps=st.lists(STEP, min_size=2, max_size=20), noise=NOISE, data=st.data())
 def test_rollback_leaves_older_records_unchanged(steps, noise, data):
+    """A set stamped at tick i changes the posterior at every tick from i on,
+    and leaves every earlier one bit for bit as it was."""
     bank = FilterBank(CFG, CAM, history_depth=len(steps) + 1)
     bank.ingest(SigmaPointSet(BASE), 0.0)
     for step in steps:
         _step(bank, step)
-    before = [tuple(a.copy() for a in bank.record_state(j)) for j in range(len(bank.history))]
-    i = data.draw(st.integers(1, len(bank.history) - 1), label="rollback index")
-    bank.ingest(SigmaPointSet(BASE + noise), bank.history[i].stamp)
-    for j in range(len(bank.history)):
-        assert _states_equal(bank.record_state(j), before[j]) == (j < i)
+    stamps = _stamps(steps)
+    before = [tuple(a.copy() for a in bank.posterior_at(s)) for s in stamps]
+    newest = tuple(a.copy() for a in bank.state)
+    i = data.draw(st.integers(1, len(steps)), label="rollback tick")
+    bank.ingest(SigmaPointSet(BASE + noise), stamps[i])
+    for j, stamp in enumerate(stamps):
+        assert _states_equal(bank.posterior_at(stamp), before[j]) == (j < i)
+    assert not _states_equal(bank.state, newest)
 
 
 def _ref_step(x, p, dt, rel):
@@ -212,170 +218,85 @@ def test_bank_equals_seven_per_point_filters(ops):
         assert np.array_equal(cov, np.stack([p for _, p in ref]))
 
 
-# A delayed ingest: noise on the current estimate, stamped this many records back.
+# A delayed ingest: noise on BASE, stamped this many ticks back.
 DELAYED = st.tuples(NOISE, st.integers(0, 12))
 
-
-class _EagerBank:
-    """The reference for the lazy bank: every step and every rollback predicts
-    each later record in full and re-applies its sets, one record at a time.
-
-    Its updates run through the ``_apply_measurement`` of a fresh bank built
-    with the same arguments, which reads the bank's configuration and none of
-    its history.
-    """
-
-    def __init__(self, **kwargs):
-        self.kernels = FilterBank(CFG, CAM, **kwargs)
-        self.history = deque([_StepRecord(0.0)], maxlen=self.kernels.history.maxlen)
-
-    def step(self, step):
-        dt, rpy, t = step
-        g, c = compensate_ego_motion(dt, rotation_rpy(*rpy), np.array(t), self.kernels.ego)
-        self.history.append(_StepRecord(self.history[-1].stamp + dt, g[:, None], c[:, None]))
-        self._replay(len(self.history) - 1)
-
-    def ingest(self, z, stamp):
-        if self.kernels.oosm_mode == "in_place":
-            idx = len(self.history) - 1
-        else:
-            idx = max((i for i, r in enumerate(self.history) if r.stamp <= stamp + STAMP_EPS), default=None)
-            if idx is None:
-                return IngestStatus.STALE
-        rec = self.history[idx]
-        rec.mean, rec.cov = self.kernels._apply_measurement(rec.mean, rec.cov, z, rec.stamp - rec.seen)
-        rec.seen = max(rec.seen, stamp)
-        rec.measurements.append((stamp, z))
-        self._replay(idx + 1)
-        return IngestStatus.APPLIED
-
-    def _replay(self, start):
-        prev = self.history[start - 1]
-        mean, cov, seen = prev.mean, prev.cov, prev.seen
-        for rec in list(self.history)[start:]:
-            if mean is not None:
-                mean, cov = predict(mean, cov, rec.g, rec.c, self.kernels._q)
-            for stamp, z in rec.measurements:
-                mean, cov = self.kernels._apply_measurement(mean, cov, z, rec.stamp - seen)
-                seen = max(seen, stamp)
-            rec.mean, rec.cov, rec.seen = mean, cov, seen
-
-    def state(self, i):
-        rec = self.history[i]
-        return None if rec.mean is None else (rec.mean, rec.cov)
-
-
-# Ops of the laziness property: a step; an ingest stamped this many records
-# back (past the oldest record, a stale one); a read of the newest state (-1)
-# or of a record's state.  Steps and ingests are drawn twice as often as reads,
-# so covariances often stay unknown over several records.
-_STEP_OP = st.tuples(st.just("step"), STEP)
-_INGEST_OP = st.tuples(st.just("ingest"), NOISE, st.integers(0, 8))
-LAZY_OPS = st.one_of(_STEP_OP, _STEP_OP, _INGEST_OP, _INGEST_OP, st.tuples(st.just("read"), st.integers(-1, 8)))
-
-
-@settings(max_examples=100, deadline=None)
-@given(
-    ops=st.lists(LAZY_OPS, min_size=10, max_size=60),
-    depth=st.integers(2, 10),
-    window=st.sampled_from([0.02, 0.1, 5.0]),
-    mode=st.sampled_from(OOSM_MODES),
-    lanes=st.sampled_from([(True,), (True, False)]),
-)
-def test_lazy_covariance_equals_eager_replay(ops, depth, window, mode, lanes):
-    """Every record of the lazy bank is the eager reference's, to TOL.
-
-    A short history evicts the last record whose covariance is known, several
-    ingests between two steps arrive out of stamp order, a short reacquire
-    window makes blind spells longer than it, and a read at any moment must
-    return the reference's state and change no later one.
-    """
-    kwargs = dict(history_depth=depth, oosm_mode=mode, reacquire_window=window,
-                  reacquire_gate=2.0, ego_lanes=lanes)
-    bank, eager = FilterBank(CFG, CAM, **kwargs), _EagerBank(**kwargs)
-    for op in ops:
-        if op[0] == "step":
-            _step(bank, op[1])
-            eager.step(op[1])
-        elif op[0] == "ingest":
-            _, noise, back = op
-            n = len(bank.history)
-            stamp = bank.history[n - 1 - back].stamp if back < n else bank.history[0].stamp - 1.0
-            z = (BASE if bank.mean is None else bank.mean[0, :, 0:3]) + noise
-            assert bank.ingest(SigmaPointSet(z), stamp) is eager.ingest(z, stamp)
-        else:
-            i = op[1] if op[1] < len(bank.history) else 0
-            got = bank.state if i == -1 else bank.record_state(i)
-            assert _states_close(got, eager.state(i))
-        # Means are always current; comparing them computes no covariance.
-        assert len(bank.history) == len(eager.history)
-        for got, want in zip(bank.history, eager.history):
-            assert got.stamp == want.stamp and got.seen == want.seen
-            assert (got.mean is None) == (want.mean is None)
-            assert want.mean is None or _close(got.mean, want.mean)
-    for i in range(len(bank.history)):
-        assert _states_close(bank.record_state(i), eager.state(i))
-
-
-# Blocks of the transport property: 1 to 6 steps that all turn the camera,
-# so every composed pose differs from the identity, then an ingest or a read
-# of a record's state.  An ingest is stamped the run's latency, give or take
-# a few records, back: like a late sensor, most rollbacks land past the
-# previous one's anchor, on records whose poses are already composed.
+# Operations of the contract property: a block of 1 to 6 equal steps, drawn
+# from any rotation or from turning ones, so that every composed pose differs
+# from the identity; or an ingest stamped the run's latency, give or take a
+# few ticks, back, and a stale one when that lies before the first tick.
+# Steps are drawn twice as often as ingests, so several ticks often lie
+# between two sets.
 TURNING_STEP = st.tuples(
     _floats(1e-3, 0.05),
     st.tuples(*[_floats(0.005, 0.05)] * 3),
     st.tuples(*[_floats(-0.05, 0.05)] * 3),
 )
-_LATE_OP = st.tuples(st.just("ingest"), NOISE, st.integers(-3, 3))
-TRANSPORT_BLOCK = st.tuples(
-    st.integers(1, 6), TURNING_STEP, st.one_of(_LATE_OP, _LATE_OP, st.tuples(st.just("read"), st.integers(-1, 8)))
-)
+_STEPS_OP = st.tuples(st.just("steps"), st.integers(1, 6), st.one_of(STEP, TURNING_STEP))
+_INGEST_OP = st.tuples(st.just("ingest"), NOISE, st.integers(-3, 8))
+CONTRACT_OPS = st.one_of(_STEPS_OP, _STEPS_OP, _INGEST_OP)
 
 
-@settings(max_examples=100, deadline=None)
+def _means_close(a, b):
+    return a is None and b is None or a is not None and b is not None and _close(a, b)
+
+
+@settings(deadline=None)
 @given(
-    blocks=st.lists(TRANSPORT_BLOCK, min_size=4, max_size=20),
-    latency=st.integers(3, 14),
-    depth=st.integers(4, 12),
+    ops=st.lists(CONTRACT_OPS, min_size=4, max_size=40),
+    init=st.booleans(),
+    latency=st.integers(0, 14),
+    depth=st.integers(2, 12),
     window=st.sampled_from([0.02, 0.1, 5.0]),
     mode=st.sampled_from(OOSM_MODES),
     lanes=st.sampled_from([(True,), (True, False), (False, True)]),
 )
-def test_transported_bank_equals_sequential_reference(blocks, latency, depth, window, mode, lanes):
-    """The closed-form replay matches ``SequentialBank``'s record-by-record
-    replay to TOL at every record after every operation.
+def test_bank_equals_sequential_reference(ops, init, latency, depth, window, mode, lanes):
+    """After every operation the bank reads as ``ReferenceBank``, which
+    carries every tick's full state, to TOL: the newest mean, the newest
+    state, the posterior at the stamp of every set applied within the
+    history, and each ingest's status.
 
-    Runs of up to 120 steps against a history of 4 to 12 records evict
-    records and restart the pose chain many times; rollbacks land before,
-    on and after earlier anchors, a latency past the history makes sets
-    stale, jitter delivers them out of order, a short reacquire window
-    resets rows, and in_place mode never rolls back.
+    Runs of up to 240 steps against a history of 2 to 12 ticks evict the
+    ticks a state was reached from; a latency past the history makes sets
+    stale; jitter delivers sets out of stamp order and lands rollbacks
+    before, on and after earlier sets; a short reacquire window resets rows
+    after blind spells longer than it; a bank may take its first set late;
+    in_place mode never rolls back; and a lane without ego compensation may
+    come first or second.
     """
     kwargs = dict(history_depth=depth, oosm_mode=mode, reacquire_window=window,
                   reacquire_gate=2.0, ego_lanes=lanes)
-    bank, ref = FilterBank(CFG, CAM, **kwargs), SequentialBank(CFG, CAM, **kwargs)
-    for b in (bank, ref):
-        b.ingest(SigmaPointSet(BASE), 0.0)
-    for steps, step, op in blocks:
-        for _ in range(steps):
-            _step(bank, step)
-            _step(ref, step)
-        if op[0] == "ingest":
-            _, noise, jitter = op
-            n, back = len(bank.history), max(latency + jitter, 0)
-            stamp = bank.history[n - 1 - back].stamp if back < n else bank.history[0].stamp - 1.0
-            z = SigmaPointSet(ref.mean[0, :, 0:3] + noise)
-            assert bank.ingest(z, stamp) is ref.ingest(z, stamp)
+    bank, ref = FilterBank(CFG, CAM, **kwargs), ReferenceBank(CFG, CAM, **kwargs)
+    # The stamp of every tick, and the ticks of the sets applied at their stamps.
+    stamps, applied = [0.0], set()
+    if init:
+        for b in (bank, ref):
+            b.ingest(SigmaPointSet(BASE), 0.0)
+        applied.add(0)
+    for op in ops:
+        if op[0] == "steps":
+            _, count, step = op
+            for _ in range(count):
+                _step(bank, step)
+                _step(ref, step)
+                stamps.append(stamps[-1] + step[0])
         else:
-            i = op[1] if op[1] < len(bank.history) else 0
-            assert _states_close(bank.record_state(i), ref.record_state(i))
-        assert len(bank.history) == len(ref.history)
-        for got, want in zip(bank.history, ref.history):
-            assert got.stamp == want.stamp and got.seen == want.seen
-            assert _close(got.mean, want.mean)
-    for i in range(len(bank.history)):
-        assert _states_close(bank.record_state(i), ref.record_state(i))
+            _, noise, jitter = op
+            k = len(stamps) - 1 - max(latency + jitter, 0)
+            stamp = stamps[k] if k >= 0 else stamps[0] - 1.0
+            z = SigmaPointSet((BASE if ref.mean is None else ref.mean[0, :, 0:3]) + noise)
+            status = bank.ingest(z, stamp)
+            assert status is ref.ingest(z, stamp)
+            if status is IngestStatus.APPLIED and k >= 0:
+                applied.add(k)
+        assert _means_close(bank.mean, ref.mean)
+        assert _states_close(bank.state, ref.state)
+        for k in applied:
+            if k > len(stamps) - 1 - depth:
+                assert _states_close(bank.posterior_at(stamps[k]), ref.posterior_at(stamps[k]))
+    for stamp in stamps[-depth:]:
+        assert _states_close(bank.posterior_at(stamp), ref.posterior_at(stamp))
 
 
 def test_late_replay_predicts_covariances_lazily(monkeypatch):
@@ -403,38 +324,37 @@ def test_late_replay_predicts_covariances_lazily(monkeypatch):
 @SETTINGS
 @given(ops=st.lists(st.one_of(STEP, DELAYED), min_size=1, max_size=40))
 def test_each_lane_equals_a_one_lane_bank(ops):
-    """Lane l of a (True, False) bank is bit for bit the one-lane bank with that flag."""
+    """Lane l of a (True, False) bank is bit for bit the one-lane bank with
+    that flag: its newest mean and state, and its posterior at every tick of
+    the history."""
     # The short window and tight gate make large innovations reset rows.
+    depth = 16
+
     def bank(lanes):
-        return FilterBank(CFG, CAM, history_depth=16, reacquire_window=0.02,
+        return FilterBank(CFG, CAM, history_depth=depth, reacquire_window=0.02,
                           reacquire_gate=2.0, ego_lanes=lanes)
 
     both, alone = bank((True, False)), [bank((True,)), bank((False,))]
     for b in (both, *alone):
         b.ingest(SigmaPointSet(BASE), 0.0)
+    stamps = [0.0]
     for op in ops:
-        for b in (both, *alone):
-            if len(op) == 3:
+        if len(op) == 3:
+            for b in (both, *alone):
                 _step(b, op)
-            else:
-                noise, back = op
-                rec = b.history[max(len(b.history) - 1 - back, 0)]
-                b.ingest(SigmaPointSet(BASE + noise), rec.stamp)
+            stamps.append(stamps[-1] + op[0])
+        else:
+            noise, back = op
+            stamp = stamps[max(len(stamps) - 1 - back, 0)]
+            statuses = {b.ingest(SigmaPointSet(BASE + noise), stamp) for b in (both, *alone)}
+            assert statuses == {IngestStatus.APPLIED}
         for lane, one in enumerate(alone):
-            assert len(both.history) == len(one.history)
-            for i, (got, want) in enumerate(zip(both.history, one.history)):
-                got_state, want_state = both.record_state(i), one.record_state(i)
-                assert got.stamp == want.stamp
-                assert np.array_equal(got_state[0][lane], want_state[0][0])
-                assert np.array_equal(got_state[1][lane], want_state[1][0])
-                if want.g is not None:
-                    assert np.array_equal(got.g[lane], want.g[0])
-                    assert np.array_equal(got.c[lane], want.c[0])
-                assert got.seen == want.seen
-                assert len(got.measurements) == len(want.measurements)
-                for (got_stamp, got_z), (want_stamp, want_z) in zip(got.measurements, want.measurements):
-                    assert got_stamp == want_stamp
-                    assert np.array_equal(got_z, want_z)
+            assert np.array_equal(both.mean[lane], one.mean[0])
+            reads = [(both.state, one.state)]
+            reads += [(both.posterior_at(s), one.posterior_at(s)) for s in stamps[-depth:]]
+            for (got_mean, got_cov), (want_mean, want_cov) in reads:
+                assert np.array_equal(got_mean[lane], want_mean[0])
+                assert np.array_equal(got_cov[lane], want_cov[0])
     assert np.array_equal(both.estimate().points, alone[0].estimate().points)
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from egotrack import sim
 from egotrack.errors import ConfigError, EgoTrackError, NumericalError
-from egotrack.estimator import FilterBank, FilterConfig, IngestStatus, compensate_ego_motion
+from egotrack.estimator import STAMP_EPS, FilterBank, FilterConfig, IngestStatus
 from egotrack.geometry import (
     CameraModel,
     RigidTransform,
@@ -445,38 +445,39 @@ class TestSensor:
 
 class TestRunEpisode:
     @pytest.mark.parametrize("vo_noise", [0.0, 0.004])
-    def test_bank_steps_by_vo_pose_increments(self, monkeypatch, vo_noise):
-        # The contract the benchmark's tick driver relies on: each step the
-        # episode's bank took is compensate_ego_motion of the increment
-        # rebuilt from bundle.vo_poses, which is what FilterBank.step builds.
-        # Half a second fits the whole episode in the history.
+    def test_bank_steps_by_vo_pose_increments(self, vo_noise):
+        # The premise of the benchmark's tick driver: lane 0 of the episode's
+        # two-lane bank equals, bit for bit at every tick, a one-lane bank
+        # stepped by the increments rebuilt from bundle.vo_poses and fed the
+        # sets in delivery order.  The truth sensor at 25 Hz, 0.3 s late,
+        # makes every ingest roll back over the walking base's steps.
         cfg = quick_cfg(
-            duration=0.5,
             camera_motion=CameraMotion(kind="walking"),
+            sensor=SensorSpec(mode="truth"),
+            obs_rate=25.0,
+            obs_latency=0.3,
             vo_trans_noise_std=vo_noise,
             vo_rot_noise_std=vo_noise,
         )
         bundle = generate_scenario(cfg)
-        banks = []
-
-        class Recorded(FilterBank):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                banks.append(self)
-
-        monkeypatch.setattr(sim, "FilterBank", Recorded)
-        run_episode(bundle)
-        (bank,) = banks
-        vo, times = bundle.vo_poses, bundle.times
-        assert len(bank.history) == len(vo)
-        for k, rec in enumerate(bank.history):
-            if k == 0:
-                assert rec.g is None and rec.c is None
-                continue
-            want = vo[k].inverse().compose(vo[k - 1])
-            g, c = compensate_ego_motion(float(times[k] - times[k - 1]), want.rotation,
-                                         want.translation, bank.ego)
-            assert np.array_equal(rec.g[:, 0], g) and np.array_equal(rec.c[:, 0], c)
+        measurements = sensor_schedule(bundle)
+        means, has = sim._run_bank(bundle, measurements, FilterConfig(), ego_lanes=(True, False))
+        times, vo = bundle.times, bundle.vo_poses
+        bank = FilterBank(FilterConfig(), cfg.camera, start_stamp=float(times[0]),
+                          history_depth=cfg.history_depth(bundle.latency))
+        pending = sorted((m for m in measurements if m.sset is not None), key=lambda m: m.available_at)
+        done = 0
+        for k, t in enumerate(times):
+            if k > 0:
+                bank.step(float(times[k] - times[k - 1]), vo[k].inverse().compose(vo[k - 1]))
+            while done < len(pending) and pending[done].available_at <= t + STAMP_EPS:
+                assert pending[done].stamp < bank.stamp
+                assert bank.ingest(pending[done].sset, pending[done].stamp) is IngestStatus.APPLIED
+                done += 1
+            assert has[k] == (bank.mean is not None)
+            if has[k]:
+                assert np.array_equal(means[k, 0], bank.mean[0])
+        assert done >= 10 and has[-1]
 
     def test_bank_rejects_a_non_rotation_increment(self, monkeypatch):
         # The bank derives the increments from the bundle as arrays; the stack

@@ -99,7 +99,7 @@ MUTANTS = (
     Mutant("step-evicts-last-known-covariance", "estimator.py",
            "            self._cov_through(1)\n",
            "",
-           "tests/test_bank_properties.py::test_lazy_covariance_equals_eager_replay"),
+           "tests/test_bank_properties.py::test_bank_equals_sequential_reference"),
     Mutant("cov-through-keeps-index", "estimator.py",
            "        self._cov_known = max(self._cov_known, i)\n",
            "",
@@ -119,19 +119,19 @@ MUTANTS = (
     Mutant("transport-from-record-before-anchor", "estimator.py",
            "self._transport(anchor, mean)",
            "self._transport(anchor - 1, mean)",
-           "tests/test_bank_properties.py::test_transported_bank_equals_sequential_reference"),
+           "tests/test_bank_properties.py::test_bank_equals_sequential_reference"),
     Mutant("relative-rotation-not-transposed", "estimator.py",
            "turn = pose[lo, :, 0:3, 0:3] @ rel[:, 0:3]",
            "turn = pose[lo, :, 0:3, 0:3].swapaxes(1, 2) @ rel[:, 0:3]",
-           "tests/test_bank_properties.py::test_transported_bank_equals_sequential_reference"),
+           "tests/test_bank_properties.py::test_bank_equals_sequential_reference"),
     Mutant("pose-ring-not-advanced-on-eviction", "estimator.py",
            "            self._first += 1\n",
            "",
-           "tests/test_bank_properties.py::test_transported_bank_equals_sequential_reference"),
+           "tests/test_bank_properties.py::test_bank_equals_sequential_reference"),
     Mutant("seen-from-record-stamp", "estimator.py",
            "rec.seen = max(rec.seen, meas_stamp)",
            "rec.seen = max(rec.seen, rec.stamp)",
-           "tests/test_bank_properties.py::test_lazy_covariance_equals_eager_replay"),
+           "tests/test_bank_properties.py::test_bank_equals_sequential_reference"),
     Mutant("future-check-without-stamp-eps", "estimator.py",
            "if meas_stamp > self.stamp + STAMP_EPS:",
            "if meas_stamp > self.stamp:",
