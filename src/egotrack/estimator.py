@@ -2,21 +2,16 @@
 
 Each of the seven points gets its own independent 6D filter (position and
 velocity).  Every control step does a constant-velocity predict fused with a
-deterministic ego-motion remap into the new camera frame; delayed
-measurements are handled by rolling back to a history snapshot and replaying.
+deterministic ego-motion remap into the new camera frame; a delayed
+measurement is applied at its own stamp, and every later one is applied
+again after it.
 
-Only an update reads a covariance, so the bank keeps covariances current
-only through one history record, never older than the newest record that
-holds a measurement.  A step moves the newest mean alone.  A replay past
-that record carries every later mean from it in closed form: the steps
-between two records compose to one rigid map and a time offset, so one
-batched product moves all of them (``FilterBank._transport``).  A later
-record's covariance is computed once, when a rollback reaches it, a reader
-asks for it, or the history is about to evict the last record whose
-covariance is known.  The mean and covariance halves of ``predict`` are
-independent expressions, so every state equals the one a full replay of
-every record would write up to rounding: the closed form groups the same
-products differently.
+The bank keeps one state per applied set, not one per tick.  The steps
+between two ticks compose to one rigid map and a time offset, and the
+process noise they add has a closed form, so one ``predict`` carries a state
+over any number of steps (``FilterBank._carry``).  That equals predicting
+each step in turn up to rounding: the closed form groups the same products
+differently.  Between sets only the newest mean moves, one step at a time.
 
 The filter math is a set of batched functions over ``n`` independent states:
 means shaped ``(n, 6)`` (position then velocity) and covariances
@@ -30,9 +25,9 @@ setting).  They return new arrays and never write into their inputs.
 from __future__ import annotations
 
 import enum
-from collections import deque
-from dataclasses import dataclass, field
-from itertools import islice, repeat
+from bisect import bisect_right
+from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
@@ -125,10 +120,9 @@ def predict(
     constant-velocity time update followed by the ego remap, up to rounding,
     since F Q F^T = Q for the isotropic per-block Q; Q is added once per step
     regardless of dt.  ``g`` broadcasts against the leading axes of ``cov``.
-    The two halves are independent: the mean is ``predict_mean``'s, and None
-    for a None ``mean``, when only the covariance is wanted.
+    The two halves are independent: the mean is ``predict_mean``'s.
     """
-    return None if mean is None else predict_mean(mean, g, c), g @ cov @ g.swapaxes(-1, -2) + q
+    return predict_mean(mean, g, c), g @ cov @ g.swapaxes(-1, -2) + q
 
 
 def measurement_covariance(cam: CameraModel, depth: np.ndarray, cfg: FilterConfig) -> np.ndarray:
@@ -217,60 +211,65 @@ class IngestStatus(enum.Enum):
 BankState = tuple[np.ndarray, np.ndarray]
 
 
-@dataclass
-class _StepRecord:
-    """One history entry: the fused step into this stamp and the state after it.
+@dataclass(frozen=True)
+class _SetState:
+    """The bank's state right after one set, at the tick it applied at.
 
-    ``g`` (L, 1, 6, 6) and ``c`` (L, 1, 6) are the step's propagation
-    ``mean' = g mean + c``, built once by ``step``.  A full replay predicts
-    through them; the closed-form replay reads this step's rotation and
-    translation from them once, for the record's pose.  ``mean`` (L, 7, 6)
-    is always current.  ``cov``
-    (L, 7, 6, 6) is current only through the bank's ``_cov_known`` record;
-    a newer record's ``cov`` is None until the bank needs it (see
-    ``FilterBank``).  Both are None before the first set, and neither is
-    written in place, so records and callers can share arrays.
-    ``measurements`` keeps every raw set accepted at this stamp as
-    ``(set stamp, z)`` pairs in arrival order, so a later rollback can
-    re-apply them during replay.  ``seen`` is the newest set stamp applied
-    at or before this entry (-inf before any set).
+    ``tick`` counts the bank's steps from its start, and ``stamp`` is that
+    tick's.  ``mean`` (L, 7, 6) and ``cov`` (L, 7, 6, 6) are never written in
+    place, so states and callers can share arrays.  ``seen`` is the newest
+    set stamp applied up to this state.  ``measured`` is the raw set as
+    ``(set stamp, z)``, so that a set applied at an earlier tick can apply it
+    again; a state carried over a step that the ring drops has none.
     """
 
+    tick: int
     stamp: float
-    g: np.ndarray | None = None
-    c: np.ndarray | None = None
-    mean: np.ndarray | None = None
-    cov: np.ndarray | None = None
-    measurements: list[tuple[float, np.ndarray]] = field(default_factory=list)
-    seen: float = -np.inf
+    mean: np.ndarray | None
+    cov: np.ndarray | None
+    seen: float
+    measured: tuple[float, np.ndarray] | None
 
+
+_BY_TICK = attrgetter("tick")
 
 # Stamp comparisons tolerate accumulated float error, far below one tick.
 # Delivery (sim) and rollback share it: a delivered measurement whose stamp
 # lies within it of the bank's stamp must not count as in the future.
 STAMP_EPS = 1e-9
 
-# Delayed-measurement handling; in_place (the ablation) applies a set at the newest record.
+# Delayed-measurement handling; in_place (the ablation) applies a set at the newest tick.
 OOSM_MODES = ("replay", "in_place")
+
+# Masks of a 6x6 covariance's position block and of its two cross blocks.
+_POS_POS = np.diag([1.0] * 3 + [0.0] * 3)
+_POS_VEL = np.eye(6, k=3) + np.eye(6, k=-3)
 
 
 class FilterBank:
-    """Seven independent per-point filters sharing a rollback history.
+    """Seven independent per-point filters with a rollback window.
 
     The bank carries one lane per entry of ``ego_lanes``: every lane sees the
     same steps and measurements, and a lane applies the ego increment only
     when its flag is true (a false lane is the no-compensation baseline).
-    One rollback replays all lanes at once.  ``estimate`` reads lane 0.
+    One rollback moves all lanes at once.  ``estimate`` reads lane 0.
 
     The bank starts uninitialized; the first accepted measurement creates the
-    filters at its own stamp and replays forward, so initialization is
-    latency-correct like every later update.
+    filters at its own stamp, so initialization is latency-correct like every
+    later update.
 
-    Covariances are propagated lazily (see the module docstring): they are
-    current through record ``_cov_known``, and no later record holds a set.
-    Without covariance reads, as in a run, the index is the newest record
-    holding a set (0 when none does).  A rollback carries the means of the
-    records past it in closed form from it (``_transport``).
+    The bank keeps three things: a ring with each recent tick's stamp and
+    the step into it, as one 4x4 pose per lane; the state after each set;
+    and the newest mean, which each step moves by one ``predict_mean``.  A
+    set applies at the newest of the last ``history_depth`` ticks at or
+    before its stamp, and is stale when there is none.  ``ingest`` carries
+    the newest state at or before that tick to it in one closed-form
+    ``predict`` (``_carry``), updates there, re-applies every later set the
+    same way, and moves the newest mean from the newest state in one
+    closed-form step.  The ring keeps the steps of twice as many ticks, so a
+    state before the last ``history_depth`` ticks can still reach them.
+    After a blind spell longer than that, the oldest state is carried over
+    each step before the ring drops it.
     """
 
     def __init__(
@@ -299,53 +298,47 @@ class FilterBank:
         self.ego = np.array(ego_lanes, dtype=bool)[:, None, None]
         self._q = _process_noise(cfg)
         self._p0 = _prior(cfg)
-        self.history: deque[_StepRecord] = deque(maxlen=history_depth)
-        self.history.append(_StepRecord(start_stamp))
-        self._cov_known = 0
-        # The record poses of the closed-form replay (see _transport), by
-        # record number counted from the bank's first record: history[0] is
-        # record _first, pose slot 0 is record _base, and records through
-        # _posed have poses.
-        self._first = self._base = 0
-        self._posed = -1
-        slots, lanes = 2 * history_depth, len(ego_lanes)
-        self._pose = np.tile(_EYE4, (slots, lanes, 1, 1))
-        self._pose_stamp = np.empty(slots)
-        self._step_g = np.empty((slots, lanes, 1, 6, 6))
-        self._step_c = np.empty((slots, lanes, 1, 6))
-        self._homogeneous = np.tile([[1.0], [0.0]], (lanes, N_POINTS, 1))
+        # The ring: tick k's stamp and step pose [[R, t], [0, 1]] per lane sit
+        # in slot k % (2 * history_depth).  Sets land on the newest
+        # history_depth ticks; the older half keeps the steps from the state
+        # before them, unless that lies more than history_depth ticks before
+        # the next state.  Tick 0 has no step.
+        self._depth = history_depth
+        self._tick = 0
+        self._stamp = start_stamp
+        self._stamps = np.full(2 * history_depth, start_stamp, dtype=float)
+        self._poses = np.tile(_EYE4, (2 * history_depth, len(ego_lanes), 1, 1))
+        # The state after each set, by tick and then in arrival order; at
+        # most the first lies before the newest history_depth ticks.
+        self._states: list[_SetState] = []
+        self._mean: np.ndarray | None = None
 
     @property
     def stamp(self) -> float:
-        return self.history[-1].stamp
+        return self._stamp
 
     @property
     def mean(self) -> np.ndarray | None:
         """The newest lane means (L, 7, 6), or None before the first set."""
-        return self.history[-1].mean
+        return self._mean
 
     @property
     def state(self) -> BankState | None:
-        """The newest record's ``(mean, cov)``; see ``record_state``."""
-        return self.record_state(-1)
-
-    def record_state(self, i: int) -> BankState | None:
-        """History record ``i``'s ``(mean, cov)``, its covariance computed now
-        if it lies past ``_cov_known``; None before the first set."""
-        i = range(len(self.history))[i]
-        self._cov_through(i)
-        rec = self.history[i]
-        return None if rec.mean is None else (rec.mean, rec.cov)
+        """The newest ``(mean, cov)``: ``mean``, and the newest set's
+        covariance carried to the newest tick; None before the first set."""
+        if self._mean is None:
+            return None
+        return self._mean, self._carry(self._states[-1], self._tick)[1]
 
     def posterior_at(self, stamp: float) -> BankState | None:
         """The ``(mean, cov)`` at the newest tick at or before ``stamp``,
         after every set applied up to that tick; None before the first set.
         Raises ValueError when every kept tick is later than ``stamp``."""
-        i = next((i for i in range(len(self.history) - 1, -1, -1)
-                  if self.history[i].stamp <= stamp + STAMP_EPS), None)
-        if i is None:
+        k = self._tick_at(stamp)
+        if k is None:
             raise ValueError("stamp precedes the bank's history")
-        return self.record_state(i)
+        i = bisect_right(self._states, k, key=_BY_TICK)
+        return self._carry(self._states[i - 1], k) if i else None
 
     def estimate(self) -> SigmaPointSet | None:
         if self.mean is None:
@@ -358,109 +351,76 @@ class FilterBank:
 
     def push(self, dt: float, g: np.ndarray, c: np.ndarray) -> None:
         """Advance one control tick of ``dt`` by the propagation ``(g, c)``
-        that ``compensate_ego_motion`` built for this bank's lanes.  The new
-        record holds no set, so only its means are propagated."""
-        history = self.history
-        if len(history) == history.maxlen:
-            # The append evicts record 0; keep a known covariance to start from.
-            self._cov_through(1)
-            self._cov_known -= 1
-            self._first += 1
-        prev = history[-1]
-        g, c = g[:, None], c[:, None]
-        mean = None if prev.mean is None else predict_mean(prev.mean, g, c)
-        history.append(_StepRecord(prev.stamp + dt, g, c, mean, seen=prev.seen))
+        that ``compensate_ego_motion`` built for this bank's lanes."""
+        tick = self._tick + 1
+        slot = tick % len(self._stamps)
+        if tick >= len(self._stamps) and self._states:
+            self._evict(tick)
+        self._tick = tick
+        self._stamp = self._stamp + dt
+        self._stamps[slot] = self._stamp
+        pose = self._poses[slot]
+        pose[:, 0:3, 0:3] = g[:, 0:3, 0:3]
+        pose[:, 0:3, 3] = c[:, 0:3]
+        if self._mean is not None:
+            self._mean = predict_mean(self._mean, g[:, None], c[:, None])
 
-    def _cov_through(self, i: int) -> None:
-        """Make record ``i``'s covariance current: predict the covariance of
-        each record after the newest known one.  None of them holds a set, so
-        the stored means stand and ``predict`` runs its covariance half only."""
-        history = self.history
-        for j in range(self._cov_known + 1, i + 1):
-            prev = history[j - 1]
-            if prev.mean is not None:
-                rec = history[j]
-                rec.cov = predict(None, prev.cov, rec.g, rec.c, self._q)[1]
-        self._cov_known = max(self._cov_known, i)
+    def _evict(self, tick: int) -> None:
+        """Before ``tick`` overwrites the ring's oldest tick, drop every
+        state that no set landing at ``tick`` or later can start from, and
+        carry the oldest state over the dropped step if it still needs it."""
+        states = self._states
+        while len(states) > 1 and states[1].tick <= tick - self._depth + 1:
+            del states[0]
+        dropped = tick - len(self._stamps)
+        first = states[0]
+        if first.tick < dropped:
+            stamp = float(self._stamps[dropped % len(self._stamps)])
+            states[0] = _SetState(dropped, stamp, *self._carry(first, dropped), first.seen, None)
 
-    def _replay(self, start: int) -> None:
-        """Rewrite records ``start`` to newest from the record before,
-        carrying ``seen``.  Through ``_cov_known``, each record is predicted
-        in full and re-applies its stored sets; past it, where no record
-        holds a set, ``_transport`` carries the means from that anchor
-        record in closed form, and the covariances wait for ``_cov_through``."""
-        history = self.history
-        anchor = self._cov_known
-        prev = history[start - 1]
-        mean, cov, seen = prev.mean, prev.cov, prev.seen
-        for j in range(start, anchor + 1):
-            rec = history[j]
-            if mean is not None:
-                mean, cov = predict(mean, cov, rec.g, rec.c, self._q)
-            for meas_stamp, z in rec.measurements:
-                mean, cov = self._apply_measurement(mean, cov, z, rec.stamp - seen)
-                seen = max(seen, meas_stamp)
-            rec.mean, rec.cov, rec.seen = mean, cov, seen
-        if anchor + 1 == len(history):
-            return
-        means = repeat(None) if mean is None else self._transport(anchor, mean)
-        for rec, mean in zip(islice(history, anchor + 1, None), means):
-            rec.mean, rec.cov, rec.seen = mean, None, seen
+    def _tick_at(self, stamp: float) -> int | None:
+        """The newest of the last ``history_depth`` ticks at or before
+        ``stamp``, or None."""
+        stamps, slots = self._stamps, len(self._stamps)
+        ticks = range(max(self._tick - self._depth + 1, 0), self._tick + 1)
+        i = bisect_right(ticks, stamp + STAMP_EPS, key=lambda k: stamps[k % slots])
+        return ticks[i - 1] if i else None
 
-    def _transport(self, anchor: int, mean: np.ndarray) -> np.ndarray:
-        """The means of records ``anchor + 1`` to newest, carried in closed
-        form from ``mean``, record ``anchor``'s, shaped (records, L, 7, 6).
+    def _span(self, state: _SetState, tick: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The steps from ``state``'s tick to a later ``tick``, composed into
+        one: its propagation ``(g, c)``, shaped (L, 1, 6, 6) and (L, 1, 6),
+        and the stamps of the ticks it steps through.
 
-        The steps from record a to record j compose to the rigid map
-        ``(R_ja, t_ja)`` from camera frame a to frame j, and A(dt) commutes
-        with blockdiag(R, R), so with ``tau = t_j - t_a``
-        ``p_j = R_ja (p_a + tau v_a) + t_ja`` and ``v_j = R_ja v_a``.
-
-        Each lane's record pose ``P_j = [[Q_j, s_j], [0, 1]]``, the map
-        ``x_j = Q_j x_base + s_j`` from a base record's frame, is composed
-        once; then ``R_ja = Q_j Q_a^T`` and ``t_ja = s_j - R_ja s_a``.  A lane
-        with the ego flag false steps by R = I and t = 0, so its poses are
-        exactly the identity.  The chain restarts at the anchor when no
-        record after it has a pose, or when the newest record would lie
-        ``2 * history_depth`` steps past the base, so no pose is a product of
-        more steps.  The restarts depend only on record numbers and the
-        history depth.
+        The step poses compose by pairwise products, so a span of m steps is
+        log2(m) stacked products deep.  A(dt) commutes with blockdiag(R, R),
+        so the composed rotation R and translation t, with the time from
+        ``state`` to ``tick``, give the span's ``g`` and ``c`` as one step's.
         """
-        history, pose, stamps = self.history, self._pose, self._pose_stamp
-        first = self._first
-        a, newest = first + anchor, first + len(history) - 1
-        if self._posed <= a or newest - self._base >= len(pose):
-            self._base = self._posed = a
-            pose[0] = _EYE4
-            stamps[0] = history[anchor].stamp
-        base, posed = self._base, self._posed
-        if newest > posed:
-            # Copy each new record's step into its slot, then turn the slots
-            # from the last posed one on into poses with a doubling scan.
-            step_g, step_c = self._step_g, self._step_c
-            for s, rec in enumerate(islice(history, posed + 1 - first, None), posed + 1 - base):
-                step_g[s], step_c[s], stamps[s] = rec.g, rec.c, rec.stamp
-            new = slice(posed + 1 - base, newest + 1 - base)
-            pose[new, :, 0:3, 0:3] = step_g[new, :, 0, 0:3, 0:3]
-            pose[new, :, 0:3, 3] = step_c[new, :, 0, 0:3]
-            chain = pose[posed - base:newest + 1 - base]
-            d = 1
-            while d < len(chain):
-                chain[d:] = chain[d:] @ chain[:-d]
-                d *= 2
-            self._posed = newest
-        lo, hi = a - base, newest - base
-        lanes, m = len(mean), hi - lo
-        # As rows, [p, 1] and [v, 0] times rel, whose columns 3j..3j+2 hold
-        # each lane's [R_ja^T; t_ja^T].
-        rel = pose[lo + 1:hi + 1, :, 0:3].transpose(1, 3, 0, 2).reshape(lanes, 4, 3 * m)
-        if lo:
-            turn = pose[lo, :, 0:3, 0:3] @ rel[:, 0:3]
-            rel = np.concatenate([turn, rel[:, 3:4] - pose[lo, :, None, 0:3, 3] @ turn], axis=1)
-        rows = np.concatenate([mean.reshape(lanes, 2 * N_POINTS, 3), self._homogeneous], axis=2)
-        moved = (rows @ rel).reshape(lanes, N_POINTS, 2, m, 3)
-        moved[:, :, 0] += (stamps[lo + 1:hi + 1] - stamps[lo])[:, None] * moved[:, :, 1]
-        return moved.transpose(3, 0, 1, 2, 4).reshape(m, lanes, N_POINTS, 6)
+        slots = np.arange(state.tick + 1, tick + 1) % len(self._stamps)
+        pose = self._poses[slots]
+        while len(pose) > 1:
+            odd = pose[-1] if len(pose) % 2 else None
+            pose = pose[1::2] @ pose[0:len(pose) - 1:2]
+            if odd is not None:
+                pose[-1] = odd @ pose[-1]
+        stamps = self._stamps[slots]
+        g, c = compensate_ego_motion(stamps[-1] - state.stamp, pose[0, :, 0:3, 0:3], pose[0, :, 0:3, 3], self.ego)
+        return g[:, None], c[:, None], stamps
+
+    def _carry(self, state: _SetState, tick: int) -> BankState:
+        """``state``'s ``(mean, cov)`` carried to ``tick`` in one predict.
+
+        Each step adds Q, and the later steps carry it as A(s) Q A(s)^T at its
+        age s at ``tick``, a remap leaving Q's isotropic blocks unchanged, so
+        n steps add ``[[n q_pos + q_vel sum(s^2), q_vel sum(s)],
+        [q_vel sum(s), n q_vel]]`` in 3x3 blocks.
+        """
+        if tick == state.tick:
+            return state.mean, state.cov
+        g, c, stamps = self._span(state, tick)
+        ages = stamps[-1] - stamps
+        q = len(ages) * self._q + self.cfg.q_vel * (ages @ ages * _POS_POS + ages.sum() * _POS_VEL)
+        return predict(state.mean, state.cov, g, c, q)
 
     def _apply_measurement(
         self, mean: np.ndarray | None, cov: np.ndarray | None, measured: np.ndarray, gap: float
@@ -485,37 +445,43 @@ class FilterBank:
                 new_mean[reset], new_cov[reset] = init_track(assoc[reset], self._p0)
         return new_mean.reshape(shape + (6,)), new_cov.reshape(shape + (6, 6))
 
+    def _set_state(self, base: _SetState | None, tick: int, set_stamp: float, z: np.ndarray) -> _SetState:
+        """The state after the set ``z``, stamped ``set_stamp``, applied at
+        ``tick`` after ``base``, the state before it (None before the first
+        set), which is carried to ``tick`` first."""
+        stamp = float(self._stamps[tick % len(self._stamps)])
+        mean, cov, seen = (None, None, -np.inf) if base is None else (*self._carry(base, tick), base.seen)
+        # The gap runs from the newest set applied before this one.
+        mean, cov = self._apply_measurement(mean, cov, z, stamp - seen)
+        return _SetState(tick, stamp, mean, cov, max(seen, set_stamp), (set_stamp, z))
+
     def ingest(self, measured: SigmaPointSet, meas_stamp: float) -> IngestStatus:
         """Fold in a (possibly delayed) measurement.
 
-        Replay mode rolls back to the newest snapshot at or before the
-        measurement stamp, applies the update there, and replays the stored
-        steps; the rewritten snapshots keep the measurement so later
-        rollbacks see it too.  Measurements older than the history horizon
-        are dropped (stale), leaving the state unchanged.  Every lane takes
-        the same rollback.
+        Replay mode applies the set at the newest tick at or before its
+        stamp, after the sets already applied there, and applies every later
+        set again; its state keeps the set, so later rollbacks apply it too.
+        A set older than the last ``history_depth`` ticks is dropped (stale),
+        leaving the state unchanged.  Every lane takes the same rollback.
         """
-        if meas_stamp > self.stamp + STAMP_EPS:
+        if meas_stamp > self._stamp + STAMP_EPS:
             raise ValueError("measurement stamp is in the future")
         z = np.asarray(measured.points, dtype=float).reshape(N_POINTS, 3)
+        tick = self._tick if self.oosm_mode == "in_place" else self._tick_at(meas_stamp)
+        if tick is None:
+            return IngestStatus.STALE
 
-        if self.oosm_mode == "in_place":
-            idx = len(self.history) - 1
+        # The set follows every set applied at or before its tick, and every
+        # later set is applied again after it, in order.
+        states = self._states
+        i = bisect_right(states, tick, key=_BY_TICK)
+        states.insert(i, self._set_state(states[i - 1] if i else None, tick, meas_stamp, z))
+        for j in range(i + 1, len(states)):
+            states[j] = self._set_state(states[j - 1], states[j].tick, *states[j].measured)
+        state = states[-1]
+        if state.tick == self._tick:
+            self._mean = state.mean
         else:
-            idx = next(
-                (i for i in range(len(self.history) - 1, -1, -1)
-                 if self.history[i].stamp <= meas_stamp + STAMP_EPS),
-                None,
-            )
-            if idx is None:
-                return IngestStatus.STALE
-
-        # The new set follows the record's own sets, so its gap starts at rec.seen.
-        # _cov_through moves the index to at least idx, past the new set.
-        self._cov_through(idx)
-        rec = self.history[idx]
-        rec.mean, rec.cov = self._apply_measurement(rec.mean, rec.cov, z, rec.stamp - rec.seen)
-        rec.seen = max(rec.seen, meas_stamp)
-        rec.measurements.append((meas_stamp, z))
-        self._replay(idx + 1)
+            g, c, _ = self._span(state, self._tick)
+            self._mean = predict_mean(state.mean, g, c)
         return IngestStatus.APPLIED

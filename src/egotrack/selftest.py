@@ -139,15 +139,22 @@ def check_visibility_exactness() -> CriterionResult:
     radius = 0.5
     dirs = rng.normal(size=(2048, 3))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    cloud = SurfacePointCloud(center + radius * dirs, dirs, "camera")
-    vis = np.zeros(2048, dtype=bool)
+    # Two points exactly on a boundary, inside the image otherwise, and
+    # visible to neither test: one on an axis-aligned face seen edge on
+    # (n . p = 0), and one facing the camera that projects to u = width
+    # (x = 0.5 at the depth where fx x / z = width - cx, exact in binary).
+    edge = np.array([[0.0, 0.1, 2.0], [0.5, 0.0, cam.fx * 0.5 / (cam.width - cam.cx)]])
+    edge_normals = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, -1.0]])
+    points = np.concatenate([center + radius * dirs, edge])
+    cloud = SurfacePointCloud(points, np.concatenate([dirs, edge_normals]), "camera")
+    vis = np.zeros(len(points), dtype=bool)
     vis[compute_visible_set(cloud, cam)] = True
     # Closed-form half-space test: n . (c + r n) < 0 <=> n . c + r < 0.
-    oracle = dirs @ center + radius < 0.0
+    oracle = np.concatenate([dirs @ center + radius < 0.0, [False, False]])
     mismatches = int(np.sum(vis != oracle))
     return CriterionResult(
         2, "visibility exactness on analytic sphere", mismatches == 0,
-        f"{mismatches} mismatches out of 2048 points",
+        f"{mismatches} mismatches out of {len(points)} points (2 on a boundary)",
     )
 
 
@@ -617,6 +624,13 @@ def check_reward_oracle() -> CriterionResult:
         for key in want:
             worst = max(worst, abs(breakdown[key] - want[key]))
 
+    # A position error of exactly delta is a failure.  With the target at the
+    # origin the error is the position itself, so it lands on the edge
+    # exactly; an angle error cannot, since wrapping rounds 0.2 to 0.2 + 2e-16.
+    origin = TaskGeometry()
+    for pos in ([crit.delta_x, 0.0, 0.0], [0.0, crit.delta_y, 0.0]):
+        want = _oracle_terminal(pos, [0.0] * 3, origin, crit, True)
+        mismatch += terminal_status(pos, [0.0] * 3, origin, crit, True) is not want
     all_statuses = statuses == {
         TerminalStatus.SUCCESS, TerminalStatus.FAILURE, TerminalStatus.RUNNING
     }
@@ -625,7 +639,7 @@ def check_reward_oracle() -> CriterionResult:
         10, "reward and termination table oracle", ok,
         (
             f"{mismatch} status mismatches, max term deviation {worst:.3e} over "
-            f"1000 poses (tol 1e-12), all statuses seen={all_statuses}"
+            f"1000 poses and 2 on a failure edge (tol 1e-12), all statuses seen={all_statuses}"
         ),
     )
 

@@ -75,7 +75,7 @@ MOUNT_ROTATION = np.array([
 # the largest chunk: one frame at the cap peaks near 120 MB (tracemalloc).
 # MAX_TICK_SAMPLES bounds the surface work of the whole episode: MAX_TICKS
 # ticks at the default 2048 samples.  MAX_REPLAY_WORK bounds the filter
-# records one episode may replay, deliveries x replay depth; without it the
+# ticks one episode may replay, deliveries x replay depth; without it the
 # run time grows with the square of the latency.
 MAX_TICKS = 50_000
 MAX_SURFACE_SAMPLES = 1_000_000
@@ -239,7 +239,7 @@ class ScenarioConfig:
         """Filter-bank history, in ticks, that covers a measurement ``latency``
         seconds late plus one observation period, clamped (before the integer
         conversion, which a huge latency would overflow) to the ``n_ticks + 1``
-        records an episode holds, since a deeper history is the same bank."""
+        ticks an episode holds, since a deeper history is the same bank."""
         ticks = min((latency + 1.0 / self.obs_rate) / self.dt, self.n_ticks + 1)
         return min(max(30, math.ceil(ticks) + 5), self.n_ticks + 1)
 

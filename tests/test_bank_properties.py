@@ -196,7 +196,8 @@ def _ref_update(x, p, z):
 @SETTINGS
 @given(ops=st.lists(st.one_of(STEP, NOISE), min_size=1, max_size=30))
 def test_bank_equals_seven_per_point_filters(ops):
-    """The batched bank is bit-identical to seven per-point filters run in a loop."""
+    """The batched bank equals seven per-point filters run in a loop, to TOL:
+    the bank reaches a tick n steps after a set in one closed-form step."""
     bank = FilterBank(CFG, CAM, history_depth=50)
     bank.ingest(SigmaPointSet(BASE), 0.0)
     ref = [(np.concatenate([z, np.zeros(3)]), np.diag([CFG.p0_pos] * 3 + [CFG.p0_vel] * 3))
@@ -214,8 +215,8 @@ def test_bank_equals_seven_per_point_filters(ops):
             assoc = associate_measurement(predicted, SigmaPointSet(z)).points
             ref = [_ref_update(x, p, assoc[j]) for j, (x, p) in enumerate(ref)]
         mean, cov = bank.state[0][0], bank.state[1][0]
-        assert np.array_equal(mean, np.stack([x for x, _ in ref]))
-        assert np.array_equal(cov, np.stack([p for _, p in ref]))
+        assert _close(mean, np.stack([x for x, _ in ref]))
+        assert _close(cov, np.stack([p for _, p in ref]))
 
 
 # A delayed ingest: noise on BASE, stamped this many ticks back.
@@ -300,10 +301,11 @@ def test_bank_equals_sequential_reference(ops, init, latency, depth, window, mod
 
 
 def test_late_replay_predicts_covariances_lazily(monkeypatch):
-    """A run reads no covariance, so each ingest predicts in full only the
-    records from its rollback through the newest set: 50 ``predict`` calls
-    over the 26 ingests of the late-delivery golden, where predicting every
-    replayed record in full makes 830."""
+    """A run reads no covariance, so a covariance is predicted only to reach
+    a set: one closed-form ``predict`` for each of the 26 ingests of the
+    late-delivery golden but the first, which starts the filters.  Its sets
+    arrive in stamp order, one every two ticks, so no state is carried on
+    its own.  Predicting every replayed tick in full makes 830."""
     calls = {"predict": 0, "ingest": 0}
 
     def counted(name, fn):
@@ -318,7 +320,7 @@ def test_late_replay_predicts_covariances_lazily(monkeypatch):
     scenario, filter_cfg, criteria, reward_cfg, geom = build_configs(canonical_config(user))
     run_episode(generate_scenario(scenario), filter_cfg, geom=geom, criteria=criteria, reward_cfg=reward_cfg)
     assert calls["ingest"] == 26
-    assert calls["predict"] <= 2 * calls["ingest"]
+    assert calls["predict"] == calls["ingest"] - 1
 
 
 @SETTINGS

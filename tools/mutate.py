@@ -72,69 +72,52 @@ MUTANTS = (
     Mutant("row-vector-mean-product", "estimator.py",
            "return (g @ mean[..., None])[..., 0] + c\n",
            "return (mean[..., None, :, :] @ g.swapaxes(-1, -2))[..., 0, :, :] + c\n",
-           "tests/test_bank_properties.py::test_bank_equals_seven_per_point_filters"),
+           "tests/test_golden.py::test_outputs_match_golden_digests[cylinder-turning-cloud]"),
     Mutant("state-reads-oldest-record", "estimator.py",
-           "return self.record_state(-1)",
-           "return self.record_state(0)",
+           "return self._mean, self._carry(self._states[-1], self._tick)[1]",
+           "return self._mean, self._carry(self._states[0], self._tick)[1]",
            "tests/test_acceptance.py::test_criterion[criterion-03]"),
     Mutant("replay-stops-carrying-seen", "estimator.py",
-           "                seen = max(seen, meas_stamp)\n",
-           "",
-           "tests/test_bank_properties.py::test_delayed_delivery_replays_to_zero_latency_posterior"),
+           "return _SetState(tick, stamp, mean, cov, max(seen, set_stamp), (set_stamp, z))",
+           "return _SetState(tick, stamp, mean, cov, seen, (set_stamp, z))",
+           "tests/test_bank_properties.py::test_bank_equals_sequential_reference"),
     Mutant("replay-seen-starts-unseen", "estimator.py",
-           "mean, cov, seen = prev.mean, prev.cov, prev.seen",
-           "mean, cov, seen = prev.mean, prev.cov, -np.inf",
-           "tests/test_bank_properties.py::test_delayed_delivery_replays_to_zero_latency_posterior"),
+           "(*self._carry(base, tick), base.seen)",
+           "(*self._carry(base, tick), -np.inf)",
+           "tests/test_bank_properties.py::test_bank_equals_sequential_reference"),
     Mutant("rollback-gap-read-after-seen", "estimator.py",
-           "        rec.mean, rec.cov = self._apply_measurement(rec.mean, rec.cov, z, rec.stamp - rec.seen)\n"
-           "        rec.seen = max(rec.seen, meas_stamp)\n",
-           "        rec.seen = max(rec.seen, meas_stamp)\n"
-           "        rec.mean, rec.cov = self._apply_measurement(rec.mean, rec.cov, z, rec.stamp - rec.seen)\n",
-           "tests/test_bank_properties.py::test_delayed_delivery_replays_to_zero_latency_posterior"),
-    # Lazy covariances: each must still equal a full replay of every record.
-    Mutant("mean-only-replay-through-a-set", "estimator.py",
-           "for j in range(start, anchor + 1):",
-           "for j in range(start, anchor):",
-           "tests/test_bank_properties.py::test_delayed_delivery_replays_to_zero_latency_posterior"),
-    Mutant("step-evicts-last-known-covariance", "estimator.py",
-           "            self._cov_through(1)\n",
-           "",
-           "tests/test_bank_properties.py::test_bank_equals_sequential_reference"),
-    Mutant("cov-through-keeps-index", "estimator.py",
-           "        self._cov_known = max(self._cov_known, i)\n",
-           "",
-           "tests/test_acceptance.py::test_criterion[criterion-03]"),
-    Mutant("state-without-covariance", "estimator.py",
-           "return self.record_state(-1)",
-           "return None if self.mean is None else (self.mean, self.history[-1].cov)",
-           "tests/test_acceptance.py::test_criterion[criterion-03]"),
-    # ... and a run must stay lazy: the same states from eager replays cost
-    # a predict per replayed record.
-    Mutant("replay-predicts-every-record-in-full", "estimator.py",
-           "anchor = self._cov_known",
-           "anchor = len(history) - 1",
-           "tests/test_bank_properties.py::test_late_replay_predicts_covariances_lazily"),
-    # The closed-form replay: it starts at the anchor, composes R_ja = Q_j Q_a^T,
-    # and keeps record numbers through evictions.
-    Mutant("transport-from-record-before-anchor", "estimator.py",
-           "self._transport(anchor, mean)",
-           "self._transport(anchor - 1, mean)",
-           "tests/test_bank_properties.py::test_bank_equals_sequential_reference"),
-    Mutant("relative-rotation-not-transposed", "estimator.py",
-           "turn = pose[lo, :, 0:3, 0:3] @ rel[:, 0:3]",
-           "turn = pose[lo, :, 0:3, 0:3].swapaxes(1, 2) @ rel[:, 0:3]",
-           "tests/test_bank_properties.py::test_bank_equals_sequential_reference"),
-    Mutant("pose-ring-not-advanced-on-eviction", "estimator.py",
-           "            self._first += 1\n",
-           "",
+           "self._apply_measurement(mean, cov, z, stamp - seen)",
+           "self._apply_measurement(mean, cov, z, stamp - max(seen, set_stamp))",
            "tests/test_bank_properties.py::test_bank_equals_sequential_reference"),
     Mutant("seen-from-record-stamp", "estimator.py",
-           "rec.seen = max(rec.seen, meas_stamp)",
-           "rec.seen = max(rec.seen, rec.stamp)",
+           "max(seen, set_stamp), (set_stamp, z))",
+           "max(seen, stamp), (set_stamp, z))",
+           "tests/test_bank_properties.py::test_bank_equals_sequential_reference"),
+    # The closed-form step between sets: its noise, its composed pose, the
+    # sets after a rollback, and the state the ring still needs.
+    Mutant("span-noise-drops-cross-term", "estimator.py",
+           "(ages @ ages * _POS_POS + ages.sum() * _POS_VEL)",
+           "(ages @ ages * _POS_POS)",
+           "tests/test_bank_properties.py::test_bank_equals_sequential_reference"),
+    Mutant("span-noise-squares-the-span", "estimator.py",
+           "(ages @ ages * _POS_POS",
+           "(len(ages) * (stamps[-1] - state.stamp) ** 2 * _POS_POS",
+           "tests/test_bank_properties.py::test_bank_equals_sequential_reference"),
+    Mutant("span-product-order-reversed", "estimator.py",
+           "pose = pose[1::2] @ pose[0:len(pose) - 1:2]",
+           "pose = pose[0:len(pose) - 1:2] @ pose[1::2]",
+           "tests/test_bank_properties.py::test_bank_equals_sequential_reference"),
+    Mutant("later-sets-not-reapplied", "estimator.py",
+           "for j in range(i + 1, len(states)):",
+           "for j in range(i + 1, i + 1):",
+           "tests/test_bank_properties.py::test_delayed_delivery_replays_to_zero_latency_posterior"),
+    Mutant("state-not-carried-on-eviction", "estimator.py",
+           "            states[0] = _SetState(dropped, stamp, *self._carry(first, dropped), first.seen, None)\n",
+           "",
            "tests/test_bank_properties.py::test_bank_equals_sequential_reference"),
     Mutant("future-check-without-stamp-eps", "estimator.py",
-           "if meas_stamp > self.stamp + STAMP_EPS:",
-           "if meas_stamp > self.stamp:",
+           "if meas_stamp > self._stamp + STAMP_EPS:",
+           "if meas_stamp > self._stamp:",
            "tests/test_estimator.py::TestFilterBank::test_stamp_within_the_delivery_tolerance_is_not_future"),
     # Geometry.
     Mutant("rotate-as-row-vectors", "geometry.py",
@@ -326,6 +309,13 @@ CRITERION_MUTANTS = (
     Mutant("back-face-test-inverted", "geometry.py",
            'normals.reshape(-1, 3), flat) < 0.0',
            'normals.reshape(-1, 3), flat) > 0.0', 2),
+    # Each boundary is strict: a face seen edge on, and a pixel at u = width.
+    Mutant("back-face-test-admits-edge-on", "geometry.py",
+           'normals.reshape(-1, 3), flat) < 0.0',
+           'normals.reshape(-1, 3), flat) <= 0.0', 2),
+    Mutant("image-bound-admits-width", "geometry.py",
+           "& (u < cam.width)",
+           "& (u <= cam.width)", 2),
     Mutant("velocity-noise-from-q-pos", "estimator.py",
            "return np.diag([cfg.q_pos] * 3 + [cfg.q_vel] * 3)",
            "return np.diag([cfg.q_pos] * 3 + [cfg.q_pos] * 3)", 3),
@@ -336,10 +326,10 @@ CRITERION_MUTANTS = (
     Mutant("c-takes-negated-translation", "estimator.py",
            "c[..., 0:3] = np.where(ego[:, 0], translation, 0.0)",
            "c[..., 0:3] = np.where(ego[:, 0], -translation, 0.0)", 4),
-    # The closed-form replay with t_ja dropped: every pose keeps a zero translation.
+    # The newest mean moved past a delayed set without the span's translation.
     Mutant("mean-only-replay-drops-c", "estimator.py",
-           "pose[new, :, 0:3, 3] = step_c[new, :, 0, 0:3]",
-           "pose[new, :, 0:3, 3] = 0.0", 5),
+           "self._mean = predict_mean(state.mean, g, c)",
+           "self._mean = predict_mean(state.mean, g, 0.0 * c)", 5),
     Mutant("replay-lanes-without-compensation", "sim.py",
            "ego_lanes=(ego, False))",
            "ego_lanes=(False, False))", 6),
@@ -354,6 +344,10 @@ CRITERION_MUTANTS = (
            "d = state.d + step", 9),
     _also_for(10, "pitch-clipped-with-planar-limit"),
     _also_for(10, "success-band-widened-on-pitch"),
+    # An error of exactly delta fails.
+    Mutant("failure-band-excludes-delta", "tasklogic.py",
+           "np.any(_band_errors(position, angles, geom) >= delta)",
+           "np.any(_band_errors(position, angles, geom) > delta)", 10),
     Mutant("json-output-stamped-with-clock", "cli.py",
            "json.dump(payload, fh,",
            'json.dump({**payload, "written_at": __import__("time").perf_counter()}, fh,', 11),
