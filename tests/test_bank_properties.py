@@ -242,30 +242,11 @@ def _means_close(a, b):
     return a is None and b is None or a is not None and b is not None and _close(a, b)
 
 
-@settings(deadline=None)
-@given(
-    ops=st.lists(CONTRACT_OPS, min_size=4, max_size=40),
-    init=st.booleans(),
-    latency=st.integers(0, 14),
-    depth=st.integers(2, 12),
-    window=st.sampled_from([0.02, 0.1, 5.0]),
-    mode=st.sampled_from(OOSM_MODES),
-    lanes=st.sampled_from([(True,), (True, False), (False, True)]),
-)
-def test_bank_equals_sequential_reference(ops, init, latency, depth, window, mode, lanes):
+def _check_contract(ops, init, latency, depth, window, mode, lanes):
     """After every operation the bank reads as ``ReferenceBank``, which
     carries every tick's full state, to TOL: the newest mean, the newest
     state, the posterior at the stamp of every set applied within the
-    history, and each ingest's status.
-
-    Runs of up to 240 steps against a history of 2 to 12 ticks evict the
-    ticks a state was reached from; a latency past the history makes sets
-    stale; jitter delivers sets out of stamp order and lands rollbacks
-    before, on and after earlier sets; a short reacquire window resets rows
-    after blind spells longer than it; a bank may take its first set late;
-    in_place mode never rolls back; and a lane without ego compensation may
-    come first or second.
-    """
+    history, and each ingest's status."""
     kwargs = dict(history_depth=depth, oosm_mode=mode, reacquire_window=window,
                   reacquire_gate=2.0, ego_lanes=lanes)
     bank, ref = FilterBank(CFG, CAM, **kwargs), ReferenceBank(CFG, CAM, **kwargs)
@@ -298,6 +279,93 @@ def test_bank_equals_sequential_reference(ops, init, latency, depth, window, mod
                 assert _states_close(bank.posterior_at(stamps[k]), ref.posterior_at(stamps[k]))
     for stamp in stamps[-depth:]:
         assert _states_close(bank.posterior_at(stamp), ref.posterior_at(stamp))
+
+
+@settings(deadline=None)
+@given(
+    ops=st.lists(CONTRACT_OPS, min_size=4, max_size=40),
+    init=st.booleans(),
+    latency=st.integers(0, 14),
+    depth=st.integers(2, 12),
+    window=st.sampled_from([0.02, 0.1, 5.0]),
+    mode=st.sampled_from(OOSM_MODES),
+    lanes=st.sampled_from([(True,), (True, False), (False, True)]),
+)
+def test_bank_equals_sequential_reference(ops, init, latency, depth, window, mode, lanes):
+    """The contract over the widest draw.
+
+    Runs of up to 240 steps against a history of 2 to 12 ticks evict the
+    ticks a state was reached from; a latency past the history makes sets
+    stale; jitter delivers sets out of stamp order and lands rollbacks
+    before, on and after earlier sets; a short reacquire window resets rows
+    after blind spells longer than it; a bank may take its first set late;
+    in_place mode never rolls back; and a lane without ego compensation may
+    come first or second.
+    """
+    _check_contract(ops, init, latency, depth, window, mode, lanes)
+
+
+# Ops of the one-tick draw: a single step, or an ingest stamped up to 8 ticks
+# back (past the oldest tick, a stale one).  Ingests are drawn as often as
+# steps, so several sets often land between two steps, out of stamp order.
+_ONE_STEP_OP = STEP.map(lambda step: ("steps", 1, step))
+_BACK_OP = st.tuples(st.just("ingest"), NOISE, st.integers(0, 8))
+ONE_TICK_OPS = st.one_of(_ONE_STEP_OP, _BACK_OP)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    ops=st.lists(ONE_TICK_OPS, min_size=10, max_size=60),
+    depth=st.integers(2, 10),
+    window=st.sampled_from([0.02, 0.1, 5.0]),
+    mode=st.sampled_from(OOSM_MODES),
+    lanes=st.sampled_from([(True,), (True, False)]),
+)
+def test_lazy_covariance_equals_eager_replay(ops, depth, window, mode, lanes):
+    """The contract when sets arrive between single steps, into a bank that
+    starts without filters: a covariance is carried only to reach a set, and
+    must equal the reference's, which predicts every tick in full.
+
+    A short history evicts the state a set would be carried from, and a short
+    reacquire window makes blind spells longer than it.
+    """
+    _check_contract(ops, False, 0, depth, window, mode, lanes)
+
+
+def _blocks_to_ops(blocks):
+    ops = []
+    for count, step, ingest in blocks:
+        ops.append(("steps", count, step))
+        if ingest is not None:
+            ops.append(ingest)
+    return ops
+
+
+# Blocks of the late-sensor draw: 1 to 6 equal turning steps, then, two times
+# in three, an ingest stamped the run's latency, give or take 3 ticks, back.
+_LATE_OP = st.tuples(st.just("ingest"), NOISE, st.integers(-3, 3))
+LATE_BLOCKS = st.lists(
+    st.tuples(st.integers(1, 6), TURNING_STEP, st.one_of(_LATE_OP, _LATE_OP, st.none())),
+    min_size=4, max_size=20,
+).map(_blocks_to_ops)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    ops=LATE_BLOCKS,
+    latency=st.integers(3, 14),
+    depth=st.integers(4, 12),
+    window=st.sampled_from([0.02, 0.1, 5.0]),
+    mode=st.sampled_from(OOSM_MODES),
+    lanes=st.sampled_from([(True,), (True, False), (False, True)]),
+)
+def test_transported_bank_equals_sequential_reference(ops, latency, depth, window, mode, lanes):
+    """The contract under a late sensor, on a bank started on time: most
+    rollbacks land past the previous set, so every later set is applied again
+    after a closed-form step over turning poses that all differ from the
+    identity.  A latency past the history makes sets stale.
+    """
+    _check_contract(ops, True, latency, depth, window, mode, lanes)
 
 
 def test_late_replay_predicts_covariances_lazily(monkeypatch):
