@@ -69,7 +69,6 @@ from .sim import (
     baseline_no_compensation,
     baseline_zoh,
     ego_increments,
-    emulate_sensor,
     generate_scenario,
     run_episode,
     sensor_schedule,

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .estimator import STAMP_EPS, FilterBank, FilterConfig, measurement_covariance
+from .estimator import STAMP_EPS, FilterBank, FilterConfig, associate_measurement, measurement_covariance
 from .geometry import (
     CameraModel,
     RigidTransform,
@@ -36,9 +36,9 @@ from .sim import (
     SensorSpec,
     TrajectoryBundle,
     _deliveries,
+    _observe,
     _run_bank,
     ego_increments,
-    emulate_sensor,
     generate_scenario,
     run_episode,
     sensor_schedule,
@@ -238,6 +238,13 @@ def check_kf_reduction() -> CriterionResult:
 # 4. ego-compensation open-loop exactness
 
 
+def _open_loop(bundle: TrajectoryBundle) -> tuple[np.ndarray, list]:
+    """The filter's means ``(ticks, 7, 6)`` when no set is delivered after
+    1 s, and the measurements it was given."""
+    measurements = [m for m in sensor_schedule(bundle) if m.available_at <= 1.0 + STAMP_EPS]
+    return _run_bank(bundle, measurements, FilterConfig())[0][:, 0], measurements
+
+
 def _open_loop_error(bundle: TrajectoryBundle) -> float:
     """Worst deviation of the filter's open-loop means after its last set
     from that tick's mean carried in closed form by the VO poses.
@@ -247,18 +254,17 @@ def _open_loop_error(bundle: TrajectoryBundle) -> float:
     tick k's mean must be ``p_k = R_kd (p_d + tau v_d) + t_kd`` and
     ``v_k = R_kd v_d``; the oracle reads only the VO poses and tick d's mean.
     """
-    measurements = [m for m in sensor_schedule(bundle) if m.available_at <= 1.0 + STAMP_EPS]
-    means, _ = _run_bank(bundle, measurements, FilterConfig())
+    means, measurements = _open_loop(bundle)
     delivered, count = _deliveries(measurements, bundle.times)
     d = int(np.argmax(count == len(delivered)))
     rot, pos = bundle.vo_rotation, bundle.vo_position
     inv = rot[d + 1:].swapaxes(1, 2)
     rel = inv @ rot[d]
-    p, v = means[d, 0, :, 0:3], means[d, 0, :, 3:6]
+    p, v = means[d, :, 0:3], means[d, :, 3:6]
     tau = (bundle.times[d + 1:] - bundle.times[d])[:, None, None]
     want_p = np.einsum("kij,kpj->kpi", rel, p + tau * v) + rotate(inv, pos[d] - pos[d + 1:])[:, None]
     want_v = np.einsum("kij,pj->kpi", rel, v)
-    got = means[d + 1:, 0]
+    got = means[d + 1:]
     # np.max keeps a NaN, so an uninitialized filter fails the check.
     return float(np.max(np.abs(np.concatenate([got[..., 0:3] - want_p, got[..., 3:6] - want_v]))))
 
@@ -272,11 +278,12 @@ def check_ego_exactness() -> CriterionResult:
         sensor=SensorSpec(pixel_std_u=0.0, pixel_std_v=0.0, depth_std=0.0, mode="truth"),
     )
     bundle = generate_scenario(cfg)
-    _, table = run_episode(bundle, FilterConfig(), measurement_cutoff=1.0)
-    late = table.column("stamp") > 1.0
-    err = np.stack([table.column(f"filter_p{j}_e{axis}")[late] for j in range(7) for axis in "xyz"], axis=1)
+    means, _ = _open_loop(bundle)
+    late = bundle.times > 1.0
+    truth = bundle.true_sets[late]
+    err = associate_measurement(truth, means[late, :, 0:3]) - truth
     # np.max keeps a NaN error, so an uninitialized filter fails the check.
-    static = float(np.max(np.linalg.norm(err.reshape(-1, 7, 3), axis=-1)))
+    static = float(np.max(np.linalg.norm(err, axis=-1)))
     # A moving target: the position block of each step must rotate the
     # velocity too, which a static target's zero velocity cannot show.
     target = ObjectSpec(shape="sphere", radius=0.1, position=(2.5, 0.3, 0.0), velocity=(0.0, -0.3, 0.05))
@@ -414,10 +421,8 @@ def check_noise_scaling() -> CriterionResult:
             target=ObjectSpec(shape="sphere", radius=0.02, position=(depth, 0.0, 0.0)),
         )
         bundle = generate_scenario(cfg)
-        rng = np.random.default_rng(bundle.sensor_seed)
-        draws = np.empty((1000, 3))
-        for d in range(1000):
-            draws[d] = emulate_sensor(bundle, 0, rng).sset.points[0]
+        frames = _observe(bundle, np.zeros(1000, dtype=int), np.random.default_rng(bundle.sensor_seed))
+        draws = np.array([m.sset.points[0] for m in frames])
         emp = np.var(draws, axis=0, ddof=1)
         depth_ref = float(bundle.true_sets[0][0, 2])
         model = np.diag(measurement_covariance(cfg.camera, np.array([depth_ref]), fc)[0])

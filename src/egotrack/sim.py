@@ -5,17 +5,19 @@ on a moving base, optical axis along base +x, so a level base at the origin
 sees a world point (d, 0, 0) at camera coordinates (0, 0, d).
 
 Ground truth for scoring is the noise-free cloud sensor's set at the first
-tick with any visible point: the same frame pass (``_camera_frames``) and the
-same moments (``geometry.segment_pca``) as the sensor.  It is transported
-rigidly with the object afterwards; this is what an exactly ego-compensated,
-noise-free estimator would reproduce.
+tick with any visible point: the same pass over the frames (``_cloud_sensor``)
+as the sensor's, without the jitter.  It is transported rigidly with the
+object afterwards; this is what an exactly ego-compensated, noise-free
+estimator would reproduce.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass, field, fields
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -290,26 +292,58 @@ class TrajectoryBundle:
         ]
 
 
-def _camera_frames(
-    cloud: SurfacePointCloud, rotations: np.ndarray, translations: np.ndarray, cam: CameraModel
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The object-frame ``cloud`` moved into one camera frame per rotation
-    ``(F, 3, 3)`` and translation ``(F, 3)``, and culled there.
+def _jitter(
+    cam: CameraModel, scale: np.ndarray, rng: np.random.Generator,
+    points: np.ndarray, pixels: np.ndarray, counts: np.ndarray,
+) -> np.ndarray:
+    """Consecutive frames of ``counts`` camera-frame points ``(M, 3)`` and
+    their pixels ``(M, 2)``, each frame moved by one shared pixel/depth draw
+    of ``scale`` from ``rng`` and backprojected."""
+    # 0.0 + std * z is what normal(0.0, std) returns for the same draw z.
+    shift = np.repeat(0.0 + scale * rng.standard_normal((len(counts), 3)), counts, axis=0)
+    depth = np.maximum(points[:, 2] + shift[:, 2], cam.near_z)
+    return backproject_pixels(cam, pixels + shift[:, 0:2], depth)
 
-    Returns the points ``(F, N, 3)``, the ``visibility`` mask ``(F, N)`` and
-    the pixels ``(F, N, 2)``.
+
+def _cloud_sensor(
+    cloud: SurfacePointCloud, rotations: np.ndarray, translations: np.ndarray, cam: CameraModel,
+    alpha: float, ticks: np.ndarray, noise: tuple[np.ndarray, np.random.Generator] | None = None,
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The cloud sensor at ``ticks``, one batched pass per chunk of frames.
+
+    Each frame moves the object-frame ``cloud`` by its object -> camera
+    rotation and translation (``(n+1, 3, 3)`` and ``(n+1, 3)``, indexed by
+    tick), culls it with ``visibility``, and places sigma points on the
+    uniform-weight moments of what is left.  Given ``noise``, a jitter
+    ``scale`` and a generator, every seen frame first takes its ``_jitter``
+    draw, in frame order.  Yields, per chunk, its ticks, which of them are
+    seen and the seen frames' sets ``(seen, 7, 3)``; an unseen frame draws
+    nothing.
     """
-    # Transposed rotations stored contiguously: each frame's product then
-    # rounds as that frame's ``points @ R.T`` does.
-    rot_t = np.ascontiguousarray(np.swapaxes(rotations, 1, 2))
-    # No unit check on the rotated normals: the cloud checks its own, every
-    # rotation stack is checked where it is built, and ``visibility`` reads
-    # only the sign of n . p.
-    normals = cloud.normals @ rot_t
-    points = cloud.points @ rot_t
-    points += translations[:, None]
-    mask, pixels = visibility(points, normals, cam)
-    return points, mask, pixels
+    chunk = max(1, SENSOR_CHUNK_POINTS // len(cloud))
+    for first in range(0, len(ticks), chunk):
+        part = ticks[first:first + chunk]
+        # Transposed rotations stored contiguously: each frame's product then
+        # rounds as that frame's ``points @ R.T`` does.
+        rot_t = np.ascontiguousarray(np.swapaxes(rotations[part], 1, 2))
+        # No unit check on the rotated normals: the cloud checks its own, every
+        # rotation stack is checked where it is built, and ``visibility`` reads
+        # only the sign of n . p.
+        normals = cloud.normals @ rot_t
+        points = cloud.points @ rot_t
+        points += translations[part][:, None]
+        mask, pixels = visibility(points, normals, cam)
+        counts = mask.sum(axis=1)
+        seen = counts > 0
+        sets = np.empty((0, N_POINTS, 3))
+        if seen.any():
+            flat, counts = mask.ravel(), counts[seen]
+            points = np.compress(flat, points.reshape(-1, 3), axis=0)
+            if noise is not None:
+                pixels = np.compress(flat, pixels.reshape(-1, 2), axis=0)
+                points = _jitter(cam, *noise, points, pixels, counts)
+            sets = place_sigma_points(segment_pca(points, counts), alpha)
+        yield part, seen, sets
 
 
 def generate_scenario(cfg: ScenarioConfig) -> TrajectoryBundle:
@@ -368,26 +402,19 @@ def generate_scenario(cfg: ScenarioConfig) -> TrajectoryBundle:
     for stream in (base_rotation, cam_rotation, vo_rotation, obj_to_cam_rotation):
         check_rotations(stream)
 
-    # Scoring truth: the sensor's noiseless set at the first tick with any
-    # visible point, found a chunk of frames at a time as the sensor works,
-    # then transported rigidly with the object.  Tick 0 is probed alone,
-    # since most targets are in view from the start.
-    chunk = max(1, SENSOR_CHUNK_POINTS // len(cloud))
-    for first in [0, *range(1, n + 1, chunk)]:
-        part = slice(first, first + chunk if first else 1)
-        points, mask, _ = _camera_frames(
-            cloud, obj_to_cam_rotation[part], obj_to_cam_translation[part], cfg.camera
-        )
-        counts = mask.sum(axis=1)
-        if counts.any():
-            i = int(np.argmax(counts > 0))
+    # Scoring truth: the noiseless cloud sensor's set at the first tick with
+    # any visible point, then transported rigidly with the object.  Tick 0 is
+    # sensed alone, since most targets are in view from the start.
+    frames = (cloud, obj_to_cam_rotation, obj_to_cam_translation, cfg.camera, alpha)
+    for ticks, seen, sets in chain(_cloud_sensor(*frames, np.array([0])),
+                                   _cloud_sensor(*frames, np.arange(1, n + 1))):
+        if seen.any():
             break
     else:
         raise ConfigError("target is never visible; no scoring reference exists")
-    ref = place_sigma_points(segment_pca(points[i][mask[i]], counts[i:i + 1]), alpha)[0]
-    k = first + i
+    k = int(ticks[np.argmax(seen)])
     to_cam = RigidTransform(obj_to_cam_rotation[k], obj_to_cam_translation[k], "object", "camera")
-    ref_set_obj = to_cam.inverse().apply_points(ref)
+    ref_set_obj = to_cam.inverse().apply_points(sets[0])
 
     true_sets = ref_set_obj @ np.swapaxes(obj_to_cam_rotation, 1, 2) + obj_to_cam_translation[:, None]
     # All target points share the object's constant world velocity.
@@ -418,72 +445,36 @@ def generate_scenario(cfg: ScenarioConfig) -> TrajectoryBundle:
 
 
 def _observe(bundle: TrajectoryBundle, ticks: np.ndarray, rng: np.random.Generator) -> list[Measurement]:
-    """The observations of ``ticks`` (ascending), one batched pass per chunk
-    of frames, drawing from ``rng`` in frame order.
+    """The observations of ``ticks``, in the order given (a tick may
+    repeat), drawing from ``rng`` in that order.
 
-    The cloud path moves the surface into each frame's camera, culls it,
-    adds one shared pixel/depth jitter draw per frame to the visible points,
-    backprojects them, and re-extracts sigma points with uniform weights.
-    The truth path jitters the transported true set of each frame in which
-    it is visible; a noiseless truth sensor draws nothing.  A frame with
-    nothing visible gets no set and draws nothing.
+    The cloud path is ``_cloud_sensor`` with the jitter: what a depth sensor
+    would give.  The truth path jitters the transported true set of each
+    frame in which it is visible, in one pass; a noiseless truth sensor draws
+    nothing.  A frame with nothing visible gets no set and draws nothing.
     """
     cfg = bundle.config
     cam, spec = cfg.camera, cfg.sensor
     scale = np.array([spec.pixel_std_u, spec.pixel_std_v, spec.depth_std])
-    truth = spec.mode == "truth"
-    if truth:
-        chunk, draw = len(ticks), bool(scale.any())
+    if spec.mode == "truth":
+        seen = bundle.visible[ticks]
+        found = bundle.true_sets[ticks][seen]
+        if scale.any():
+            points = found.reshape(-1, 3)
+            counts = np.full(len(found), N_POINTS)
+            found = _jitter(cam, scale, rng, points, project_points(cam, points)[0], counts)
+        chunks = [(ticks, seen, found.reshape(-1, N_POINTS, 3))]
     else:
-        chunk, draw = max(1, SENSOR_CHUNK_POINTS // len(bundle.cloud)), True
+        chunks = _cloud_sensor(bundle.cloud, bundle.obj_to_cam_rotation, bundle.obj_to_cam_translation,
+                               cam, bundle.alpha, ticks, (scale, rng))
     sets: list[np.ndarray | None] = []
-    for first in range(0, len(ticks), chunk):
-        part = ticks[first:first + chunk]
-        if truth:
-            seen = bundle.visible[part]
-            points = bundle.true_sets[part][seen]
-            counts = np.full(len(points), N_POINTS)
-            points = points.reshape(-1, 3)
-            pixels = project_points(cam, points)[0] if draw else None
-        else:
-            points, mask, pixels = _camera_frames(
-                bundle.cloud, bundle.obj_to_cam_rotation[part], bundle.obj_to_cam_translation[part], cam
-            )
-            counts = mask.sum(axis=1)
-            seen = counts > 0
-            counts = counts[seen]
-            points = np.compress(mask.ravel(), points.reshape(-1, 3), axis=0)
-            pixels = np.compress(mask.ravel(), pixels.reshape(-1, 2), axis=0)
-        found = np.empty((0, N_POINTS, 3))
-        if len(counts):
-            if draw:
-                # 0.0 + std * z is what normal(0.0, std) returns for the same draw z.
-                shift = np.repeat(0.0 + scale * rng.standard_normal((len(counts), 3)), counts, axis=0)
-                depth = np.maximum(points[:, 2] + shift[:, 2], cam.near_z)
-                points = backproject_pixels(cam, pixels + shift[:, 0:2], depth)
-            if truth:
-                found = points.reshape(-1, N_POINTS, 3)
-            else:
-                found = place_sigma_points(segment_pca(points, counts), bundle.alpha)
+    for _, seen, found in chunks:
         found = iter(found)
         sets += [next(found) if s else None for s in seen]
     return [
         Measurement(t, t + bundle.latency, None if z is None else SigmaPointSet(z))
         for t, z in zip(bundle.times[ticks].tolist(), sets)
     ]
-
-
-def emulate_sensor(bundle: TrajectoryBundle, k: int, rng: np.random.Generator) -> Measurement:
-    """The observation of tick ``k``, stamped ``times[k]``: the one-frame call
-    of ``sensor_schedule``'s pass.
-
-    Returns a Measurement whose set is None when nothing is visible.  Raises
-    ValueError for a tick outside ``0..n_ticks``.
-    """
-    n = bundle.config.n_ticks
-    if not 0 <= k <= n:
-        raise ValueError(f"tick {k} is outside the episode's 0..{n}")
-    return _observe(bundle, np.array([k]), rng)[0]
 
 
 def sensor_schedule(bundle: TrajectoryBundle) -> list[Measurement]:
@@ -673,7 +664,6 @@ def run_episode(
     geom: TaskGeometry | None = None,
     criteria: CriteriaConfig | None = None,
     reward_cfg: RewardConfig | None = None,
-    measurement_cutoff: float | None = None,
     disable_ego_compensation: bool = False,
     oosm_mode: str = "replay",
 ) -> tuple[EpisodeMetrics, EpisodeTable]:
@@ -694,8 +684,6 @@ def run_episode(
     truth = bundle.true_sets
 
     measurements = sensor_schedule(bundle)
-    if measurement_cutoff is not None:
-        measurements = [m for m in measurements if m.available_at <= measurement_cutoff + STAMP_EPS]
 
     ego = not disable_ego_compensation  # the filter lane's flag
 

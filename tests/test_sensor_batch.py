@@ -1,7 +1,7 @@
 """The batched sensor pass against a written-out per-frame reference.
 
 ``sensor_schedule`` senses every observation tick of an episode in chunks of
-frames, and ``emulate_sensor`` is the same pass over one frame.  The
+frames, and ``_observe`` over one tick is the same pass over one frame.  The
 reference below senses one frame at a time through a ``RigidTransform``, a
 transformed ``SurfacePointCloud``, ``compute_visible_set``, three scalar
 ``normal`` draws and ``weighted_pca``, as the sensor did before it was
@@ -29,7 +29,6 @@ from egotrack.sim import (
     ObjectSpec,
     ScenarioConfig,
     SensorSpec,
-    emulate_sensor,
     generate_scenario,
     sensor_schedule,
 )
@@ -113,8 +112,10 @@ def test_schedule_equals_per_frame_reference(shape, samples, motion, noise, mode
 
 def test_every_schedule_row_is_its_one_frame_call():
     # Several chunks, the last one partial; the target leaves the image, so
-    # some chunks mix seen and unseen frames.  One stream feeds the one-frame
-    # calls in tick order, as it feeds the schedule.
+    # some chunks mix seen and unseen frames.  Then criterion 7's call: tick 0
+    # a thousand times over, in whole chunks.  One stream feeds the one-frame
+    # calls in tick order, as it feeds the batched call.
+    cases = []
     for mode in ("cloud", "truth"):
         cfg = ScenarioConfig(
             seed=4,
@@ -131,10 +132,21 @@ def test_every_schedule_row_is_its_one_frame_call():
         assert len(ticks) > chunk > 1 and len(ticks) % chunk
         schedule = sensor_schedule(bundle)
         assert any(m.sset is None for m in schedule) and schedule[0].sset is not None
+        cases.append((bundle, ticks, schedule, None))
+    cfg = ScenarioConfig(seed=700, duration=0.1, target=ObjectSpec(radius=0.02, position=(0.5, 0.0, 0.0)))
+    bundle = generate_scenario(cfg)
+    ticks = np.zeros(1000, dtype=int)
+    rng = np.random.default_rng(bundle.sensor_seed)
+    frames = sim._observe(bundle, ticks, rng)
+    assert len(frames) == len(ticks) and all(m.sset is not None for m in frames)
+    cases.append((bundle, ticks, frames, rng))
+    for bundle, ticks, batched, batched_rng in cases:
         rng = np.random.default_rng(bundle.sensor_seed)
-        for k, m in zip(ticks, schedule):
-            one = emulate_sensor(bundle, int(k), rng)
+        for k, m in zip(ticks, batched):
+            (one,) = sim._observe(bundle, np.array([k]), rng)
             assert (one.stamp, one.available_at) == (m.stamp, m.available_at)
             assert (one.sset is None) == (m.sset is None)
             if m.sset is not None:
                 assert np.array_equal(one.sset.points, m.sset.points)
+        if batched_rng is not None:
+            assert rng.bit_generator.state == batched_rng.bit_generator.state

@@ -32,7 +32,6 @@ from egotrack.sim import (
     SensorSpec,
     baseline_zoh,
     ego_increments,
-    emulate_sensor,
     generate_scenario,
     run_episode,
     sensor_schedule,
@@ -337,7 +336,7 @@ class TestSensor:
         cfg = quick_cfg(sensor=SensorSpec(0.0, 0.0, 0.0, "truth"))
         bundle = generate_scenario(cfg)
         rng = np.random.default_rng(0)
-        m = emulate_sensor(bundle, 10, rng)
+        (m,) = sim._observe(bundle, np.array([10]), rng)
         assert m.stamp == 0.2
         assert m.available_at == pytest.approx(0.4)
         np.testing.assert_array_equal(m.sset.points, bundle.true_sets[10])
@@ -345,17 +344,8 @@ class TestSensor:
     def test_cloud_mode_noiseless_matches_truth(self):
         cfg = quick_cfg(sensor=SensorSpec(0.0, 0.0, 0.0, "cloud"))
         bundle = generate_scenario(cfg)
-        m = emulate_sensor(bundle, 0, np.random.default_rng(0))
+        (m,) = sim._observe(bundle, np.array([0]), np.random.default_rng(0))
         np.testing.assert_allclose(m.sset.points, bundle.true_sets[0], atol=1e-9)
-
-    def test_tick_outside_episode_rejected(self):
-        bundle = generate_scenario(quick_cfg())
-        for k in (-1, bundle.config.n_ticks + 1):
-            with pytest.raises(ValueError, match="outside"):
-                emulate_sensor(bundle, k, np.random.default_rng(0))
-        # Both ends of the grid are ticks.
-        for k in (0, bundle.config.n_ticks):
-            assert emulate_sensor(bundle, k, np.random.default_rng(0)).stamp == bundle.times[k]
 
     def test_noise_is_common_mode_not_averaged_out(self):
         # One shared pixel/depth draw per frame: the centroid keeps the full
@@ -364,9 +354,10 @@ class TestSensor:
         bundle = generate_scenario(quick_cfg())
         rng = np.random.default_rng(1)
         noiseless = generate_scenario(quick_cfg(sensor=SensorSpec(0.0, 0.0, 0.0, "cloud")))
-        clean = emulate_sensor(noiseless, 0, np.random.default_rng(0)).sset.points[0]
+        (clean,) = sim._observe(noiseless, np.array([0]), np.random.default_rng(0))
+        clean = clean.sset.points[0]
         shifts = np.array([
-            emulate_sensor(bundle, 0, rng).sset.points[0] - clean for _ in range(60)
+            sim._observe(bundle, np.array([0]), rng)[0].sset.points[0] - clean for _ in range(60)
         ])
         z_ref = clean[2]
         # centroid x scatter ~ Z sigma_u / fx, z scatter ~ sigma_z
@@ -381,6 +372,28 @@ class TestSensor:
         np.testing.assert_allclose([m.stamp for m in ms], np.arange(6) * 0.2, atol=1e-12)
         for m in ms:
             assert m.available_at == pytest.approx(m.stamp + 0.2)
+
+    def test_chunks_hold_at_most_the_point_budget(self, monkeypatch):
+        # The cloud sensor culls as many whole frames at once as fit in
+        # SENSOR_CHUNK_POINTS surface points, and one frame when none fits.
+        frames = []
+        real = sim.visibility
+
+        def recorded(points, normals, cam):
+            frames.append(len(points))
+            return real(points, normals, cam)
+
+        monkeypatch.setattr(sim, "visibility", recorded)
+        for samples in (4000, SENSOR_CHUNK_POINTS + 1):
+            cfg = quick_cfg(duration=2.0, obs_rate=25.0, surface_samples=samples)
+            bundle = generate_scenario(cfg)
+            frames.clear()
+            ms = sensor_schedule(bundle)
+            assert sum(frames) == len(ms) == 51 and len(frames) > 1
+            for f in frames:
+                assert f == 1 or f * samples <= SENSOR_CHUNK_POINTS
+            for f in frames[:-1]:
+                assert (f + 1) * samples > SENSOR_CHUNK_POINTS
 
     @pytest.mark.parametrize("mode", ["cloud", "truth"])
     def test_unseen_frame_draws_nothing(self, mode):
@@ -403,7 +416,8 @@ class TestSensor:
             ticks = range(0, cfg.n_ticks + 1, cfg.obs_stride)
             for k, m in zip(ticks, ms):
                 if m.sset is not None:
-                    assert np.array_equal(emulate_sensor(bundle, k, rng).sset.points, m.sset.points)
+                    (one,) = sim._observe(bundle, np.array([k]), rng)
+                    assert np.array_equal(one.sset.points, m.sset.points)
 
     def test_training_latency_is_the_bundles(self, monkeypatch):
         # A perception delay longer than the default 30-record history covers
@@ -537,16 +551,6 @@ class TestRunEpisode:
         metrics, _ = run_episode(generate_scenario(cfg))
         assert metrics.rmse_filter_centroid < 1e-6
         assert metrics.velocity_rmse < 1e-6
-
-    def test_measurement_cutoff_goes_open_loop(self):
-        cfg = quick_cfg(duration=2.0, sensor=SensorSpec(0.0, 0.0, 0.0, "truth"),
-                        target=ObjectSpec(position=(2.5, 0.3, 0.0), velocity=(0.0, -0.3, 0.0)))
-        bundle = generate_scenario(cfg)
-        with_cut, _ = run_episode(bundle, measurement_cutoff=0.5)
-        without, _ = run_episode(bundle)
-        # ZOH freezes at the last delivered frame while the target keeps moving
-        assert with_cut.rmse_zoh_centroid > 0.2
-        assert with_cut.rmse_zoh_centroid > 2.5 * without.rmse_zoh_centroid
 
     def test_training_mode_runs_and_tracks_drift(self):
         cfg = quick_cfg(mode="training")

@@ -163,30 +163,28 @@ MUTANTS = (
            "dist = norms(centroid)",
            "dist = np.sqrt(np.sum(centroid**2, axis=-1))",
            "tests/test_golden.py::test_outputs_match_golden_digests[truth-late-in-place]"),
+    # The one cloud pass, which the sensor and the scoring truth both run.
     Mutant("jitter-drawn-for-unseen-frame", "sim.py",
-           "rng.standard_normal((len(counts), 3))",
-           "rng.standard_normal((len(seen), 3))[seen]",
+           "points = _jitter(cam, *noise, points, pixels, counts)",
+           "points = _jitter(cam, *noise, points, pixels, mask.sum(axis=1))",
            "tests/test_golden.py::test_outputs_match_golden_digests[turning-cloud-reacquire]"),
     Mutant("moments-count-hidden-points", "sim.py",
-           "            points = np.compress(mask.ravel(), points.reshape(-1, 3), axis=0)\n"
-           "            pixels = np.compress(mask.ravel(), pixels.reshape(-1, 2), axis=0)\n",
-           "            counts = np.full(len(counts), mask.shape[1])\n"
-           "            points = np.compress(np.repeat(seen, mask.shape[1]), points.reshape(-1, 3), axis=0)\n"
-           "            pixels = np.compress(np.repeat(seen, mask.shape[1]), pixels.reshape(-1, 2), axis=0)\n",
+           "flat, counts = mask.ravel(), counts[seen]",
+           "flat, counts = np.repeat(seen, mask.shape[1]), np.full(seen.sum(), mask.shape[1])",
            "tests/test_golden.py::test_outputs_match_golden_digests[cylinder-turning-cloud]"),
-    # The scoring truth: the first frame with a visible point, over its visible points.
-    Mutant("truth-from-chunk-first-frame", "sim.py",
-           "i = int(np.argmax(counts > 0))",
-           "i = 0",
-           "tests/test_sim.py::TestScenario::test_truth_from_first_visible_tick_after_the_first_chunk"),
-    Mutant("truth-moments-count-hidden-points", "sim.py",
-           "segment_pca(points[i][mask[i]], counts[i:i + 1])",
-           "segment_pca(points[i], np.array([len(cloud)]))",
-           "tests/test_golden.py::test_outputs_match_golden_digests[cylinder-turning-cloud]"),
+    Mutant("chunk-over-point-budget", "sim.py",
+           "chunk = max(1, SENSOR_CHUNK_POINTS // len(cloud))",
+           "chunk = max(1, -(-SENSOR_CHUNK_POINTS // len(cloud)))",
+           "tests/test_sim.py::TestSensor::test_chunks_hold_at_most_the_point_budget"),
     Mutant("last-partial-chunk-dropped", "sim.py",
            "for first in range(0, len(ticks), chunk):",
            "for first in range(0, len(ticks) - len(ticks) % chunk, chunk):",
-           "tests/test_acceptance.py::test_criterion[criterion-07]"),
+           "tests/test_sim.py::TestSensor::test_schedule_covers_episode"),
+    # The scoring truth: the first frame with a visible point.
+    Mutant("truth-from-chunk-first-frame", "sim.py",
+           "k = int(ticks[np.argmax(seen)])",
+           "k = int(ticks[0])",
+           "tests/test_sim.py::TestScenario::test_truth_from_first_visible_tick_after_the_first_chunk"),
     Mutant("latency-without-perception-delay", "sim.py",
            "latency=cfg.obs_latency + (draw.perception_delay if draw is not None else 0.0),",
            "latency=cfg.obs_latency,",
@@ -284,6 +282,10 @@ MUTANTS = (
            'raise ConfigError(f"{path}.{exc}") from exc',
            'raise ConfigError(f"{exc}") from exc',
            "tests/test_cli.py::TestRunCommand::test_bad_leaf_exits_2_naming_the_key[unknown-shape]"),
+    Mutant("negative-zero-float-kept", "config.py",
+           "return kind(value + 0.0)",
+           "return kind(value)",
+           "tests/test_cli.py::TestRunCommand::test_negative_zero_noise_is_zero[drift-sigma]"),
     # CLI.
     Mutant("out-dir-not-checked", "cli.py",
            "        if args.out is not None:\n            _check_out_dir(args.out)\n",
@@ -293,6 +295,10 @@ MUTANTS = (
            'len(table.columns)) + "\\r\\n"',
            'len(table.columns)) + "\\n"',
            "tests/test_cli.py::TestRunCommand::test_chunked_csv_equals_one_pass"),
+    Mutant("sweep-exits-0-on-failed-seeds", "cli.py",
+           "return 1 if failures else 0",
+           "return 0",
+           "tests/test_cli.py::TestSweepCommand::test_failing_seeds_reported"),
 )
 
 
