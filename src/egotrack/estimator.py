@@ -341,12 +341,17 @@ class FilterBank:
         return self._carry(self._states[i - 1], k) if i else None
 
     def estimate(self) -> SigmaPointSet | None:
+        """Lane 0's newest positions.  No run reads it; the benchmark's tick
+        driver and the tests keep it until ROADMAP item 3."""
         if self.mean is None:
             return None
         return SigmaPointSet(self.mean[0, :, 0:3].copy())
 
     def step(self, dt: float, t_rel: RigidTransform) -> None:
-        """Advance one control tick: predict then remap by the ego increment."""
+        """Advance one control tick: predict then remap by the ego increment.
+
+        ``push`` is the run's entry point; the benchmark's tick driver and the
+        tests keep this one until ROADMAP item 3."""
         self.push(dt, *compensate_ego_motion(dt, t_rel.rotation, t_rel.translation, self.ego))
 
     def push(self, dt: float, g: np.ndarray, c: np.ndarray) -> None:

@@ -216,7 +216,10 @@ class SurfacePointCloud:
 
 
 def transform_points(cloud: SurfacePointCloud, t: RigidTransform) -> SurfacePointCloud:
-    """Map a cloud into another frame; normals rotate, points rotate and translate."""
+    """Map a cloud into another frame; normals rotate, points rotate and translate.
+
+    No run calls it; the benchmark's tracer and the tests' per-frame
+    references keep it until ROADMAP item 3."""
     if cloud.frame != t.from_frame:
         raise FrameMismatchError(
             f"cloud is in frame {cloud.frame!r} but transform expects {t.from_frame!r}"
@@ -252,7 +255,9 @@ def visibility(
 
 def compute_visible_set(cloud: SurfacePointCloud, cam: CameraModel) -> np.ndarray:
     """Indices of points that face the camera and land inside the image
-    (see ``visibility``), in the input ordering."""
+    (see ``visibility``), in the input ordering.  No run calls it; the
+    benchmark's tracer and the tests' per-frame references keep it until
+    ROADMAP item 3."""
     return np.nonzero(visibility(cloud.points, cloud.normals, cam)[0])[0]
 
 

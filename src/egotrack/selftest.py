@@ -17,17 +17,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .estimator import STAMP_EPS, FilterBank, FilterConfig, associate_measurement, measurement_covariance
-from .geometry import (
-    CameraModel,
-    RigidTransform,
-    SigmaPointSet,
-    SurfacePointCloud,
-    compute_visible_set,
-    rotate,
-    segment_pca,
-    weighted_pca,
+from .estimator import (
+    STAMP_EPS, FilterBank, FilterConfig, associate_measurement, compensate_ego_motion, measurement_covariance,
 )
+from .geometry import CameraModel, SigmaPointSet, rotate, segment_pca, visibility, weighted_pca
 from .perturbation import DriftState, drift_step
 from .sim import (
     CameraMotion,
@@ -38,7 +31,7 @@ from .sim import (
     _deliveries,
     _observe,
     _run_bank,
-    ego_increments,
+    bank_ticks,
     generate_scenario,
     run_episode,
     sensor_schedule,
@@ -146,9 +139,7 @@ def check_visibility_exactness() -> CriterionResult:
     edge = np.array([[0.0, 0.1, 2.0], [0.5, 0.0, cam.fx * 0.5 / (cam.width - cam.cx)]])
     edge_normals = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, -1.0]])
     points = np.concatenate([center + radius * dirs, edge])
-    cloud = SurfacePointCloud(points, np.concatenate([dirs, edge_normals]), "camera")
-    vis = np.zeros(len(points), dtype=bool)
-    vis[compute_visible_set(cloud, cam)] = True
+    vis = visibility(points, np.concatenate([dirs, edge_normals]), cam)[0]
     # Closed-form half-space test: n . (c + r n) < 0 <=> n . c + r < 0.
     oracle = np.concatenate([dirs @ center + radius < 0.0, [False, False]])
     mismatches = int(np.sum(vis != oracle))
@@ -206,7 +197,6 @@ def check_kf_reduction() -> CriterionResult:
         [0.0, 0.0, 2.2],
     ])
     drift_v = np.array([0.02, -0.01, 0.03])
-    ident = RigidTransform.identity("camera")
     bank = FilterBank(cfg, cam, start_stamp=0.0, history_depth=600)
 
     z0 = truth + rng.normal(0.0, 0.02, size=(7, 3))
@@ -217,7 +207,7 @@ def check_kf_reduction() -> CriterionResult:
     for step in range(500):
         dt = float(rng.uniform(0.005, 0.05))
         truth = truth + drift_v * dt
-        bank.step(dt, ident)
+        bank.push(dt, *compensate_ego_motion(dt, np.eye(3), np.zeros(3), bank.ego))
         for kf in oracles:
             kf.predict(dt)
         if step % 5 == 4:
@@ -307,53 +297,25 @@ def check_latency_equivalence() -> CriterionResult:
         target=ObjectSpec(position=(2.5, 0.4, 0.0), velocity=(0.0, -0.3, 0.0)),
     )
     bundle = generate_scenario(cfg)
-    fc = FilterConfig()
-    times = bundle.times
     # Truncate so every measurement is delivered inside the episode; then both
     # banks end on the same information set and final states are comparable.
-    measurements = [
-        m for m in sensor_schedule(bundle)
-        if m.sset is not None and m.stamp <= cfg.duration - cfg.obs_latency + STAMP_EPS
-    ]
-    t_rels = [RigidTransform(r, t) for r, t in zip(*ego_increments(bundle))]
-
-    def snapshot(state):
-        mean, cov = state
-        return mean.copy(), cov.copy()
-
-    # Zero-latency oracle: same measurements, delivered at their stamps.
-    # Record the posterior right after each update.
-    oracle = FilterBank(fc, cfg.camera, start_stamp=0.0, history_depth=60)
-    by_stamp: dict[int, tuple] = {}
-    idx = 0
-    for k, t in enumerate(times):
-        if k > 0:
-            oracle.step(float(times[k] - times[k - 1]), t_rels[k])
-        while idx < len(measurements) and measurements[idx].stamp <= t + STAMP_EPS:
-            oracle.ingest(measurements[idx].sset, measurements[idx].stamp)
-            by_stamp[round(measurements[idx].stamp * cfg.control_rate)] = snapshot(oracle.state)
-            idx += 1
-
-    # Latency run: right after each delayed ingest, the posterior at the
-    # measurement's stamp must be exactly the oracle's.
-    bank = FilterBank(fc, cfg.camera, start_stamp=0.0, history_depth=60)
+    late = [m for m in sensor_schedule(bundle) if m.stamp <= cfg.duration - cfg.obs_latency + STAMP_EPS]
+    # Zero-latency oracle: the same sets, delivered at their stamps.
+    prompt = [replace(m, available_at=m.stamp) for m in late]
     worst = 0.0
     compared = 0
-    idx = 0
-    for k, t in enumerate(times):
-        if k > 0:
-            bank.step(float(times[k] - times[k - 1]), t_rels[k])
-        while idx < len(measurements) and measurements[idx].available_at <= t + STAMP_EPS:
-            m = measurements[idx]
-            bank.ingest(m.sset, m.stamp)
-            got = snapshot(bank.posterior_at(m.stamp))
-            want = by_stamp[round(m.stamp * cfg.control_rate)]
-            worst = max(worst, *(np.abs(g - w).max() for g, w in zip(got, want)))
+    for (bank, ingested), (oracle, _) in zip(
+        bank_ticks(bundle, late, FilterConfig()), bank_ticks(bundle, prompt, FilterConfig())
+    ):
+        # Right after each delayed ingest, the posterior at the measurement's
+        # stamp must be exactly the oracle's.  The oracle has taken later sets
+        # too, but at later ticks, so its posterior there is the one right
+        # after this set.
+        for m in ingested:
+            pairs = zip(bank.posterior_at(m.stamp), oracle.posterior_at(m.stamp))
+            worst = max(worst, *(np.abs(g - w).max() for g, w in pairs))
             compared += 1
-            idx += 1
-    final_got = snapshot(bank.state)
-    final_want = snapshot(oracle.state)
-    worst = max(worst, *(np.abs(g - w).max() for g, w in zip(final_got, final_want)))
+    worst = max(worst, *(np.abs(g - w).max() for g, w in zip(bank.state, oracle.state)))
     ok = worst <= 1e-9 and compared >= 10
     return CriterionResult(
         5, "latency replay equivalence", ok,

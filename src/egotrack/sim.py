@@ -286,7 +286,8 @@ class TrajectoryBundle:
     @cached_property
     def vo_poses(self) -> list[RigidTransform]:
         """The VO stream as one checked camera -> world transform per tick,
-        built on first access."""
+        built on first access.  No run reads it; the benchmark's tick driver
+        and the tests' references keep it until ROADMAP item 3."""
         return [
             RigidTransform(r, p, "camera", "world") for r, p in zip(self.vo_rotation, self.vo_position)
         ]
@@ -529,21 +530,23 @@ def ego_increments(bundle: TrajectoryBundle) -> tuple[np.ndarray, np.ndarray]:
     return rotations, translations
 
 
-def _run_bank(
+def bank_ticks(
     bundle: TrajectoryBundle,
     measurements: list[Measurement],
     cfg: FilterConfig,
     oosm_mode: str = "replay",
     ego_lanes: tuple[bool, ...] = (True,),
-) -> tuple[np.ndarray, np.ndarray]:
-    """Drive one filter bank over the episode.
+) -> Iterator[tuple[FilterBank, list[Measurement]]]:
+    """The episode's tick loop: one filter bank over the episode, one tick
+    per ``next()``.
 
     The bank steps on the bundle's tick grid with its ``ego_increments``, and
     keeps the history a measurement ``bundle.latency`` late needs; a lane
-    whose ``ego_lanes`` flag is false never applies the increments.  Returns
-    the bank mean of every lane at every tick, shaped ``(ticks, lanes, 7, 6)``
-    (position then velocity) and NaN before initialization, and the
-    ``(ticks,)`` mask of ticks that have an estimate.
+    whose ``ego_lanes`` flag is false never applies the increments.  The
+    bank and every step's propagation are built at the call.  Each ``next()``
+    steps the bank into the next tick (tick 0 has no step), ingests the sets
+    delivered by then, and yields the bank with those measurements in
+    delivery order.
     """
     times = bundle.times
     bank = FilterBank(
@@ -555,7 +558,6 @@ def _run_bank(
         ego_lanes=ego_lanes,
     )
     delivered, count = _deliveries(measurements, times)
-    done = 0
     rotations, translations = ego_increments(bundle)
     # The check each RigidTransform would run, once for the whole stack.
     check_rotations(rotations)
@@ -564,14 +566,33 @@ def _run_bank(
     gs, cs = compensate_ego_motion(
         dts[:, None, None, None], rotations[1:, None], translations[1:, None], bank.ego
     )
-    means = np.full((len(times), len(ego_lanes), N_POINTS, 6), np.nan)
-    has = np.zeros(len(times), dtype=bool)
-    for k in range(len(times)):
-        if k > 0:
-            bank.push(float(dts[k - 1]), gs[k - 1], cs[k - 1])
-        for m in delivered[done:count[k]]:
-            bank.ingest(m.sset, m.stamp)
-        done = count[k]
+
+    def ticks() -> Iterator[tuple[FilterBank, list[Measurement]]]:
+        for k, (first, last) in enumerate(zip(chain([0], count), count)):
+            if k > 0:
+                bank.push(float(dts[k - 1]), gs[k - 1], cs[k - 1])
+            ingested = delivered[first:last]
+            for m in ingested:
+                bank.ingest(m.sset, m.stamp)
+            yield bank, ingested
+
+    return ticks()
+
+
+def _run_bank(
+    bundle: TrajectoryBundle,
+    measurements: list[Measurement],
+    cfg: FilterConfig,
+    oosm_mode: str = "replay",
+    ego_lanes: tuple[bool, ...] = (True,),
+) -> tuple[np.ndarray, np.ndarray]:
+    """The bank mean of every lane at every tick of ``bank_ticks``, shaped
+    ``(ticks, lanes, 7, 6)`` (position then velocity) and NaN before
+    initialization, and the ``(ticks,)`` mask of ticks that have an estimate.
+    """
+    means = np.full((len(bundle.times), len(ego_lanes), N_POINTS, 6), np.nan)
+    has = np.zeros(len(bundle.times), dtype=bool)
+    for k, (bank, _) in enumerate(bank_ticks(bundle, measurements, cfg, oosm_mode, ego_lanes)):
         if bank.mean is not None:
             means[k] = bank.mean
             has[k] = True

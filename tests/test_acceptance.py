@@ -34,11 +34,22 @@ def test_selftest_catches_induced_regression():
 
 def test_a_criterion_that_raises_fails_alone(tmp_path, monkeypatch, capsys):
     # A criterion that raises is one FAIL line naming the exception; the
-    # others still run and report, and the command prints no traceback.
+    # others still run and report, and the command prints no traceback.  The
+    # others are stubs that record their run; test_criterion runs the real ones.
+    ran = []
+
+    def stub(i):
+        def passes(*args):
+            ran.append(i)
+            return selftest.CriterionResult(i, f"stub {i}", True, "ran")
+        return passes
+
     def raises():
         raise TypeError("'NoneType' object is not subscriptable")
 
-    monkeypatch.setattr(selftest, "ALL_CRITERIA", (*ALL_CRITERIA[:2], raises, *ALL_CRITERIA[3:]))
+    criteria = [stub(i) for i in INDICES]
+    criteria[2] = raises
+    monkeypatch.setattr(selftest, "ALL_CRITERIA", tuple(criteria))
     returned = []
 
     def recording_run_all(**kwargs):
@@ -49,6 +60,7 @@ def test_a_criterion_that_raises_fails_alone(tmp_path, monkeypatch, capsys):
     assert main(["selftest", "--out", str(tmp_path)]) == 1
     captured = capsys.readouterr()
     assert [r.index for r in returned] == list(INDICES)
+    assert ran == [i for i in INDICES if i != 3]
     assert [r.index for r in returned if not r.passed] == [3]
     assert returned[2].detail == "raised TypeError: 'NoneType' object is not subscriptable"
     assert "FAIL criterion  3: raises (raised TypeError: " in captured.out

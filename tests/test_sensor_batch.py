@@ -39,6 +39,14 @@ SETTINGS = settings(max_examples=30, deadline=None)
 TOLERANCE_M = 1e-12
 
 
+def ref_visible_points(cloud, to_cam, cam):
+    """The camera-frame points of ``cloud`` that one frame sees, with the
+    object -> camera transform ``to_cam``: the per-frame reference of the one
+    cloud pass that the sensor and the scoring truth both run."""
+    cam_cloud = transform_points(cloud, to_cam)
+    return cam_cloud.points[compute_visible_set(cam_cloud, cam)]
+
+
 def ref_observation(bundle, k, rng):
     """Tick ``k``'s set, (7, 3), or None when nothing is visible."""
     cfg = bundle.config
@@ -53,11 +61,9 @@ def ref_observation(bundle, k, rng):
         to_cam = RigidTransform(
             bundle.obj_to_cam_rotation[k], bundle.obj_to_cam_translation[k], "object", "camera"
         )
-        cam_cloud = transform_points(bundle.cloud, to_cam)
-        vis = compute_visible_set(cam_cloud, cam)
-        if vis.size == 0:
+        pts = ref_visible_points(bundle.cloud, to_cam, cam)
+        if len(pts) == 0:
             return None
-        pts = cam_cloud.points[vis]
     du = rng.normal(0.0, spec.pixel_std_u)
     dv = rng.normal(0.0, spec.pixel_std_v)
     dz = rng.normal(0.0, spec.depth_std)

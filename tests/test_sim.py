@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,12 +10,10 @@ from egotrack.estimator import STAMP_EPS, FilterBank, FilterConfig, IngestStatus
 from egotrack.geometry import (
     CameraModel,
     RigidTransform,
-    compute_visible_set,
     place_sigma_points,
     project_points,
     rotation_about_axis,
     rotation_rpy,
-    transform_points,
     weighted_pca,
 )
 from egotrack.perturbation import RandomizationConfig
@@ -38,7 +37,7 @@ from egotrack.sim import (
     Measurement,
 )
 from egotrack.tasklogic import TaskGeometry
-from test_sensor_batch import TOLERANCE_M
+from test_sensor_batch import TOLERANCE_M, ref_visible_points
 
 
 def ref_truth(cloud, to_cams, cam, alpha):
@@ -46,10 +45,8 @@ def ref_truth(cloud, to_cams, cam, alpha):
     transforms ``to_cams`` that sees any point of ``cloud``, and that frame's
     set by ``weighted_pca`` at unit weights, mapped back to the object frame."""
     for k, to_cam in enumerate(to_cams):
-        cam_cloud = transform_points(cloud, to_cam)
-        vis = compute_visible_set(cam_cloud, cam)
-        if vis.size:
-            pts = cam_cloud.points[vis]
+        pts = ref_visible_points(cloud, to_cam, cam)
+        if len(pts):
             ref = place_sigma_points(weighted_pca(pts, np.ones(len(pts))), alpha)
             return k, to_cam.inverse().apply_points(ref)
     raise AssertionError("the reference never sees the target")
@@ -495,14 +492,52 @@ class TestRunEpisode:
 
     def test_bank_rejects_a_non_rotation_increment(self, monkeypatch):
         # The bank derives the increments from the bundle as arrays; the stack
-        # is checked once, as each per-tick RigidTransform used to be.
+        # is checked once, as each per-tick RigidTransform used to be, when
+        # bank_ticks is called, before its first tick.
         bundle = generate_scenario(quick_cfg(camera_motion=CameraMotion(kind="walking")))
         rotations, translations = ego_increments(bundle)
         rotations = rotations.copy()
         rotations[17] *= 1.001
         monkeypatch.setattr(sim, "ego_increments", lambda b: (rotations, translations))
         with pytest.raises(ValueError, match="orthonormal"):
+            sim.bank_ticks(bundle, [], FilterConfig())
+        with pytest.raises(ValueError, match="orthonormal"):
             run_episode(bundle)
+
+    def test_bank_ticks_yields_each_tick_with_its_deliveries(self):
+        # The tick iterator's contract: one yield per tick, in order, of the
+        # one bank.  Each set is yielded exactly once, at the first tick it is
+        # available by, after its ingest, and the sets come in delivery
+        # order, which jittered delays make differ from stamp order.
+        cfg = quick_cfg(
+            camera_motion=CameraMotion(kind="walking"), sensor=SensorSpec(mode="truth"),
+            obs_rate=25.0, obs_latency=0.3,
+        )
+        bundle = generate_scenario(cfg)
+        rng = np.random.default_rng(3)
+        measurements = [
+            replace(m, available_at=m.stamp + rng.uniform(0.0, 0.3)) for m in sensor_schedule(bundle)
+        ]
+        times = bundle.times
+        # A set available after the last tick is never yielded.
+        delivered = sorted(
+            (m for m in measurements if m.sset is not None and m.available_at <= times[-1] + STAMP_EPS),
+            key=lambda m: m.available_at,
+        )
+        assert [m.stamp for m in delivered] != sorted(m.stamp for m in delivered)
+        assert len(delivered) < sum(m.sset is not None for m in measurements)
+        yielded = []
+        banks = set()
+        for k, (bank, ingested) in enumerate(sim.bank_ticks(bundle, measurements, FilterConfig())):
+            banks.add(id(bank))
+            assert bank.stamp == times[k]
+            for m in ingested:
+                assert m.available_at <= times[k] + STAMP_EPS
+                assert k == 0 or m.available_at > times[k - 1] + STAMP_EPS
+            yielded += ingested
+            assert (bank.mean is not None) == bool(yielded)
+        assert k == len(times) - 1 and len(banks) == 1
+        assert [id(m) for m in yielded] == [id(m) for m in delivered]
 
     def test_rows_and_metrics_shape(self):
         bundle = generate_scenario(quick_cfg())

@@ -115,6 +115,11 @@ MUTANTS = (
            "            states[0] = _SetState(dropped, stamp, *self._carry(first, dropped), first.seen, None)\n",
            "",
            "tests/test_bank_properties.py::test_bank_equals_sequential_reference"),
+    # The posterior at a past stamp, read from the state before it.
+    Mutant("posterior-reads-newest-state", "estimator.py",
+           "return self._carry(self._states[i - 1], k) if i else None",
+           "return self._carry(self._states[-1], k) if i else None",
+           "tests/test_bank_properties.py::test_bank_equals_sequential_reference"),
     Mutant("future-check-without-stamp-eps", "estimator.py",
            "if meas_stamp > self._stamp + STAMP_EPS:",
            "if meas_stamp > self._stamp:",
@@ -154,6 +159,11 @@ MUTANTS = (
     Mutant("stack-check-removed-from-run-bank", "sim.py",
            "    check_rotations(rotations)\n    # Every step",
            "    # Every step",
+           "tests/test_sim.py::TestRunEpisode::test_bank_rejects_a_non_rotation_increment"),
+    # The tick iterator builds the bank and every step at its call.
+    Mutant("tick-setup-deferred-to-first-next", "sim.py",
+           "    return ticks()\n",
+           "    yield from ticks()\n",
            "tests/test_sim.py::TestRunEpisode::test_bank_rejects_a_non_rotation_increment"),
     Mutant("step-from-neighbouring-increment", "sim.py",
            "rotations[1:, None], translations[1:, None]",
@@ -336,6 +346,13 @@ CRITERION_MUTANTS = (
     Mutant("mean-only-replay-drops-c", "estimator.py",
            "self._mean = predict_mean(state.mean, g, c)",
            "self._mean = predict_mean(state.mean, g, 0.0 * c)", 5),
+    # The zero-latency oracle has taken later sets when the late bank takes
+    # a delayed one, so only a read at the set's own stamp agrees.
+    _also_for(5, "posterior-reads-newest-state"),
+    # The tick loop applies a delayed set at its delivery tick, not its stamp's.
+    Mutant("delayed-set-ingested-at-delivery", "sim.py",
+           "bank.ingest(m.sset, m.stamp)",
+           "bank.ingest(m.sset, m.available_at)", 5),
     Mutant("replay-lanes-without-compensation", "sim.py",
            "ego_lanes=(ego, False))",
            "ego_lanes=(False, False))", 6),
